@@ -1,14 +1,3 @@
 """Finite-volume reacting-channel testbed with learned per-cell surrogate stepping."""
 
 __version__ = "0.1.0"
-
-from .solver import (  # noqa: F401
-    GridSpec,
-    PhysicalParams,
-    Snapshot,
-    VARIABLES,
-    continuity_residual,
-    reaction_rate,
-    simulate,
-    step,
-)

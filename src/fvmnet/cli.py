@@ -60,6 +60,12 @@ def _apply_thread_cap(argv: List[str]) -> None:
             "NUMEXPR_NUM_THREADS",
         ):
             os.environ[var] = cap
+        if "numpy" in sys.modules:
+            # BLAS reads these variables once, when numpy loads.
+            log.warning(
+                "--threads %s has no effect: numpy was loaded before the cap was set",
+                cap,
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,36 +396,6 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _rollout_error_states(cfg, bundle, series, grid, params, mode, steps):
-    """Predicted snapshots at the requested step indices for one mode."""
-    from .rollout import predict_step, window_gradient
-    from .solver import Snapshot
-
-    w = cfg.train_window
-    initial = series[w]
-    wanted = sorted(set(steps))
-    states = {}
-    if mode == "multi":
-        state = initial
-        for k in range(1, wanted[-1] + 1):
-            state = predict_step(bundle, state, cfg.partition, grid, params)
-            if k in wanted:
-                states[k] = state
-    elif mode == "single":
-        for k in wanted:
-            states[k] = predict_step(
-                bundle, series[w + k - 1], cfg.partition, grid, params
-            )
-    else:
-        gradient = window_gradient(series[w - 1], series[w], grid)
-        lo, hi = cfg.partition.flame
-        for k in wanted:
-            values = initial.values.copy()
-            values[:, lo:hi, :] += (k * grid.dt) * gradient[:, lo:hi, :]
-            states[k] = Snapshot(values, initial.time + k * grid.dt)
-    return states
-
-
 def cmd_rollout(args) -> int:
     from .io import (
         dump_json,
@@ -479,14 +455,10 @@ def cmd_rollout(args) -> int:
                 "quadratic_rss": quadratic,
                 "better": "quadratic" if quadratic < linear else "linear",
             }
-        dump_steps = sorted({1, horizon})
-        states = _rollout_error_states(
-            cfg, bundle, series, grid, params, mode, dump_steps
-        )
-        for k in dump_steps:
+        for k in sorted({1, horizon}):
             write_error_field(
                 os.path.join(cfg.out, f"errors_{report.mode}_step_{k:04d}.csv"),
-                states[k],
+                report.states[k - 1],
                 truth[k],
             )
         log.info(
@@ -755,11 +727,11 @@ def cmd_report(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
     if not logging.getLogger().handlers:
         logging.basicConfig(
             level=logging.INFO, format="%(levelname)-7s %(name)s: %(message)s"
         )
+    _apply_thread_cap(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

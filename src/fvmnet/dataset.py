@@ -16,7 +16,7 @@ the axis mirror uses the center value, the wall either repeats the center
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,16 +70,6 @@ class DomainPartition:
         return self.m_star <= i < self.m - self.m_star
 
 
-@dataclass(frozen=True)
-class TierSample:
-    """One training sample: stencil input, scalar target, provenance."""
-
-    input: np.ndarray
-    target: float
-    cell: Tuple[int, int]
-    time: float
-
-
 def _check_wall_args(wall_policy: str, wall_values) -> Optional[np.ndarray]:
     if wall_policy not in WALL_POLICIES:
         raise DomainError(f"wall_policy must be one of {WALL_POLICIES}, got {wall_policy!r}")
@@ -93,64 +83,13 @@ def _check_wall_args(wall_policy: str, wall_values) -> Optional[np.ndarray]:
     return None
 
 
-def tier_input(
-    snapshot: Snapshot,
-    i: int,
-    j: int,
-    partition: DomainPartition,
-    wall_policy: str = "zero_neumann",
-    wall_values=None,
-) -> np.ndarray:
-    """Stencil vector for one cell: per variable [center, i-1, i+1, j-1, j+1].
-
-    The cell must lie in the middle band, so both axial neighbors exist (the
-    band edges legally read into the solver-owned strips). On the axis the
-    j-1 slot repeats the center; at the wall the j+1 slot repeats the center
-    or takes the per-variable wall value, by policy.
-    """
-    wv = _check_wall_args(wall_policy, wall_values)
-    m, n = snapshot.shape
-    if partition.m != m:
-        raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")
-    if not partition.contains(i):
-        raise DomainError(f"cell ({i}, {j}) outside the sampled band {partition.flame}")
-    if not 0 <= j < n:
-        raise DomainError(f"radial index {j} outside [0, {n})")
-
-    vals = snapshot.values
-    out = np.empty(TIER_WIDTH)
-    for k in range(N_VARS):
-        c = vals[k, i, j]
-        jm1 = c if j == 0 else vals[k, i, j - 1]
-        if j == n - 1:
-            jp1 = c if wv is None else wv[k]
-        else:
-            jp1 = vals[k, i, j + 1]
-        out[5 * k : 5 * k + 5] = (c, vals[k, i - 1, j], vals[k, i + 1, j], jm1, jp1)
-    return out
-
-
-def center_input(snapshot: Snapshot, i: int, j: int, partition: DomainPartition) -> np.ndarray:
-    """Cell-center values only, in variable order."""
-    if not partition.contains(i):
-        raise DomainError(f"cell ({i}, {j}) outside the sampled band {partition.flame}")
-    return snapshot.values[:, i, j].copy()
-
-
-def flame_cells(partition: DomainPartition, n: int) -> np.ndarray:
-    """(count, 2) array of sampled cells, i-major then j, matching matrix rows."""
-    lo, hi = partition.flame
-    ii, jj = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
-    return np.stack([ii.ravel(), jj.ravel()], axis=1)
-
-
 def tier_matrix(
     snapshot: Snapshot,
     partition: DomainPartition,
     wall_policy: str = "zero_neumann",
     wall_values=None,
 ) -> np.ndarray:
-    """Tier inputs for every middle-band cell, rows ordered like flame_cells."""
+    """Tier inputs for every middle-band cell, rows i-major then j."""
     wv = _check_wall_args(wall_policy, wall_values)
     m, n = snapshot.shape
     if partition.m != m:
@@ -214,22 +153,6 @@ def _check_pair(snap_t: Snapshot, snap_next: Snapshot, dt: float) -> None:
         )
 
 
-def derivative_target(
-    snap_t: Snapshot,
-    snap_next: Snapshot,
-    i: int,
-    j: int,
-    variable: str,
-    dt: float,
-) -> float:
-    """Forward-difference rate (x_next - x) / dt for one cell and variable."""
-    _check_pair(snap_t, snap_next, dt)
-    if variable not in IDX:
-        raise DomainError(f"unknown variable {variable!r}")
-    k = IDX[variable]
-    return float((snap_next.values[k, i, j] - snap_t.values[k, i, j]) / dt)
-
-
 def target_matrix(
     snap_t: Snapshot,
     snap_next: Snapshot,
@@ -268,14 +191,11 @@ class Standardizer:
     """Per-feature affine map to zero mean, unit spread, with exact inverse.
 
     Stds carry a floor of 1e-12 * max(1, |mean|) so constant features stay
-    invertible. Optional scalar target statistics ride along for bundles that
-    standardize their regression target.
+    invertible.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    target_mean: Optional[float] = None
-    target_std: Optional[float] = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=np.float64)
@@ -301,50 +221,25 @@ class Standardizer:
             raise DomainError(f"standardizer width {self.width}, input width {z.shape[-1]}")
         return z * self.std + self.mean
 
-    def apply_target(self, y):
-        if self.target_mean is None:
-            raise DomainError("standardizer has no target statistics")
-        return (np.asarray(y, dtype=np.float64) - self.target_mean) / self.target_std
-
-    def invert_target(self, z):
-        if self.target_mean is None:
-            raise DomainError("standardizer has no target statistics")
-        return np.asarray(z, dtype=np.float64) * self.target_std + self.target_mean
-
     def to_dict(self) -> dict:
-        out = {"mean": self.mean.tolist(), "std": self.std.tolist()}
-        if self.target_mean is not None:
-            out["target_mean"] = float(self.target_mean)
-            out["target_std"] = float(self.target_std)
-        return out
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Standardizer":
         return cls(
             mean=np.asarray(data["mean"], dtype=np.float64),
             std=np.asarray(data["std"], dtype=np.float64),
-            target_mean=data.get("target_mean"),
-            target_std=data.get("target_std"),
         )
 
 
-def fit_standardizer(inputs: np.ndarray, targets: Optional[np.ndarray] = None) -> Standardizer:
+def fit_standardizer(inputs: np.ndarray) -> Standardizer:
     """Population statistics of the given rows (training rows only, by contract)."""
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise DomainError(f"need a non-empty 2-D sample matrix, got shape {inputs.shape}")
     mean = inputs.mean(axis=0)
     std = _floored_std(inputs.std(axis=0), mean)
-    tm = ts = None
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != (inputs.shape[0],):
-            raise DomainError("targets must be one scalar per input row")
-        tm = float(targets.mean())
-        ts = float(
-            _floored_std(np.array([targets.std()]), np.array([tm]))[0]
-        )
-    return Standardizer(mean=mean, std=std, target_mean=tm, target_std=ts)
+    return Standardizer(mean=mean, std=std)
 
 
 def target_scale(targets: np.ndarray) -> Tuple[float, float]:
@@ -364,39 +259,14 @@ def target_scale(targets: np.ndarray) -> Tuple[float, float]:
 class DatasetSplit:
     """Shuffled train/validation rows for one designated variable."""
 
-    variable: str
-    input_mode: str
-    output_mode: str
-    wall_policy: str
     train_inputs: np.ndarray
     train_targets: np.ndarray
-    train_cells: np.ndarray
-    train_times: np.ndarray
     val_inputs: np.ndarray
     val_targets: np.ndarray
-    val_cells: np.ndarray
-    val_times: np.ndarray
-    split_fraction: float
-    seed: int
 
     @property
     def n_total(self) -> int:
         return self.train_inputs.shape[0] + self.val_inputs.shape[0]
-
-    def iter_samples(self, which: str = "train") -> Iterator[TierSample]:
-        if which not in ("train", "val"):
-            raise DomainError("which must be 'train' or 'val'")
-        inputs = getattr(self, f"{which}_inputs")
-        targets = getattr(self, f"{which}_targets")
-        cells = getattr(self, f"{which}_cells")
-        times = getattr(self, f"{which}_times")
-        for row in range(inputs.shape[0]):
-            yield TierSample(
-                input=inputs[row],
-                target=float(targets[row]),
-                cell=(int(cells[row, 0]), int(cells[row, 1])),
-                time=float(times[row]),
-            )
 
 
 def _harvest(
@@ -415,20 +285,11 @@ def _harvest(
     if output_mode not in OUTPUT_MODES:
         raise DomainError(f"output_mode must be one of {OUTPUT_MODES}, got {output_mode!r}")
 
-    n = series[0].shape[1]
-    cells = flame_cells(partition, n)
-    inputs, targets, cell_rows, times = [], [], [], []
+    inputs, targets = [], []
     for snap_t, snap_next in zip(series[:-1], series[1:]):
         inputs.append(input_matrix(snap_t, partition, input_mode, wall_policy, wall_values))
         targets.append(target_matrix(snap_t, snap_next, partition, grid.dt, output_mode))
-        cell_rows.append(cells)
-        times.append(np.full(cells.shape[0], snap_t.time))
-    return (
-        np.concatenate(inputs, axis=0),
-        np.concatenate(targets, axis=0),
-        np.concatenate(cell_rows, axis=0),
-        np.concatenate(times, axis=0),
-    )
+    return np.concatenate(inputs, axis=0), np.concatenate(targets, axis=0)
 
 
 def build_datasets(
@@ -455,7 +316,7 @@ def build_datasets(
     if not 0.0 < split_fraction < 1.0:
         raise DomainError(f"split_fraction must be in (0, 1), got {split_fraction}")
 
-    inputs, target_cols, cells, times = _harvest(
+    inputs, target_cols = _harvest(
         series, grid, partition, input_mode, output_mode, wall_policy, wall_values
     )
     total = inputs.shape[0]
@@ -466,25 +327,16 @@ def build_datasets(
             f"split {split_fraction} leaves an empty side for {total} samples"
         )
     tr, va = perm[:n_train], perm[n_train:]
+    train_inputs, val_inputs = inputs[tr], inputs[va]
 
     out = {}
     for v in variables:
         col = target_cols[:, IDX[v]]
         out[v] = DatasetSplit(
-            variable=v,
-            input_mode=input_mode,
-            output_mode=output_mode,
-            wall_policy=wall_policy,
-            train_inputs=inputs[tr],
+            train_inputs=train_inputs,
             train_targets=col[tr],
-            train_cells=cells[tr],
-            train_times=times[tr],
-            val_inputs=inputs[va],
+            val_inputs=val_inputs,
             val_targets=col[va],
-            val_cells=cells[va],
-            val_times=times[va],
-            split_fraction=split_fraction,
-            seed=seed,
         )
     return out
 

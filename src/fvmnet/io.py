@@ -1,4 +1,4 @@
-"""On-disk artifact formats: series, checkpoints, reports, traces, datasets.
+"""On-disk artifact formats: series, checkpoints, reports, traces.
 
 Every format round-trips bit-exactly: floats are written with repr (the
 shortest decimal string that parses back to the same double) inside JSON or
@@ -15,11 +15,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import DatasetSplit, Standardizer
+from .dataset import Standardizer
 from .errors import ArtifactIOError, DomainError
 from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
 from .network import Network, NetworkSpec, param_count
-from .rollout import RolloutReport, StepRecord, SurrogateBundle
+from .rollout import RolloutReport, SurrogateBundle
 from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot
 from .training import TrainConfig, TrainReport, config_digest
 
@@ -28,7 +28,6 @@ SNAPSHOT_HEADER = "i,j," + ",".join(VARIABLES)
 CHECKPOINT_FORMAT = "fvmnet-checkpoint-1"
 STANDARDIZER_FORMAT = "fvmnet-standardizer-1"
 STANDARDIZER_FILE = "standardizer.json"
-DATASET_FORMAT = "fvmnet-dataset-1"
 TRACE_FORMAT = "fvmnet-trace-1"
 
 
@@ -112,7 +111,7 @@ def grid_from_dict(data: Mapping) -> GridSpec:
 
 
 def params_to_dict(params: PhysicalParams) -> dict:
-    out = {
+    return {
         "diffusivity": {k: float(v) for k, v in params.diffusivity.items()},
         "arrhenius_a": params.arrhenius_a,
         "arrhenius_b": params.arrhenius_b,
@@ -124,17 +123,9 @@ def params_to_dict(params: PhysicalParams) -> dict:
         "wall_temperature": params.wall_temperature,
         "axial_bc": params.axial_bc,
     }
-    if params.velocity_field is not None:
-        vx, vr = params.velocity_field
-        out["velocity_field"] = [np.asarray(vx).tolist(), np.asarray(vr).tolist()]
-    return out
 
 
 def params_from_dict(data: Mapping) -> PhysicalParams:
-    velocity = None
-    if data.get("velocity_field") is not None:
-        vx, vr = data["velocity_field"]
-        velocity = (np.asarray(vx, dtype=np.float64), np.asarray(vr, dtype=np.float64))
     wall = data.get("wall_temperature")
     return PhysicalParams(
         diffusivity=dict(data["diffusivity"]),
@@ -147,7 +138,6 @@ def params_from_dict(data: Mapping) -> PhysicalParams:
         molar_mass=float(data["molar_mass"]),
         wall_temperature=None if wall is None else float(wall),
         axial_bc=str(data["axial_bc"]),
-        velocity_field=velocity,
     )
 
 
@@ -224,21 +214,20 @@ def load_series(manifest_path: str) -> Tuple[List[Snapshot], GridSpec, PhysicalP
         )
     grid = grid_from_dict(payload["grid"])
     params = params_from_dict(payload["params"])
+    times = [float(entry["time"]) for entry in payload["snapshots"]]
+    for k in range(1, len(times)):
+        gap = times[k] - times[k - 1]
+        if abs(gap - grid.dt) > 1e-9 * max(1.0, grid.dt):
+            raise ArtifactIOError(
+                f"{manifest_path} snapshot {k} is {gap:.12g} after snapshot {k - 1}, "
+                f"expected one step of dt={grid.dt:.12g}"
+            )
     base = os.path.dirname(manifest_path)
     series = [
-        _load_snapshot_csv(
-            os.path.join(base, entry["file"]), grid.m, grid.n, float(entry["time"])
-        )
-        for entry in payload["snapshots"]
+        _load_snapshot_csv(os.path.join(base, entry["file"]), grid.m, grid.n, time_)
+        for entry, time_ in zip(payload["snapshots"], times)
     ]
     return series, grid, params
-
-
-def manifest_extra(manifest_path: str) -> dict:
-    """The free-form 'extra' block a writer attached to the manifest."""
-    payload = read_json(manifest_path)
-    _expect_format(payload, SERIES_FORMAT, manifest_path)
-    return dict(payload.get("extra", {}))
 
 
 # ----- standardizer and network checkpoints -----
@@ -413,41 +402,6 @@ def write_rollout_report(out_dir: str, report: RolloutReport) -> Tuple[str, str]
     return report_file, timing_file
 
 
-def load_rollout_report(path: str, timing_path: Optional[str] = None) -> RolloutReport:
-    rows = read_csv(path, REPORT_HEADER)
-    timings: Dict[int, Tuple[float, float]] = {}
-    if timing_path is not None:
-        for row in read_csv(timing_path, TIMING_HEADER):
-            timings[int(row[0])] = (float(row[1]), float(row[2]))
-    mode = None
-    by_step: Dict[int, Tuple[dict, dict, float]] = {}
-    for row in rows:
-        step, row_mode, variable = int(row[0]), row[1], row[2]
-        if mode is None:
-            mode = row_mode
-        elif row_mode != mode:
-            raise ArtifactIOError(f"{path} mixes modes {mode!r} and {row_mode!r}")
-        maxes, means, _ = by_step.setdefault(step, ({}, {}, 0.0))
-        maxes[variable] = float(row[3])
-        means[variable] = float(row[4])
-        by_step[step] = (maxes, means, float(row[5]))
-    steps = []
-    for step in sorted(by_step):
-        maxes, means, residual = by_step[step]
-        ml_ms, cfd_ms = timings.get(step, (0.0, 0.0))
-        steps.append(
-            StepRecord(
-                step=step,
-                max_errors=maxes,
-                mean_errors=means,
-                scaled_residual=residual,
-                ml_ms=ml_ms,
-                cfd_ms=cfd_ms,
-            )
-        )
-    return RolloutReport(mode=mode, steps=steps)
-
-
 ERROR_FIELD_HEADER = "i,j," + ",".join(f"{v}_abs_err" for v in VARIABLES)
 
 
@@ -571,64 +525,3 @@ def write_audit(out_dir: str, rows) -> str:
                 (row.step, row.mode, v, float(row.max_errors[v]), float(row.mean_errors[v]))
             )
     return write_csv(os.path.join(out_dir, "audit.csv"), AUDIT_HEADER, flat)
-
-
-# ----- datasets -----
-
-
-def save_dataset(path: str, split: DatasetSplit, standardizer: Optional[Standardizer] = None) -> str:
-    payload = {
-        "format": DATASET_FORMAT,
-        "n_samples": split.n_total,
-        "variable": split.variable,
-        "input_mode": split.input_mode,
-        "output_mode": split.output_mode,
-        "wall_policy": split.wall_policy,
-        "split_fraction": split.split_fraction,
-        "seed": split.seed,
-        "standardizer": None if standardizer is None else standardizer.to_dict(),
-        "train": {
-            "inputs": split.train_inputs.tolist(),
-            "targets": split.train_targets.tolist(),
-            "cells": split.train_cells.tolist(),
-            "times": split.train_times.tolist(),
-        },
-        "val": {
-            "inputs": split.val_inputs.tolist(),
-            "targets": split.val_targets.tolist(),
-            "cells": split.val_cells.tolist(),
-            "times": split.val_times.tolist(),
-        },
-    }
-    return dump_json(path, payload)
-
-
-def load_dataset(path: str) -> Tuple[DatasetSplit, Optional[Standardizer]]:
-    payload = read_json(path)
-    _expect_format(payload, DATASET_FORMAT, path)
-    split = DatasetSplit(
-        variable=str(payload["variable"]),
-        input_mode=str(payload["input_mode"]),
-        output_mode=str(payload["output_mode"]),
-        wall_policy=str(payload["wall_policy"]),
-        train_inputs=np.asarray(payload["train"]["inputs"], dtype=np.float64),
-        train_targets=np.asarray(payload["train"]["targets"], dtype=np.float64),
-        train_cells=np.asarray(payload["train"]["cells"], dtype=np.int64),
-        train_times=np.asarray(payload["train"]["times"], dtype=np.float64),
-        val_inputs=np.asarray(payload["val"]["inputs"], dtype=np.float64),
-        val_targets=np.asarray(payload["val"]["targets"], dtype=np.float64),
-        val_cells=np.asarray(payload["val"]["cells"], dtype=np.int64),
-        val_times=np.asarray(payload["val"]["times"], dtype=np.float64),
-        split_fraction=float(payload["split_fraction"]),
-        seed=int(payload["seed"]),
-    )
-    if split.n_total != int(payload["n_samples"]):
-        raise ArtifactIOError(
-            f"{path} claims {payload['n_samples']} samples, found {split.n_total}"
-        )
-    standardizer = (
-        None
-        if payload["standardizer"] is None
-        else Standardizer.from_dict(payload["standardizer"])
-    )
-    return split, standardizer

@@ -79,9 +79,6 @@ class Network:
             biases=[b.copy() for b in self.biases],
         )
 
-    def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
     """Seeded uniform init: rectifier layers use bound sqrt(6 / fan_in),

@@ -36,7 +36,6 @@ from .solver import (
     PhysicalParams,
     Snapshot,
     continuity_residual,
-    step,
     step_columns,
 )
 from .training import TrainConfig, TrainReport, derived_seed, train
@@ -120,30 +119,6 @@ class SurrogateBundle:
             mean, std = self.target_scales[v]
             out[:, IDX[v]] = predict(self.networks[v], z) * std + mean
         return out
-
-
-@dataclass
-class DerivativeOracle:
-    """Bundle stand-in returning the exact solver derivative per flame cell.
-
-    Closes the loop for tests: feeding these outputs through predict_step
-    must reproduce the reference solver on the middle band.
-    """
-
-    input_mode: str = "tier"
-    output_mode: str = "derivative"
-
-    def cell_outputs(
-        self,
-        state: Snapshot,
-        partition: DomainPartition,
-        grid: GridSpec,
-        params: PhysicalParams,
-    ) -> np.ndarray:
-        advanced = step(state, grid, params)
-        lo, hi = partition.flame
-        band = (advanced.values[:, lo:hi, :] - state.values[:, lo:hi, :]) / grid.dt
-        return np.ascontiguousarray(band.transpose(1, 2, 0).reshape(-1, N_VARS))
 
 
 def _require_finite(values: np.ndarray, time_: float) -> None:
@@ -267,10 +242,15 @@ class StepRecord:
 
 @dataclass
 class RolloutReport:
-    """One evaluation mode's full per-step record."""
+    """One evaluation mode's full per-step record.
+
+    states[k - 1] is the predicted snapshot after step k, kept for the
+    per-cell error dumps; the report files carry only the step records.
+    """
 
     mode: str
     steps: List[StepRecord] = field(default_factory=list)
+    states: List[Snapshot] = field(default_factory=list)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -354,7 +334,7 @@ def multi_step(
 ) -> RolloutReport:
     """Autoregressive rollout: each step consumes the previous predicted state."""
     _check_truth(truth, initial, horizon, grid)
-    records = []
+    records, states = [], []
     state = initial
     for k in range(1, horizon + 1):
         try:
@@ -371,8 +351,9 @@ def multi_step(
             _record(k, advanced, state, truth[k], partition, grid, params,
                     denominator, ml_ms, cfd_ms)
         )
+        states.append(advanced)
         state = advanced
-    return RolloutReport(mode="multi", steps=records)
+    return RolloutReport(mode="multi", steps=records, states=states)
 
 
 def single_step(
@@ -388,7 +369,7 @@ def single_step(
     if horizon is None:
         horizon = len(truth) - 1
     _check_truth(truth, truth[0], horizon, grid)
-    records = []
+    records, states = [], []
     for k in range(1, horizon + 1):
         try:
             advanced, ml_ms, cfd_ms = timed_predict_step(
@@ -404,7 +385,8 @@ def single_step(
             _record(k, advanced, truth[k - 1], truth[k], partition, grid, params,
                     denominator, ml_ms, cfd_ms)
         )
-    return RolloutReport(mode="single", steps=records)
+        states.append(advanced)
+    return RolloutReport(mode="single", steps=records, states=states)
 
 
 def window_gradient(first: Snapshot, second: Snapshot, grid: GridSpec) -> np.ndarray:
@@ -442,7 +424,7 @@ def constant_gradient(
             f"gradient shape {gradient.shape} does not match state {initial.values.shape}"
         )
     lo, hi = partition.flame
-    records = []
+    records, states = [], []
     prev = initial
     for k in range(1, horizon + 1):
         t0 = time.perf_counter()
@@ -454,8 +436,9 @@ def constant_gradient(
             _record(k, state, prev, truth[k], partition, grid, params,
                     denominator, ml_ms, 0.0)
         )
+        states.append(state)
         prev = state
-    return RolloutReport(mode="constant-gradient", steps=records)
+    return RolloutReport(mode="constant-gradient", steps=records, states=states)
 
 
 def growth_fit_rss(errors: Sequence[float]) -> Tuple[float, float]:

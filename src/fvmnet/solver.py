@@ -17,7 +17,7 @@ no in-step sweeping).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,9 +92,6 @@ class PhysicalParams:
     molar_mass: float = 0.0289
     wall_temperature: Optional[float] = None
     axial_bc: str = "inflow_outflow"
-    # Prescribed steady (v_x, v_r) per cell; consumed by initial-condition
-    # builders. The step kernel reads velocities from the state itself.
-    velocity_field: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
 
     def __post_init__(self):
         missing = [v for v in TRANSPORTED if v not in self.diffusivity]

@@ -10,6 +10,7 @@ validation epoch, not the last one.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -45,6 +46,8 @@ class TrainConfig:
             raise DomainError("max_epochs must be >= 1")
         if self.patience < 1:
             raise DomainError("patience must be >= 1")
+        if not (math.isfinite(self.min_delta) and self.min_delta >= 0.0):
+            raise DomainError(f"min_delta must be finite and >= 0, got {self.min_delta}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise DomainError("betas must lie in [0, 1)")
 
@@ -170,12 +173,8 @@ def train(
                 break
 
     report.stopped_epoch = report.epochs_run - 1
-    if best is None:
-        # No epoch improved on +inf minus min_delta is impossible for finite
-        # losses, but keep a safe fallback: the final parameters.
-        best = net.copy()
-        report.best_epoch = report.stopped_epoch
-        report.best_val_loss = report.val_losses[-1]
+    # The first finite validation loss always beats +inf - min_delta, so
+    # `best` is set here.
     net.weights = [w.copy() for w in best.weights]
     net.biases = [b.copy() for b in best.biases]
     report.param_snapshot_id = _snapshot_id(net)

@@ -2,14 +2,116 @@
 
 Everything here recomputes quantities in a deliberately different form from
 the package implementation: per-neuron Python loops instead of matrix
-products, central finite differences instead of the chain rule.
+products, central finite differences instead of the chain rule, per-cell
+stencil reads instead of whole-band slices, and a full solver step instead
+of trained networks.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from fvmnet.dataset import (
+    TIER_WIDTH,
+    DomainPartition,
+    _check_pair,
+    _check_wall_args,
+)
+from fvmnet.errors import DomainError
 from fvmnet.network import Network, backward_batch, forward
+from fvmnet.solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot, step
+
+
+def flame_cells(partition: DomainPartition, n: int) -> np.ndarray:
+    """(count, 2) array of sampled cells, i-major then j, matching matrix rows."""
+    lo, hi = partition.flame
+    ii, jj = np.meshgrid(np.arange(lo, hi), np.arange(n), indexing="ij")
+    return np.stack([ii.ravel(), jj.ravel()], axis=1)
+
+
+def tier_input(
+    snapshot: Snapshot,
+    i: int,
+    j: int,
+    partition: DomainPartition,
+    wall_policy: str = "zero_neumann",
+    wall_values=None,
+) -> np.ndarray:
+    """Stencil vector for one cell: per variable [center, i-1, i+1, j-1, j+1].
+
+    The cell must lie in the middle band, so both axial neighbors exist (the
+    band edges legally read into the solver-owned strips). On the axis the
+    j-1 slot repeats the center; at the wall the j+1 slot repeats the center
+    or takes the per-variable wall value, by policy.
+    """
+    wv = _check_wall_args(wall_policy, wall_values)
+    m, n = snapshot.shape
+    if partition.m != m:
+        raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")
+    if not partition.contains(i):
+        raise DomainError(f"cell ({i}, {j}) outside the sampled band {partition.flame}")
+    if not 0 <= j < n:
+        raise DomainError(f"radial index {j} outside [0, {n})")
+
+    vals = snapshot.values
+    out = np.empty(TIER_WIDTH)
+    for k in range(N_VARS):
+        c = vals[k, i, j]
+        jm1 = c if j == 0 else vals[k, i, j - 1]
+        if j == n - 1:
+            jp1 = c if wv is None else wv[k]
+        else:
+            jp1 = vals[k, i, j + 1]
+        out[5 * k : 5 * k + 5] = (c, vals[k, i - 1, j], vals[k, i + 1, j], jm1, jp1)
+    return out
+
+
+def center_input(snapshot: Snapshot, i: int, j: int, partition: DomainPartition) -> np.ndarray:
+    """Cell-center values only, in variable order."""
+    if not partition.contains(i):
+        raise DomainError(f"cell ({i}, {j}) outside the sampled band {partition.flame}")
+    return snapshot.values[:, i, j].copy()
+
+
+def derivative_target(
+    snap_t: Snapshot,
+    snap_next: Snapshot,
+    i: int,
+    j: int,
+    variable: str,
+    dt: float,
+) -> float:
+    """Forward-difference rate (x_next - x) / dt for one cell and variable."""
+    _check_pair(snap_t, snap_next, dt)
+    if variable not in IDX:
+        raise DomainError(f"unknown variable {variable!r}")
+    k = IDX[variable]
+    return float((snap_next.values[k, i, j] - snap_t.values[k, i, j]) / dt)
+
+
+@dataclass
+class DerivativeOracle:
+    """Bundle stand-in returning the exact solver derivative per flame cell.
+
+    Closes the loop: feeding these outputs through predict_step must
+    reproduce the reference solver on the middle band.
+    """
+
+    input_mode: str = "tier"
+    output_mode: str = "derivative"
+
+    def cell_outputs(
+        self,
+        state: Snapshot,
+        partition: DomainPartition,
+        grid: GridSpec,
+        params: PhysicalParams,
+    ) -> np.ndarray:
+        advanced = step(state, grid, params)
+        lo, hi = partition.flame
+        band = (advanced.values[:, lo:hi, :] - state.values[:, lo:hi, :]) / grid.dt
+        return np.ascontiguousarray(band.transpose(1, 2, 0).reshape(-1, N_VARS))
 
 
 def loop_forward(net: Network, x) -> float:

@@ -23,14 +23,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import finite_difference_check, sample_components
+from oracles import DerivativeOracle, finite_difference_check, sample_components
 
 from fvmnet.cli import main
 from fvmnet.config import input_width
 from fvmnet.macnet import hybrid_error_audit, retrain_seed, run, validate_trace
 from fvmnet.network import CASES, NetworkSpec, forward, init_network, param_count
 from fvmnet.rollout import (
-    DerivativeOracle,
     growth_fit_rss,
     multi_step,
     predict_step,

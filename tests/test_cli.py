@@ -1,11 +1,15 @@
 """End-to-end command tests at miniature scale, run in process."""
 
 import json
+import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fvmnet.rollout
 from fvmnet.cli import main
 from fvmnet.io import (
     REPORT_HEADER,
@@ -218,6 +222,21 @@ def test_rollout_single_mode_writes_one_report(trained):
     assert not os.path.exists(os.path.join(out, "report_multi.csv"))
 
 
+def test_rollout_runs_each_hybrid_step_once(trained, monkeypatch):
+    config_path, out = trained
+    original = fvmnet.rollout.timed_predict_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].time)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fvmnet.rollout, "timed_predict_step", counted)
+    assert run_cli("rollout", "--config", config_path, "--out", out) == 0
+    # multi and single step the networks; the constant-gradient baseline does not.
+    assert len(calls) == 2 * SMALL["rollout"]["horizon"]
+
+
 def test_rollout_without_model_exit_code(generated, capsys):
     config_path, out = generated
     assert run_cli("rollout", "--config", config_path, "--out", out) == 4
@@ -355,6 +374,33 @@ def test_dump_defaults_round_trips(capsys):
 
 def test_no_command_is_a_usage_error(capsys):
     assert run_cli() == 2
+
+
+def test_threads_cap_warns_when_numpy_is_already_loaded(
+    config_path, tmp_path, caplog, monkeypatch
+):
+    for var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        monkeypatch.delenv(var, raising=False)
+    out = str(tmp_path / "capped")
+    with caplog.at_level(logging.WARNING, logger="fvmnet.cli"):
+        code = run_cli(
+            "generate", "--config", config_path, "--out", out, "--threads", "1"
+        )
+    assert code == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1
+    assert "--threads 1" in warned[0]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --threads only takes effect if nothing loads numpy before main() runs.
+    probe = "import sys, fvmnet.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
 
 
 def test_seed_flag_overrides_config(generated):

@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import center_input, derivative_target, flame_cells, tier_input
+
 from fvmnet.dataset import (
     TIER_WIDTH,
     DomainPartition,
     Standardizer,
     build_dataset,
     build_datasets,
-    center_input,
     center_matrix,
-    derivative_target,
     fit_standardizer,
-    flame_cells,
     target_matrix,
-    tier_input,
     tier_matrix,
 )
 from fvmnet.errors import DomainError
@@ -235,25 +233,13 @@ def test_apply_invert_round_trip_including_constant_features():
     np.testing.assert_allclose(z[:, :5].std(axis=0), 1.0, rtol=1e-12)
 
 
-def test_target_statistics_round_trip():
-    rng = np.random.default_rng(14)
-    rows = rng.standard_normal((40, 3))
-    targets = 5.0 + 2.0 * rng.standard_normal(40)
-    s = fit_standardizer(rows, targets)
-    assert s.target_mean == pytest.approx(targets.mean(), rel=1e-14)
-    z = s.apply_target(targets)
-    assert float(np.mean(z)) == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(s.invert_target(z), targets, rtol=1e-12)
-
-
 def test_standardizer_width_and_serialization():
-    s = fit_standardizer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0]))
+    s = fit_standardizer(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(DomainError):
         s.apply(np.zeros((4, 3)))
     clone = Standardizer.from_dict(s.to_dict())
     np.testing.assert_array_equal(clone.mean, s.mean)
     np.testing.assert_array_equal(clone.std, s.std)
-    assert clone.target_mean == s.target_mean and clone.target_std == s.target_std
 
 
 # ----- dataset assembly -----
@@ -324,7 +310,6 @@ def test_variables_share_inputs_and_shuffle():
     part = DomainPartition(m=12, m_star=3)
     splits = build_datasets(series, grid, part, variables=("T", "X_ox"), seed=5)
     np.testing.assert_array_equal(splits["T"].train_inputs, splits["X_ox"].train_inputs)
-    np.testing.assert_array_equal(splits["T"].train_cells, splits["X_ox"].train_cells)
     assert not np.array_equal(splits["T"].train_targets, splits["X_ox"].train_targets)
 
 
@@ -355,15 +340,3 @@ def test_dataset_input_validation():
         build_dataset(series, grid, part, "rho")
     with pytest.raises(DomainError):
         build_dataset(series, grid, part, "T", split_fraction=1.0)
-
-
-def test_iter_samples_round_trip():
-    series, grid = series_fixture(pairs=1, m=10, n=4)
-    part = DomainPartition(m=10, m_star=2)
-    ds = build_dataset(series, grid, part, "T", seed=9)
-    samples = list(ds.iter_samples("val"))
-    assert len(samples) == ds.val_inputs.shape[0]
-    s0 = samples[0]
-    np.testing.assert_array_equal(s0.input, ds.val_inputs[0])
-    assert s0.target == ds.val_targets[0]
-    assert part.contains(s0.cell[0])

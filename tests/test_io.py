@@ -6,25 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from fvmnet.dataset import (
-    TIER_WIDTH,
-    DomainPartition,
-    Standardizer,
-    build_datasets,
-    fit_standardizer,
-)
+from fvmnet.dataset import TIER_WIDTH, Standardizer, fit_standardizer
 from fvmnet.errors import ArtifactIOError
 from fvmnet.io import (
     load_bundle,
-    load_dataset,
-    load_rollout_report,
     load_series,
     load_standardizer,
     load_trace,
-    manifest_extra,
     read_csv,
+    read_json,
     save_bundle,
-    save_dataset,
     save_series,
     save_standardizer,
     save_train_reports,
@@ -48,7 +39,6 @@ from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, simulat
 from fvmnet.training import TrainConfig, TrainReport
 
 GRID = GridSpec(m=12, n=4, dx=0.01, dr=0.01, dt=0.002)
-PART = DomainPartition(m=12, m_star=3)
 PARAMS = PhysicalParams(
     diffusivity={"T": 1e-4, "X_fuel": 5e-5, "X_prod": 5e-5, "X_ox": 5e-5},
     wall_temperature=310.0,
@@ -85,22 +75,7 @@ def test_series_round_trip_is_bit_exact(tmp_path):
     for orig, back in zip(series, loaded):
         assert back.time == orig.time
         assert np.array_equal(back.values, orig.values)
-    assert manifest_extra(manifest) == {"note": "x"}
-
-
-def test_series_velocity_field_round_trips(tmp_path):
-    vx = np.linspace(0.1, 0.4, GRID.m * GRID.n).reshape(GRID.m, GRID.n)
-    vr = np.zeros((GRID.m, GRID.n))
-    params = PhysicalParams(
-        diffusivity={"T": 1e-4, "X_fuel": 5e-5, "X_prod": 5e-5, "X_ox": 5e-5},
-        velocity_field=(vx, vr),
-    )
-    values = np.zeros((len(VARIABLES), GRID.m, GRID.n))
-    values[2] = 300.0
-    save_series(str(tmp_path), [Snapshot(values, 0.0)], GRID, params)
-    _, _, back = load_series(str(tmp_path / "manifest.json"))
-    assert np.array_equal(back.velocity_field[0], vx)
-    assert np.array_equal(back.velocity_field[1], vr)
+    assert read_json(manifest)["extra"] == {"note": "x"}
 
 
 def test_series_rewrite_is_byte_identical(tmp_path):
@@ -138,6 +113,25 @@ def test_wrong_format_tag_is_rejected(tmp_path):
         load_series(manifest)
 
 
+@pytest.mark.parametrize(
+    "index,time_",
+    [
+        (2, GRID.dt),  # repeats the previous time
+        (2, 0.5 * GRID.dt),  # goes backwards
+        (3, 4 * GRID.dt),  # skips a step
+        (1, GRID.dt * (1 + 1e-6)),  # off by more than the tolerance
+    ],
+)
+def test_snapshot_times_off_the_dt_grid_are_rejected(tmp_path, index, time_):
+    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    payload = read_json(manifest)
+    payload["snapshots"][index]["time"] = time_
+    with open(manifest, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ArtifactIOError, match=f"snapshot {index}"):
+        load_series(manifest)
+
+
 # ----- standardizer and bundle checkpoints -----
 
 
@@ -156,16 +150,12 @@ def make_bundle(seed=0):
 
 
 def test_standardizer_round_trip(tmp_path):
-    standardizer = Standardizer(
-        mean=np.arange(4.0), std=np.array([1.0, 2.0, 0.5, 3.0]),
-        target_mean=0.25, target_std=1.5,
-    )
+    standardizer = Standardizer(mean=np.arange(4.0), std=np.array([1.0, 2.0, 0.5, 3.0]))
     path = str(tmp_path / "s.json")
     save_standardizer(path, standardizer)
     back = load_standardizer(path)
     assert np.array_equal(back.mean, standardizer.mean)
     assert np.array_equal(back.std, standardizer.std)
-    assert back.target_mean == 0.25 and back.target_std == 1.5
 
 
 def test_bundle_round_trip_preserves_weights_and_predictions(tmp_path):
@@ -244,20 +234,6 @@ def make_report(mode="multi", steps=3):
             )
         )
     return RolloutReport(mode=mode, steps=records)
-
-
-def test_rollout_report_round_trip(tmp_path):
-    report = make_report()
-    report_file, timing_file = write_rollout_report(str(tmp_path), report)
-    back = load_rollout_report(report_file, timing_file)
-    assert back.mode == report.mode
-    assert back.horizon == report.horizon
-    for orig, load in zip(report.steps, back.steps):
-        assert load.step == orig.step
-        assert load.max_errors == orig.max_errors
-        assert load.mean_errors == orig.mean_errors
-        assert load.scaled_residual == orig.scaled_residual
-        assert (load.ml_ms, load.cfd_ms) == (orig.ml_ms, orig.cfd_ms)
 
 
 def test_report_csv_is_deterministic_and_timing_separate(tmp_path):
@@ -396,38 +372,6 @@ def test_audit_csv(tmp_path):
     assert len(flat) == 4 * len(VARIABLES)
     assert flat[0][:3] == ["0", "CFD", "v_x"]
     assert flat[-1][:2] == ["3", "ML"]
-
-
-# ----- datasets -----
-
-
-def test_dataset_round_trip(tmp_path):
-    series = small_series(4)
-    splits = build_datasets(series, GRID, PART, seed=11)
-    split = splits["T"]
-    standardizer = fit_standardizer(split.train_inputs, split.train_targets)
-    path = str(tmp_path / "dataset_T.json")
-    save_dataset(path, split, standardizer)
-    back, back_std = load_dataset(path)
-    assert back.variable == "T"
-    assert back.n_total == split.n_total
-    assert back.seed == 11
-    for field in (
-        "train_inputs", "train_targets", "train_cells", "train_times",
-        "val_inputs", "val_targets", "val_cells", "val_times",
-    ):
-        assert np.array_equal(getattr(back, field), getattr(split, field)), field
-    assert np.array_equal(back_std.mean, standardizer.mean)
-    assert back_std.target_std == standardizer.target_std
-
-
-def test_dataset_rewrite_is_byte_identical(tmp_path):
-    series = small_series(4)
-    split = build_datasets(series, GRID, PART, seed=11)["T"]
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    save_dataset(a, split)
-    save_dataset(b, split)
-    assert read_bytes(a) == read_bytes(b)
 
 
 def test_write_csv_floats_round_trip(tmp_path):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from oracles import DerivativeOracle
+
 from fvmnet.dataset import TIER_WIDTH, DomainPartition, Standardizer
 from fvmnet.errors import BlowupError, ConfigurationError, DomainError
 from fvmnet.network import NetworkSpec, init_network
 from fvmnet.rollout import (
-    DerivativeOracle,
     RolloutReport,
     StepRecord,
     SurrogateBundle,
@@ -269,6 +270,31 @@ def test_multi_and_single_agree_at_step_one():
     assert multi.steps[0].max_errors == single.steps[0].max_errors
     assert multi.steps[0].mean_errors == single.steps[0].mean_errors
     assert multi.steps[0].scaled_residual == single.steps[0].scaled_residual
+
+
+def test_reports_keep_the_predicted_states():
+    truth = simulate(blob_state(), GRID, PARAMS, 3)
+    bundle = zero_bundle()
+    denom = denom_for(truth)
+    multi = multi_step(bundle, truth[0], 3, truth, PART, GRID, PARAMS, denom)
+    single = single_step(bundle, truth, PART, GRID, PARAMS, denom)
+    gradient = window_gradient(truth[0], truth[1], GRID)
+    const = constant_gradient(truth[0], gradient, 3, truth, PART, GRID, PARAMS, denom)
+    lo, hi = PART.flame
+    state = truth[0]
+    for k in range(1, 4):
+        state = predict_step(bundle, state, PART, GRID, PARAMS)
+        assert np.array_equal(multi.states[k - 1].values, state.values)
+        assert multi.states[k - 1].time == state.time
+        teacher = predict_step(bundle, truth[k - 1], PART, GRID, PARAMS)
+        assert np.array_equal(single.states[k - 1].values, teacher.values)
+        frozen = const.states[k - 1].values
+        assert np.array_equal(
+            frozen[:, lo:hi, :],
+            truth[0].values[:, lo:hi, :] + (k * GRID.dt) * gradient[:, lo:hi, :],
+        )
+    for report in (multi, single, const):
+        assert len(report.states) == report.horizon
 
 
 def test_multi_step_validates_truth_coverage():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fvmnet.config import load_config
 from fvmnet.errors import DomainError, TrainingDivergedError
 from fvmnet.network import NetworkSpec, backward_batch, init_network, mse_loss, predict
 from fvmnet.training import (
@@ -132,6 +133,11 @@ def test_config_validation_and_digest():
         TrainConfig(batch_size=0)
     with pytest.raises(DomainError):
         TrainConfig(beta1=1.0)
+    for bad in (float("inf"), float("nan"), -1e-8):
+        with pytest.raises(DomainError, match="min_delta"):
+            TrainConfig(min_delta=bad)
+    with pytest.raises(DomainError, match="min_delta"):
+        load_config(None, ["train.min_delta=inf"])
     assert config_digest(TrainConfig()) == config_digest(TrainConfig())
     assert config_digest(TrainConfig()) != config_digest(TrainConfig(seed=1))
 
