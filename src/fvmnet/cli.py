@@ -41,7 +41,10 @@ VARIANT_ORDER = ("fvmn", "tier-only", "derivative-only", "general")
 ABLATION_HEADER = (
     "kind,name,input_mode,output_mode,param_count,epochs,max_rel_err_T,mean_rel_err_T"
 )
-MACNET_TIMING_HEADER = "wall_seconds,train_seconds,pure_cfd_seconds,speedup"
+MACNET_TIMING_HEADER = (
+    "wall_seconds,train_seconds,pure_cfd_seconds,speedup,"
+    "hybrid_step_ms,solver_step_ms,step_cost_ratio"
+)
 
 
 def _apply_thread_cap(argv: List[str]) -> None:
@@ -479,7 +482,7 @@ def cmd_macnet(args) -> int:
     import time
 
     from .io import write_audit, write_csv, write_trace
-    from .macnet import hybrid_error_audit, run, speedup, validate_trace
+    from .macnet import hybrid_error_audit, run, speedup, step_costs, validate_trace
     from .solver import simulate, step
 
     if args.tolerance is not None:
@@ -508,7 +511,10 @@ def cmd_macnet(args) -> int:
         write_csv(
             os.path.join(out_dir, "macnet_timing.csv"),
             MACNET_TIMING_HEADER,
-            [(trace.wall_seconds, trace.train_seconds, pure_seconds, ratio)],
+            [
+                (trace.wall_seconds, trace.train_seconds, pure_seconds, ratio,
+                 *step_costs(trace, pure_seconds))
+            ],
         )
     )
     log.info(
@@ -535,7 +541,7 @@ def cmd_report(args) -> int:
 
     from .config import load_config
     from .dataset import build_dataset
-    from .io import REPORT_HEADER, load_series, read_json, write_csv
+    from .io import REPORT_HEADER, atomic_writer, load_series, read_json, write_csv
 
     run_dir = args.out
     if run_dir is None:
@@ -715,9 +721,14 @@ def cmd_report(args) -> int:
                 f"- wall {float(row[0]):.2f}s (training {float(row[1]):.2f}s), "
                 f"pure solver {float(row[2]):.2f}s, speedup {float(row[3]):.2f}x"
             )
+            lines.append(
+                f"- per step: hybrid {float(row[4]):.2f} ms, solver "
+                f"{float(row[5]):.2f} ms, cost ratio {float(row[6]):.3f} "
+                f"(training {float(row[1]):.2f}s)"
+            )
 
     summary = os.path.join(report_dir, "summary.md")
-    with open(summary, "w", newline="\n") as fh:
+    with atomic_writer(summary) as fh:
         fh.write("\n".join(lines) + "\n")
     print(summary)
     for path in written:

@@ -5,13 +5,19 @@ shortest decimal string that parses back to the same double) inside JSON or
 CSV, keys are sorted, and newlines are pinned to "\n", so rerunning a seeded
 experiment reproduces each file byte for byte. Wall-clock measurements go to
 separate timing sidecars to keep the main artifacts deterministic.
+
+Every file is written through `atomic_writer`: the text goes to a temporary
+file beside the target, which replaces the target only once complete, so an
+interrupted write never leaves a partial file under the final name. Manifests
+are written last.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -35,9 +41,28 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def atomic_writer(path: str) -> Iterator[TextIO]:
+    """Text handle on `<path>.tmp` (\\n newlines), renamed onto `path` on success.
+
+    On any exception the temporary file is removed and `path` is untouched.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def dump_json(path: str, payload) -> str:
     """Write JSON deterministically: sorted keys, 2-space indent, one trailing \\n."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -62,7 +87,7 @@ def _expect_format(payload: Mapping, tag: str, path: str) -> None:
 
 def write_csv(path: str, header: str, rows: Sequence[Sequence]) -> str:
     """Write one CSV with repr-precision floats and \\n line endings."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(
@@ -151,10 +176,16 @@ def save_series(
     params: PhysicalParams,
     extra: Optional[Mapping] = None,
 ) -> str:
-    """Write one CSV per snapshot plus manifest.json; returns the manifest path."""
+    """Write one CSV per snapshot, then manifest.json; returns the manifest path."""
     if not series:
         raise DomainError("cannot save an empty series")
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    # A manifest from an earlier save would name snapshots being overwritten.
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
     entries = []
     for idx, snap in enumerate(series):
         if snap.shape != (grid.m, grid.n):
@@ -163,7 +194,7 @@ def save_series(
             )
         name = f"snap_{idx:06d}.csv"
         values = snap.values
-        with open(os.path.join(out_dir, name), "w", newline="\n") as fh:
+        with atomic_writer(os.path.join(out_dir, name)) as fh:
             fh.write(SNAPSHOT_HEADER + "\n")
             for i in range(grid.m):
                 for j in range(grid.n):
@@ -182,7 +213,7 @@ def save_series(
     }
     if extra:
         manifest["extra"] = dict(extra)
-    return dump_json(os.path.join(out_dir, "manifest.json"), manifest)
+    return dump_json(manifest_path, manifest)
 
 
 def _load_snapshot_csv(path: str, m: int, n: int, time_: float) -> Snapshot:

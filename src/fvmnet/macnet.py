@@ -123,9 +123,15 @@ class MacnetTrace:
     fallbacks: List[FallbackEvent] = field(default_factory=list)
     wall_seconds: float = 0.0
     train_seconds: float = 0.0
+    ml_seconds: float = 0.0  # wall clock inside candidate predict_step calls
 
     def ml_steps(self) -> int:
         return sum(p.end - p.start for p in self.phases if p.mode == "ML")
+
+    def candidates(self) -> int:
+        """Surrogate steps attempted: the accepted ones plus each discarded breach."""
+        breaches = sum(p.ended_by == "breach" for p in self.phases if p.mode == "ML")
+        return self.ml_steps() + breaches + len(self.fallbacks)
 
     def cfd_steps(self) -> int:
         return sum(p.end - p.start for p in self.phases if p.mode == "CFD")
@@ -228,7 +234,9 @@ def run(
         residuals: List[float] = []
         breach = None
         while len(residuals) < config.max_ml_steps and steps_done < config.horizon:
+            ml_start = time.perf_counter()
             candidate = predict_step(bundle, state, partition, grid, params)
+            trace.ml_seconds += time.perf_counter() - ml_start
             res = scaled_residual(candidate, state, grid, params, denominator)
             if res > config.tolerance:
                 breach = res
@@ -279,6 +287,26 @@ def speedup(trace: MacnetTrace, pure_cfd_seconds: float) -> float:
     ratio = pure_cfd_seconds / trace.wall_seconds
     logger.info("hybrid speedup vs pure solver: %.2fx", ratio)
     return ratio
+
+
+def step_costs(trace: MacnetTrace, pure_cfd_seconds: float) -> Tuple[float, float, float]:
+    """(hybrid_step_ms, solver_step_ms, step_cost_ratio), training excluded.
+
+    The hybrid step is the mean candidate predict_step, the solver step the
+    mean step of the pure-solver run over the same horizon; the ratio is
+    hybrid over solver, nan when the run attempted no surrogate step.
+    """
+    if not pure_cfd_seconds > 0.0:
+        raise DomainError("step costs need a positive pure-solver wall time")
+    solver_ms = 1e3 * pure_cfd_seconds / trace.horizon
+    candidates = trace.candidates()
+    hybrid_ms = 1e3 * trace.ml_seconds / candidates if candidates else float("nan")
+    ratio = hybrid_ms / solver_ms
+    logger.info(
+        "per step: hybrid %.2f ms, solver %.2f ms, cost ratio %.3f",
+        hybrid_ms, solver_ms, ratio,
+    )
+    return hybrid_ms, solver_ms, ratio
 
 
 def validate_trace(trace: MacnetTrace) -> None:

@@ -6,6 +6,12 @@ arithmetic is 64-bit. Forward passes run as matrix products over sample
 batches; gradients come from the chain rule applied layer by layer, with the
 rectifier taking subgradient 0 at the kink.
 
+`predict` is the inference path: it keeps no per-layer caches and writes
+each layer in place into (rows, width) buffers, which a caller running
+several networks of one spec over the same rows can allocate once and share
+(`layer_buffers`). Its outputs are bit-equal to `forward_batch`, which keeps
+every pre- and post-activation array and exists for backprop only.
+
 The named size cases a-h are the benchmark ladder used by the sweep command:
 widths from one 64-wide layer up to three 256-wide layers, plus a logistic
 variant and a tapered variant, all with 30 inputs and one output.
@@ -14,7 +20,7 @@ variant and a tapered variant, all with 30 inputs and one output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,11 +101,11 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec=spec, weights=weights, biases=biases)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _activate(z: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
+    """Hidden nonlinearity of z written into out, which may be z itself."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     # Numerically stable logistic for both signs.
-    out = np.empty_like(z)
     pos = z >= 0.0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -109,33 +115,59 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activation_gradient(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)  # subgradient 0 at the kink
+        return z > 0.0  # subgradient 0 at the kink; the boolean multiplies as 0/1
     return a * (1.0 - a)
 
 
-def forward_batch(net: Network, x: np.ndarray):
-    """(outputs, caches): outputs is (n, n_outputs); caches hold every layer's
-    pre-activation and activation for the backward pass."""
+def _input_batch(net: Network, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.n_inputs:
         raise DomainError(
             f"input batch must be (n, {net.spec.n_inputs}), got {x.shape}"
         )
+    return x
+
+
+def forward_batch(net: Network, x: np.ndarray):
+    """(outputs, caches): outputs is (n, n_outputs); caches hold every layer's
+    pre-activation and activation for the backward pass."""
+    x = _input_batch(net, x)
     a = x
     pre, post = [], [x]
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        a = z if l == last else _activate(z, net.spec.activation)
+        z = a @ w
+        z += b
+        a = z if l == last else _activate(z, net.spec.activation, np.empty_like(z))
         pre.append(z)
         post.append(a)
     return a, (pre, post)
 
 
-def predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Batch outputs without caches, shape (n,) for single-output nets."""
-    out, _ = forward_batch(net, x)
-    return out[:, 0] if net.spec.n_outputs == 1 else out
+def layer_buffers(spec: NetworkSpec, rows: int) -> List[np.ndarray]:
+    """One uninitialized (rows, fan_out) array per layer, for `predict`."""
+    return [np.empty((rows, fan_out)) for _, fan_out in spec.layer_sizes()]
+
+
+def predict(
+    net: Network, x: np.ndarray, buffers: Optional[List[np.ndarray]] = None
+) -> np.ndarray:
+    """Batch outputs without caches, shape (n,) for single-output nets.
+
+    Layer l is written into buffers[l] (from `layer_buffers(net.spec, n)`,
+    allocated here when not given), so the result is a view of the last
+    buffer and stays valid only until the buffers are reused.
+    """
+    x = _input_batch(net, x)
+    if buffers is None:
+        buffers = layer_buffers(net.spec, x.shape[0])
+    a = x
+    last = len(net.weights) - 1
+    for l, (w, b, z) in enumerate(zip(net.weights, net.biases, buffers)):
+        np.matmul(a, w, out=z)
+        z += b
+        a = z if l == last else _activate(z, net.spec.activation, z)
+    return a[:, 0] if net.spec.n_outputs == 1 else a
 
 
 def forward(net: Network, x: np.ndarray) -> float:
@@ -145,8 +177,7 @@ def forward(net: Network, x: np.ndarray) -> float:
         raise DomainError(f"forward takes one sample vector, got shape {x.shape}")
     if net.spec.n_outputs != 1:
         raise DomainError("scalar forward needs a single-output network")
-    out, _ = forward_batch(net, x[None, :])
-    return float(out[0, 0])
+    return float(predict(net, x[None, :])[0])
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -181,7 +212,6 @@ def backward_batch(net: Network, x: np.ndarray, y: np.ndarray):
         grad_w[l] = post[l].T @ delta
         grad_b[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ net.weights[l].T) * _activation_gradient(
-                pre[l - 1], post[l], net.spec.activation
-            )
+            delta = delta @ net.weights[l].T
+            delta *= _activation_gradient(pre[l - 1], post[l], net.spec.activation)
     return loss, grad_w, grad_b

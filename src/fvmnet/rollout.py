@@ -27,7 +27,7 @@ from .dataset import (
     target_scale,
 )
 from .errors import BlowupError, ConfigurationError, DomainError
-from .network import Network, NetworkSpec, init_network, predict
+from .network import Network, NetworkSpec, init_network, layer_buffers, predict
 from .solver import (
     IDX,
     N_VARS,
@@ -109,15 +109,22 @@ class SurrogateBundle:
         grid: GridSpec,
         params: PhysicalParams,
     ) -> np.ndarray:
-        """(n_flame_cells, 6) physical-unit outputs, rows i-major over the band."""
+        """(n_flame_cells, 6) physical-unit outputs, rows i-major over the band.
+
+        Networks of one spec share a single set of layer buffers per call.
+        """
         x = input_matrix(
             state, partition, self.input_mode, self.wall_policy, self.wall_values
         )
         z = self.standardizer.apply(x)
         out = np.empty((x.shape[0], N_VARS), dtype=np.float64)
+        buffers = {}
         for v in VARIABLES:
+            net = self.networks[v]
+            if net.spec not in buffers:
+                buffers[net.spec] = layer_buffers(net.spec, x.shape[0])
             mean, std = self.target_scales[v]
-            out[:, IDX[v]] = predict(self.networks[v], z) * std + mean
+            out[:, IDX[v]] = predict(net, z, buffers[net.spec]) * std + mean
         return out
 
 

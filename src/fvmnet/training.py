@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import DomainError, TrainingDivergedError
-from .network import Network, backward_batch, mse_loss, predict
+from .network import Network, backward_batch, layer_buffers, mse_loss, predict
 
 OPTIMIZERS = ("adam", "sgd")
 
@@ -67,32 +67,64 @@ class TrainReport:
 
 
 class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
+    """Plain gradient steps on one flat parameter vector, in place."""
 
-    def update(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def __init__(self, lr: float, size: int):
+        self.lr = lr
+        self.step = np.empty(size)
+
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        np.multiply(self.lr, grads, out=self.step)
+        params -= self.step
 
 
 class _Adam:
-    """Adaptive moments with bias correction; one shared step counter."""
+    """Adaptive moments with bias correction on one flat parameter vector.
 
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float,
-                 shapes: List[tuple]):
+    Updates run in place through preallocated buffers, in the per-element
+    operation order of the textbook form, so results match it bit for bit.
+    """
+
+    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, size: int):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.num = np.empty(size)
+        self.den = np.empty(size)
         self.t = 0
 
-    def update(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for k, (p, g) in enumerate(zip(params, grads)):
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * (g * g)
-            p -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+        m, v, num, den = self.m, self.v, self.num, self.den
+        # m = b1 * m + (1 - b1) * g
+        m *= self.b1
+        np.multiply(1.0 - self.b1, grads, out=num)
+        m += num
+        # v = b2 * v + (1 - b2) * (g * g)
+        v *= self.b2
+        np.multiply(grads, grads, out=num)
+        num *= 1.0 - self.b2
+        v += num
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=num)
+        num *= self.lr
+        np.divide(v, c2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        params -= num
+
+
+def _views(flat: np.ndarray, shapes: List[tuple]) -> List[np.ndarray]:
+    """Consecutive views of `flat`, one per shape."""
+    views, lo = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[lo : lo + size].reshape(shape))
+        lo += size
+    return views
 
 
 def _snapshot_id(net: Network) -> str:
@@ -126,17 +158,27 @@ def train(
     if x.shape[0] == 0 or vx.shape[0] == 0:
         raise DomainError("training and validation sets must be non-empty")
 
-    params = net.weights + net.biases
+    # For the call, the parameters live in one flat vector that the optimizer
+    # updates in place; the network's arrays are views into it.
+    arrays = net.weights + net.biases
+    shapes = [p.shape for p in arrays]
+    n_layers = len(net.weights)
+    flat = np.concatenate([p.ravel() for p in arrays])
+    views = _views(flat, shapes)
+    net.weights, net.biases = views[:n_layers], views[n_layers:]
+    grad = np.empty_like(flat)
+    grad_views = _views(grad, shapes)
+    best = flat.copy()
+    val_buffers = layer_buffers(net.spec, vx.shape[0])
     if config.optimizer == "adam":
         opt = _Adam(config.learning_rate, config.beta1, config.beta2, config.eps,
-                    [p.shape for p in params])
+                    flat.size)
     else:
-        opt = _Sgd(config.learning_rate)
+        opt = _Sgd(config.learning_rate, flat.size)
 
     rng = np.random.default_rng(config.seed)
     n = x.shape[0]
     report = TrainReport()
-    best: Optional[Network] = None
     stall = 0
 
     for epoch in range(config.max_epochs):
@@ -150,12 +192,14 @@ def train(
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch}", epoch=epoch
                 )
-            opt.update(params, gw + gb)
+            for view, g in zip(grad_views, gw + gb):
+                view[...] = g
+            opt.update(flat, grad)
             loss_sum += loss * rows.size
             seen += rows.size
         report.train_losses.append(loss_sum / seen)
 
-        val_loss = mse_loss(predict(net, vx), vy)
+        val_loss = mse_loss(predict(net, vx, val_buffers), vy)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(
                 f"validation loss became non-finite at epoch {epoch}", epoch=epoch
@@ -165,7 +209,7 @@ def train(
         if val_loss < report.best_val_loss - config.min_delta:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best = net.copy()
+            best[...] = flat
             stall = 0
         else:
             stall += 1
@@ -174,9 +218,9 @@ def train(
 
     report.stopped_epoch = report.epochs_run - 1
     # The first finite validation loss always beats +inf - min_delta, so
-    # `best` is set here.
-    net.weights = [w.copy() for w in best.weights]
-    net.biases = [b.copy() for b in best.biases]
+    # `best` holds a validated epoch. Each returned array owns its memory.
+    best_arrays = [view.copy() for view in _views(best, shapes)]
+    net.weights, net.biases = best_arrays[:n_layers], best_arrays[n_layers:]
     report.param_snapshot_id = _snapshot_id(net)
     return net, report
 

@@ -3,8 +3,9 @@
 Everything here recomputes quantities in a deliberately different form from
 the package implementation: per-neuron Python loops instead of matrix
 products, central finite differences instead of the chain rule, per-cell
-stencil reads instead of whole-band slices, and a full solver step instead
-of trained networks.
+stencil reads instead of whole-band slices, a full solver step instead
+of trained networks, and per-array optimizer updates instead of one flat
+in-place update.
 """
 
 import math
@@ -172,3 +173,33 @@ def finite_difference_check(net: Network, x, y, components, h=1e-6):
         err = abs(fd - bp) / max(abs(fd), abs(bp), 1e-3)
         worst = max(worst, err)
     return worst
+
+
+class ListSgd:
+    """Per-array gradient step, one fresh temporary per array."""
+
+    def __init__(self, lr: float):
+        self.lr = lr
+
+    def update(self, params, grads) -> None:
+        for p, g in zip(params, grads):
+            p -= self.lr * g
+
+
+class ListAdam:
+    """Textbook Adam over a list of arrays, each expression freshly evaluated."""
+
+    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, shapes):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
+        self.t = 0
+
+    def update(self, params, grads) -> None:
+        self.t += 1
+        c1 = 1.0 - self.b1**self.t
+        c2 = 1.0 - self.b2**self.t
+        for k, (p, g) in enumerate(zip(params, grads)):
+            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
+            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * (g * g)
+            p -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)

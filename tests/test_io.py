@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from fvmnet.dataset import TIER_WIDTH, Standardizer, fit_standardizer
+import fvmnet.io
 from fvmnet.errors import ArtifactIOError
 from fvmnet.io import (
+    dump_json,
     load_bundle,
     load_series,
     load_standardizer,
@@ -85,6 +87,40 @@ def test_series_rewrite_is_byte_identical(tmp_path):
     save_series(str(b), series, GRID, PARAMS)
     for name in sorted(os.listdir(a)):
         assert read_bytes(a / name) == read_bytes(b / name), name
+
+
+def test_interrupted_series_write_leaves_no_partial_file_and_no_manifest(
+    tmp_path, monkeypatch
+):
+    series = small_series()
+    save_series(str(tmp_path), series, GRID, PARAMS)  # an earlier, complete save
+    per_snapshot = GRID.m * GRID.n * len(VARIABLES)
+    calls = []
+    real_fmt = fvmnet.io._fmt
+
+    def failing_fmt(x):
+        calls.append(x)
+        if len(calls) > per_snapshot + per_snapshot // 2:  # midway through snapshot 1
+            raise OSError("disk full")
+        return real_fmt(x)
+
+    monkeypatch.setattr(fvmnet.io, "_fmt", failing_fmt)
+    with pytest.raises(OSError, match="disk full"):
+        save_series(str(tmp_path), series, GRID, PARAMS)
+    # Snapshot 0 was rewritten whole, snapshot 1 still holds the earlier save,
+    # and no manifest vouches for the mix.
+    assert sorted(os.listdir(tmp_path)) == [
+        f"snap_{k:06d}.csv" for k in range(len(series))
+    ]
+    loaded = read_csv(str(tmp_path / "snap_000001.csv"), "i,j," + ",".join(VARIABLES))
+    assert len(loaded) == GRID.m * GRID.n
+
+
+def test_interrupted_json_write_leaves_no_file(tmp_path):
+    path = str(tmp_path / "out.json")
+    with pytest.raises(TypeError):
+        dump_json(path, {"a": [1.0] * 1000, "b": object()})
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_manifest_is_reported(tmp_path):
@@ -313,10 +349,12 @@ def test_trace_json_omits_wall_clock(tmp_path):
     trace = make_trace()
     trace.wall_seconds = 9.9
     trace.train_seconds = 3.3
+    trace.ml_seconds = 1.1
     write_trace(str(tmp_path), trace)
     text = open(tmp_path / "trace.json").read()
     assert "wall_seconds" not in text
     assert "train_seconds" not in text
+    assert "ml_seconds" not in text
 
 
 def test_trace_with_infinite_tolerance_round_trips(tmp_path):

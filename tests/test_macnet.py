@@ -14,6 +14,7 @@ from fvmnet.macnet import (
     retrain_seed,
     run,
     speedup,
+    step_costs,
     validate_trace,
 )
 from fvmnet.network import NetworkSpec
@@ -127,6 +128,7 @@ def test_tiny_tolerance_reduces_to_pure_cfd():
     assert len(trace.phases) == 4
     assert len(trace.fallbacks) == 3
     assert all(event.residual > config.tolerance for event in trace.fallbacks)
+    assert trace.candidates() == 3 and trace.ml_seconds > 0.0
     # Discard semantics: rejected candidates never touch the trajectory.
     truth = simulate(blob_state(), GRID, PARAMS, config.horizon)
     for ours, ref in zip(series, truth):
@@ -183,9 +185,17 @@ def test_intermediate_tolerance_breaches_mid_phase(monkeypatch):
     assert residuals[-1] > residuals[0], "kick bundle must drive the residual up"
     tol = (residuals[0] + residuals[-1]) / 2.0
 
+    import fvmnet.macnet as macnet_mod
+
+    calls = []
+    real_step = macnet_mod.predict_step
+    monkeypatch.setattr(
+        macnet_mod, "predict_step", lambda *a: calls.append(1) or real_step(*a)
+    )
     config = small_config(tolerance=tol, horizon=12, max_ml_steps=6)
     series, trace = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
     validate_trace(trace)
+    assert trace.candidates() == len(calls)
     breached = [p for p in trace.phases if p.mode == "ML" and p.ended_by == "breach"]
     assert breached, "expected at least one gated reversion"
     first = breached[0]
@@ -233,6 +243,30 @@ def test_speedup_is_a_simple_ratio():
     assert speedup(trace, 8.0) == 4.0
     with pytest.raises(DomainError):
         speedup(trace, 0.0)
+
+
+def test_step_costs_divide_by_candidates_and_horizon():
+    trace = MacnetTrace(horizon=10, cfd_window=2, tolerance=1.0, max_ml_steps=4)
+    trace.phases = [
+        Phase("CFD", 0, 2),
+        Phase("ML", 2, 4, residuals=(0.1, 0.2), ended_by="breach", breach_residual=2.0),
+        Phase("CFD", 4, 6),
+        Phase("CFD", 6, 8),
+        Phase("ML", 8, 10, residuals=(0.1, 0.2), ended_by="horizon"),
+    ]
+    trace.fallbacks = [FallbackEvent(at_step=6, residual=3.0)]
+    validate_trace(trace)
+    trace.ml_seconds = 0.012
+    assert trace.candidates() == 6  # 4 accepted, 1 breach, 1 fallback
+    hybrid, solver, ratio = step_costs(trace, 0.05)
+    assert hybrid == pytest.approx(2.0) and solver == pytest.approx(5.0)
+    assert ratio == pytest.approx(0.4)
+    trace.phases = [Phase("CFD", 0, 10, ended_by="horizon")]
+    trace.fallbacks = []
+    hybrid, solver, ratio = step_costs(trace, 0.05)
+    assert np.isnan(hybrid) and np.isnan(ratio) and solver == pytest.approx(5.0)
+    with pytest.raises(DomainError):
+        step_costs(trace, 0.0)
 
 
 # ----- independent validator on synthetic traces -----

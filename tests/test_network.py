@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import finite_difference_check, loop_forward, sample_components
 
@@ -14,6 +16,7 @@ from fvmnet.network import (
     forward,
     forward_batch,
     init_network,
+    layer_buffers,
     mse_loss,
     param_count,
     predict,
@@ -90,8 +93,54 @@ def test_forward_batch_shapes_and_scalar_agreement():
     for row in range(9):
         # Batched and single-row matmuls may round differently in the last bits.
         assert batch[row] == pytest.approx(forward(net, xs[row]), rel=1e-12)
-    with pytest.raises(DomainError):
-        forward_batch(net, rng.standard_normal((4, 31)))
+    for fn in (forward_batch, predict):
+        with pytest.raises(DomainError, match=r"must be \(n, 30\), got \(4, 31\)"):
+            fn(net, rng.standard_normal((4, 31)))
+        with pytest.raises(DomainError, match=r"must be \(n, 30\), got \(30,\)"):
+            fn(net, rng.standard_normal(30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_inputs=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+    n_outputs=st.integers(1, 2),
+    activation=st.sampled_from(["relu", "sigmoid"]),
+    rows=st.integers(1, 20),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_inputs=3, hidden=(), n_outputs=1, activation="relu", rows=1, scale=1.0,
+         seed=0)
+@example(n_inputs=3, hidden=(), n_outputs=2, activation="relu", rows=4, scale=1.0,
+         seed=1)
+def test_predict_is_bit_equal_to_forward_batch(
+    n_inputs, hidden, n_outputs, activation, rows, scale, seed
+):
+    spec = NetworkSpec(n_inputs, hidden, n_outputs, activation)
+    rng = np.random.default_rng(seed)
+    net = init_network(spec, seed=seed)
+    for b in net.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = scale * rng.standard_normal((rows, n_inputs))
+    out, _ = forward_batch(net, x)
+    expected = out[:, 0] if n_outputs == 1 else out
+    assert np.array_equal(predict(net, x), expected)
+    # Shared buffers holding another batch's values must not leak into the result.
+    buffers = layer_buffers(spec, rows)
+    predict(net, scale * rng.standard_normal((rows, n_inputs)), buffers)
+    assert np.array_equal(predict(net, x, buffers), expected)
+
+
+@pytest.mark.parametrize("case", ["c", "e"])
+def test_predict_is_bit_equal_to_forward_batch_on_band_sized_batches(case):
+    net = init_network(CASES[case], seed=3)
+    rng = np.random.default_rng(4)
+    for b in net.biases:
+        b[:] = 0.1 * rng.standard_normal(b.shape)
+    for rows in (1, 1536):
+        x = 2.0 * rng.standard_normal((rows, 30))
+        assert np.array_equal(predict(net, x), forward_batch(net, x)[0][:, 0])
 
 
 def test_mse_matches_longhand():

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import DerivativeOracle
 
-from fvmnet.dataset import TIER_WIDTH, DomainPartition, Standardizer
+from fvmnet.dataset import TIER_WIDTH, DomainPartition, Standardizer, input_matrix
 from fvmnet.errors import BlowupError, ConfigurationError, DomainError
-from fvmnet.network import NetworkSpec, init_network
+from fvmnet.network import NetworkSpec, init_network, predict
 from fvmnet.rollout import (
     RolloutReport,
     StepRecord,
@@ -131,6 +131,40 @@ def test_nonfinite_network_output_names_cell_and_variable():
     assert err.value.variable == "T"
     # Row 5 of the i-major band is cell (m_star + 5 // n, 5 % n).
     assert err.value.cell == (4 + 5 // GRID.n, 5 % GRID.n)
+
+
+def test_cell_outputs_share_no_stale_values_between_calls():
+    # Five networks share one spec (and so one buffer set); one has its own.
+    rng = np.random.default_rng(5)
+    nets = {}
+    for k, v in enumerate(VARIABLES):
+        hidden = (5, 3) if v == "X_prod" else (8, 8)
+        net = init_network(NetworkSpec(TIER_WIDTH, hidden, 1), seed=k)
+        for b in net.biases:
+            b[:] = rng.standard_normal(b.shape)
+        nets[v] = net
+    bundle = SurrogateBundle(
+        networks=nets,
+        standardizer=Standardizer(
+            mean=rng.standard_normal(TIER_WIDTH), std=1.0 + rng.random(TIER_WIDTH)
+        ),
+        target_scales={v: (float(k), 0.5 + k) for k, v in enumerate(VARIABLES)},
+    )
+    states = [blob_state(), step(blob_state(vx=0.7), GRID, PARAMS)]
+
+    def fresh(state):
+        z = bundle.standardizer.apply(input_matrix(state, PART, "tier"))
+        out = np.empty((z.shape[0], len(VARIABLES)))
+        for v in VARIABLES:
+            mean, std = bundle.target_scales[v]
+            out[:, IDX[v]] = predict(nets[v], z) * std + mean
+        return out
+
+    expected = [fresh(s) for s in states]
+    assert not np.array_equal(expected[0], expected[1])
+    for k in (0, 1, 1, 0, 1):
+        got = bundle.cell_outputs(states[k], PART, GRID, PARAMS)
+        assert got.tobytes() == expected[k].tobytes()
 
 
 def test_predict_step_rejects_mismatched_shapes():

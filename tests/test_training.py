@@ -1,13 +1,19 @@
 """Training-loop tests: convergence, early stopping, determinism, optimizers."""
 
+import itertools
+
 import numpy as np
 import pytest
+
+from oracles import ListAdam, ListSgd
 
 from fvmnet.config import load_config
 from fvmnet.errors import DomainError, TrainingDivergedError
 from fvmnet.network import NetworkSpec, backward_batch, init_network, mse_loss, predict
 from fvmnet.training import (
     TrainConfig,
+    _Adam,
+    _Sgd,
     config_digest,
     derived_seed,
     train,
@@ -154,3 +160,53 @@ def test_empty_sets_rejected():
     with pytest.raises(DomainError):
         train(net, np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.zeros(1),
               TrainConfig())
+
+
+@pytest.mark.parametrize(
+    "make_flat, make_list",
+    [
+        (lambda size: _Adam(1e-3, 0.9, 0.999, 1e-8, size),
+         lambda shapes: ListAdam(1e-3, 0.9, 0.999, 1e-8, shapes)),
+        (lambda size: _Adam(0.05, 0.5, 0.9, 1e-3, size),
+         lambda shapes: ListAdam(0.05, 0.5, 0.9, 1e-3, shapes)),
+        (lambda size: _Sgd(0.01, size), lambda shapes: ListSgd(0.01)),
+    ],
+    ids=["adam-default", "adam-other", "sgd"],
+)
+def test_flat_optimizers_match_list_oracles_bit_for_bit(make_flat, make_list):
+    rng = np.random.default_rng(31)
+    shapes = [(5, 7), (7, 3), (3, 1), (7,), (3,), (1,)]
+    arrays = [rng.standard_normal(s) for s in shapes]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    flat_opt, list_opt = make_flat(flat.size), make_list(shapes)
+    for k in range(200):
+        grad = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-6, 3)
+        grad[rng.random(flat.size) < 0.2] = 0.0  # exact zeros, incl. all-zero rows
+        if k % 50 == 7:
+            grad[:] = 0.0
+        pieces, lo = [], 0
+        for a in arrays:
+            pieces.append(grad[lo : lo + a.size].reshape(a.shape))
+            lo += a.size
+        flat_opt.update(flat, grad)
+        list_opt.update(arrays, pieces)
+        expected = np.concatenate([a.ravel() for a in arrays])
+        assert flat.tobytes() == expected.tobytes(), f"step {k}"
+
+
+def test_trained_network_arrays_own_their_memory():
+    tx, ty, vx, vy = linear_problem(seed=19)
+    net = init_network(NetworkSpec(2, (8, 4), 1), seed=20)
+    net, _ = train(net, tx, ty, vx, vy, TrainConfig(max_epochs=3, seed=21))
+    arrays = net.weights + net.biases
+    assert len(arrays) == 6
+    for a in arrays:
+        assert a.base is None and a.flags.c_contiguous
+    for a, b in itertools.combinations(arrays, 2):
+        assert not np.shares_memory(a, b)
+    # Warm-starting from the result leaves the trained arrays untouched.
+    before = [a.copy() for a in arrays]
+    warm = net.copy()
+    train(warm, tx, ty, vx, vy, TrainConfig(max_epochs=2, seed=22))
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
