@@ -42,7 +42,7 @@ ABLATION_HEADER = (
     "kind,name,input_mode,output_mode,param_count,epochs,max_rel_err_T,mean_rel_err_T"
 )
 MACNET_TIMING_HEADER = (
-    "wall_seconds,train_seconds,pure_cfd_seconds,speedup,"
+    "wall_seconds,train_seconds,pure_cfd_seconds,"
     "hybrid_step_ms,solver_step_ms,step_cost_ratio"
 )
 
@@ -252,23 +252,13 @@ def cmd_train(args) -> int:
             f"dataset.train_window={cfg.train_window} needs {need}"
         )
     bundle, reports = train_bundle(
-        series[:need],
-        grid,
-        cfg.partition,
-        cfg.spec,
-        cfg.train,
-        seed=cfg.seed,
-        input_mode=cfg.input_mode,
-        output_mode=cfg.output_mode,
-        split_fraction=cfg.split_fraction,
-        wall_policy=cfg.wall_policy,
-        wall_values=cfg.wall_values,
+        series[:need], grid, cfg.partition, cfg.recipe, seed=cfg.seed
     )
     model_dir = os.path.join(cfg.out, "model")
-    paths = save_bundle(model_dir, bundle, cfg.seed, cfg.train)
+    paths = save_bundle(model_dir, bundle, cfg.seed, cfg.recipe.train)
     save_train_reports(model_dir, reports)
     _echo_config(cfg)
-    log.info("train: %d parameters per network", param_count(cfg.spec))
+    log.info("train: %d parameters per network", param_count(cfg.recipe.spec))
     for v, rep in reports.items():
         log.info(
             "train %-7s best val %.3e at epoch %d (%d run)",
@@ -313,9 +303,11 @@ def _parse_variants(text: str) -> List[str]:
 
 
 def cmd_ablate(args) -> int:
-    from .config import input_width
+    from dataclasses import replace
+
+    from .dataset import input_width
     from .io import write_csv
-    from .network import CASES, NetworkSpec, param_count
+    from .network import CASES, param_count
     from .rollout import predict_step, relative_error, train_bundle
 
     cfg = _load_cfg(args)
@@ -331,62 +323,39 @@ def cmd_ablate(args) -> int:
     if not cases and not variants:
         raise ConfigurationError("nothing to ablate: both case and variant lists empty")
 
-    def run_one(spec, input_mode, output_mode):
+    def run_one(recipe):
         bundle, reports = train_bundle(
-            series[: w + 1],
-            grid,
-            cfg.partition,
-            spec,
-            cfg.train,
-            seed=cfg.seed,
-            input_mode=input_mode,
-            output_mode=output_mode,
-            split_fraction=cfg.split_fraction,
-            wall_policy=cfg.wall_policy,
-            wall_values=cfg.wall_values,
+            series[: w + 1], grid, cfg.partition, recipe, seed=cfg.seed
         )
         pred = predict_step(bundle, series[w], cfg.partition, grid, params)
         mx, mean = relative_error(pred, series[w + 1], "T", cfg.partition)
         epochs = sum(rep.epochs_run for rep in reports.values())
-        return mx, mean, epochs
+        return param_count(recipe.spec), epochs, mx, mean
 
     rows = []
     case_cache = {}
     for label in cases:
-        base = CASES[label]
-        spec = NetworkSpec(input_width("tier"), base.hidden, 1, base.activation)
-        mx, mean, epochs = run_one(spec, "tier", "derivative")
-        case_cache[(spec.hidden, spec.activation)] = (mx, mean, epochs)
-        rows.append(
-            ("case", label, "tier", "derivative", param_count(spec), epochs, mx, mean)
+        recipe = replace(
+            cfg.recipe, spec=CASES[label], input_mode="tier", output_mode="derivative"
         )
-        log.info("ablate case %s: max T error %.3e", label, mx)
+        scores = run_one(recipe)
+        case_cache[(recipe.spec, "tier", "derivative")] = scores
+        rows.append(("case", label, "tier", "derivative", *scores))
+        log.info("ablate case %s: max T error %.3e", label, scores[2])
     for name in variants:
         input_mode, output_mode = VARIANTS[name]
-        spec = NetworkSpec(
-            input_width(input_mode), cfg.spec.hidden, 1, cfg.spec.activation
+        recipe = replace(
+            cfg.recipe,
+            spec=replace(cfg.recipe.spec, n_inputs=input_width(input_mode)),
+            input_mode=input_mode,
+            output_mode=output_mode,
         )
-        cached = (
-            case_cache.get((spec.hidden, spec.activation))
-            if (input_mode, output_mode) == ("tier", "derivative")
-            else None
-        )
-        # The fvmn variant at the configured spec repeats that case's run
+        # The fvmn variant at a swept case's spec repeats that case's run
         # bit for bit (same seed), so reuse its scores when available.
-        mx, mean, epochs = cached if cached else run_one(spec, input_mode, output_mode)
-        rows.append(
-            (
-                "variant",
-                name,
-                input_mode,
-                output_mode,
-                param_count(spec),
-                epochs,
-                mx,
-                mean,
-            )
-        )
-        log.info("ablate variant %s: max T error %.3e", name, mx)
+        key = (recipe.spec, input_mode, output_mode)
+        scores = case_cache[key] if key in case_cache else run_one(recipe)
+        rows.append(("variant", name, input_mode, output_mode, *scores))
+        log.info("ablate variant %s: max T error %.3e", name, scores[2])
     os.makedirs(cfg.out, exist_ok=True)
     path = write_csv(os.path.join(cfg.out, "ablation.csv"), ABLATION_HEADER, rows)
     _echo_config(cfg)
@@ -482,7 +451,7 @@ def cmd_macnet(args) -> int:
     import time
 
     from .io import write_audit, write_csv, write_trace
-    from .macnet import hybrid_error_audit, run, speedup, step_costs, validate_trace
+    from .macnet import hybrid_error_audit, run, step_costs, validate_trace
     from .solver import simulate, step
 
     if args.tolerance is not None:
@@ -506,13 +475,12 @@ def cmd_macnet(args) -> int:
     out_dir = os.path.join(cfg.out, "macnet")
     paths = write_trace(out_dir, trace, emit_residuals=args.emit_residuals)
     paths.append(write_audit(out_dir, audit))
-    ratio = speedup(trace, pure_seconds)
     paths.append(
         write_csv(
             os.path.join(out_dir, "macnet_timing.csv"),
             MACNET_TIMING_HEADER,
             [
-                (trace.wall_seconds, trace.train_seconds, pure_seconds, ratio,
+                (trace.wall_seconds, trace.train_seconds, pure_seconds,
                  *step_costs(trace, pure_seconds))
             ],
         )
@@ -540,8 +508,9 @@ def cmd_report(args) -> int:
     import numpy as np
 
     from .config import load_config
-    from .dataset import build_dataset
+    from .dataset import target_matrix
     from .io import REPORT_HEADER, atomic_writer, load_series, read_json, write_csv
+    from .solver import IDX
 
     run_dir = args.out
     if run_dir is None:
@@ -659,20 +628,14 @@ def cmd_report(args) -> int:
         cfg = load_config(found["effective_config.json"])
         series, grid, _ = load_series(found["series"])
         window = series[: cfg.train_window + 1]
-        split = build_dataset(
-            window,
-            grid,
-            cfg.partition,
-            "T",
-            input_mode=cfg.input_mode,
-            output_mode=cfg.output_mode,
-            split_fraction=cfg.split_fraction,
-            seed=cfg.seed,
-            wall_policy=cfg.wall_policy,
-            wall_values=cfg.wall_values,
+        output_mode = cfg.recipe.output_mode
+        targets = np.concatenate(
+            [
+                target_matrix(a, b, cfg.partition, grid.dt, output_mode)[:, IDX["T"]]
+                for a, b in zip(window[:-1], window[1:])
+            ]
         )
-        targets = np.concatenate([split.train_targets, split.val_targets])
-        if cfg.output_mode == "derivative":
+        if output_mode == "derivative":
             targets = targets * grid.dt
         counts, edges = np.histogram(targets, bins=41)
         written.append(
@@ -719,11 +682,11 @@ def cmd_report(args) -> int:
             lines.append("")
             lines.append(
                 f"- wall {float(row[0]):.2f}s (training {float(row[1]):.2f}s), "
-                f"pure solver {float(row[2]):.2f}s, speedup {float(row[3]):.2f}x"
+                f"pure solver {float(row[2]):.2f}s"
             )
             lines.append(
-                f"- per step: hybrid {float(row[4]):.2f} ms, solver "
-                f"{float(row[5]):.2f} ms, cost ratio {float(row[6]):.3f} "
+                f"- per step: hybrid {float(row[3]):.2f} ms, solver "
+                f"{float(row[4]):.2f} ms, cost ratio {float(row[5]):.3f} "
                 f"(training {float(row[1]):.2f}s)"
             )
 

@@ -1,10 +1,15 @@
-"""Experiment configuration: desk defaults, file loading, strict validation.
+"""Experiment configuration: one schema table, file loading, strict validation.
 
-One JSON document with fixed sections drives every command. Each field has a
-desk-scale default, so a missing file resolves to the reference experiment.
-Unknown sections or keys are rejected by name, a field set to null is
-reported as missing, and dotted `a.b=value` overrides edit the tree before
-validation, so a bad flag fails the same way a bad file does.
+One JSON document with fixed sections drives every command. `_SCHEMA`
+declares each leaf once: its desk-scale default (`DEFAULTS` is derived from
+the table, so a missing file resolves to the reference experiment), the
+caster that type- and range-checks it under its dotted path, and whether it
+may be null. Unknown sections or keys are rejected by name, a non-nullable
+field set to null is reported as missing, and dotted `a.b=value` overrides
+edit the tree before validation, so a bad flag fails the same way a bad file
+does. Each section's resolved leaves are the keyword arguments of the object
+it builds; the dataset leaves, the network and the training settings make
+one `SurrogateRecipe`, which the train, ablate and macnet commands share.
 """
 
 from __future__ import annotations
@@ -16,78 +21,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import INPUT_MODES, OUTPUT_MODES, WALL_POLICIES, TIER_WIDTH, DomainPartition
+from .dataset import INPUT_MODES, OUTPUT_MODES, WALL_POLICIES, DomainPartition, input_width
 from .errors import ArtifactIOError, ConfigurationError
 from .macnet import RETRAIN_POLICIES, MacnetConfig
 from .network import CASES, NetworkSpec
+from .rollout import SurrogateRecipe
 from .solver import IDX, N_VARS, VARIABLES, GridSpec, PhysicalParams, Snapshot
 from .training import TrainConfig
-
-DEFAULTS = {
-    "grid": {"m": 96, "n": 24, "dx": 0.001, "dr": 0.001, "dt": 0.001},
-    "physical": {
-        "diffusivity": {"T": 5e-5, "X_fuel": 2e-5, "X_prod": 2e-5, "X_ox": 2e-5},
-        "arrhenius_a": 10000.0,
-        "arrhenius_b": 0.0,
-        "activation_energy": 49884.0,
-        "gas_constant": 8.314,
-        "heat_release": 30000.0,
-        "reference_pressure": 101325.0,
-        "molar_mass": 0.0289,
-        "wall_temperature": 300.0,
-        "axial_bc": "inflow_outflow",
-    },
-    "partition": {"m_star": 16},
-    "initial": {
-        "temperature": 300.0,
-        "blob_peak": 1200.0,
-        "blob_center_x": 0.25,
-        "blob_center_r": 0.0,
-        "blob_sigma_x": 0.08,
-        "blob_sigma_r": 0.25,
-        "fuel": 0.08,
-        "oxidizer": 0.2,
-        "product": 0.0,
-        "vx_max": 0.25,
-        "vr_max": 0.02,
-    },
-    "generate": {"burn_in": 14, "horizon": 40},
-    "dataset": {
-        "train_window": 1,
-        "input_mode": "tier",
-        "output_mode": "derivative",
-        "split_fraction": 0.8,
-        "wall_policy": "zero_neumann",
-        "wall_values": None,
-    },
-    "network": {"case": "c", "custom": None},
-    "train": {
-        "learning_rate": 0.001,
-        "optimizer": "adam",
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "batch_size": 128,
-        "max_epochs": 300,
-        "patience": 50,
-        "min_delta": 1e-8,
-    },
-    "rollout": {"horizon": 10},
-    "macnet": {
-        "cfd_window": 2,
-        "tolerance": 5.0,
-        "max_ml_steps": 10,
-        "horizon": 40,
-        "retrain": "warm-start",
-    },
-    "seed": 0,
-    "out": "runs/desk",
-}
-
-
-def default_tree() -> dict:
-    return copy.deepcopy(DEFAULTS)
-
 
 # ----- leaf casters; each names the dotted path it rejects -----
 
@@ -114,6 +54,33 @@ def _as_float(path: str, v) -> float:
 def _as_str(path: str, v) -> str:
     if not isinstance(v, str):
         raise ConfigurationError(f"config field {path} must be a string, got {v!r}")
+    return v
+
+
+def _int_at_least(low: int):
+    def cast(path: str, v) -> int:
+        v = _as_int(path, v)
+        if v < low:
+            raise ConfigurationError(f"{path} must be at least {low}, got {v}")
+        return v
+
+    return cast
+
+
+def _one_of(choices: Tuple[str, ...]):
+    def cast(path: str, v) -> str:
+        v = _as_str(path, v)
+        if v not in choices:
+            raise ConfigurationError(f"{path} must be one of {choices}, got {v!r}")
+        return v
+
+    return cast
+
+
+def _as_fraction(path: str, v) -> float:
+    v = _as_float(path, v)
+    if not 0.0 < v < 1.0:
+        raise ConfigurationError(f"{path} must lie strictly in (0, 1), got {v}")
     return v
 
 
@@ -155,72 +122,96 @@ def _as_custom_network(path: str, v) -> dict:
     return {"hidden": hidden, "activation": _as_str(f"{path}.activation", activation)}
 
 
-# (caster, nullable); a null value for a non-nullable field is "missing".
+# Every config leaf, declared once: (default, caster, nullable). A null value
+# for a non-nullable leaf is "missing". Each section's resolved leaves are the
+# keyword arguments of the object it builds.
 _SCHEMA = {
     "grid": {
-        "m": (_as_int, False),
-        "n": (_as_int, False),
-        "dx": (_as_float, False),
-        "dr": (_as_float, False),
-        "dt": (_as_float, False),
+        "m": (96, _as_int, False),
+        "n": (24, _as_int, False),
+        "dx": (0.001, _as_float, False),
+        "dr": (0.001, _as_float, False),
+        "dt": (0.001, _as_float, False),
     },
     "physical": {
-        "diffusivity": (_as_diffusivity, False),
-        "arrhenius_a": (_as_float, False),
-        "arrhenius_b": (_as_float, False),
-        "activation_energy": (_as_float, False),
-        "gas_constant": (_as_float, False),
-        "heat_release": (_as_float, False),
-        "reference_pressure": (_as_float, False),
-        "molar_mass": (_as_float, False),
-        "wall_temperature": (_as_float, True),
-        "axial_bc": (_as_str, False),
+        "diffusivity": (
+            {"T": 5e-5, "X_fuel": 2e-5, "X_prod": 2e-5, "X_ox": 2e-5},
+            _as_diffusivity,
+            False,
+        ),
+        "arrhenius_a": (10000.0, _as_float, False),
+        "arrhenius_b": (0.0, _as_float, False),
+        "activation_energy": (49884.0, _as_float, False),
+        "gas_constant": (8.314, _as_float, False),
+        "heat_release": (30000.0, _as_float, False),
+        "reference_pressure": (101325.0, _as_float, False),
+        "molar_mass": (0.0289, _as_float, False),
+        "wall_temperature": (300.0, _as_float, True),
+        "axial_bc": ("inflow_outflow", _as_str, False),
     },
-    "partition": {"m_star": (_as_int, False)},
+    "partition": {"m_star": (16, _as_int, False)},
     "initial": {
-        "temperature": (_as_float, False),
-        "blob_peak": (_as_float, False),
-        "blob_center_x": (_as_float, False),
-        "blob_center_r": (_as_float, False),
-        "blob_sigma_x": (_as_float, False),
-        "blob_sigma_r": (_as_float, False),
-        "fuel": (_as_float, False),
-        "oxidizer": (_as_float, False),
-        "product": (_as_float, False),
-        "vx_max": (_as_float, False),
-        "vr_max": (_as_float, False),
+        "temperature": (300.0, _as_float, False),
+        "blob_peak": (1200.0, _as_float, False),
+        "blob_center_x": (0.25, _as_float, False),
+        "blob_center_r": (0.0, _as_float, False),
+        "blob_sigma_x": (0.08, _as_float, False),
+        "blob_sigma_r": (0.25, _as_float, False),
+        "fuel": (0.08, _as_float, False),
+        "oxidizer": (0.2, _as_float, False),
+        "product": (0.0, _as_float, False),
+        "vx_max": (0.25, _as_float, False),
+        "vr_max": (0.02, _as_float, False),
     },
-    "generate": {"burn_in": (_as_int, False), "horizon": (_as_int, False)},
+    "generate": {
+        "burn_in": (14, _int_at_least(0), False),
+        "horizon": (40, _int_at_least(1), False),
+    },
     "dataset": {
-        "train_window": (_as_int, False),
-        "input_mode": (_as_str, False),
-        "output_mode": (_as_str, False),
-        "split_fraction": (_as_float, False),
-        "wall_policy": (_as_str, False),
-        "wall_values": (_as_wall_values, True),
+        "train_window": (1, _int_at_least(1), False),
+        "input_mode": ("tier", _one_of(INPUT_MODES), False),
+        "output_mode": ("derivative", _one_of(OUTPUT_MODES), False),
+        "split_fraction": (0.8, _as_fraction, False),
+        "wall_policy": ("zero_neumann", _one_of(WALL_POLICIES), False),
+        "wall_values": (None, _as_wall_values, True),
     },
-    "network": {"case": (_as_str, True), "custom": (_as_custom_network, True)},
+    "network": {
+        "case": ("c", _one_of(tuple(sorted(CASES))), True),
+        "custom": (None, _as_custom_network, True),
+    },
     "train": {
-        "learning_rate": (_as_float, False),
-        "optimizer": (_as_str, False),
-        "beta1": (_as_float, False),
-        "beta2": (_as_float, False),
-        "eps": (_as_float, False),
-        "batch_size": (_as_int, False),
-        "max_epochs": (_as_int, False),
-        "patience": (_as_int, False),
-        "min_delta": (_as_float, False),
+        "learning_rate": (0.001, _as_float, False),
+        "optimizer": ("adam", _as_str, False),
+        "beta1": (0.9, _as_float, False),
+        "beta2": (0.999, _as_float, False),
+        "eps": (1e-8, _as_float, False),
+        "batch_size": (128, _as_int, False),
+        "max_epochs": (300, _as_int, False),
+        "patience": (50, _as_int, False),
+        "min_delta": (1e-8, _as_float, False),
     },
-    "rollout": {"horizon": (_as_int, False)},
+    "rollout": {"horizon": (10, _int_at_least(1), False)},
     "macnet": {
-        "cfd_window": (_as_int, False),
-        "tolerance": (_as_float, False),
-        "max_ml_steps": (_as_int, False),
-        "horizon": (_as_int, False),
-        "retrain": (_as_str, False),
+        "cfd_window": (2, _as_int, False),
+        "tolerance": (5.0, _as_float, False),
+        "max_ml_steps": (10, _as_int, False),
+        "horizon": (40, _as_int, False),
+        "retrain": ("warm-start", _one_of(RETRAIN_POLICIES), False),
     },
 }
-_TOP_SCALARS = {"seed": (_as_int, False), "out": (_as_str, False)}
+_TOP_SCALARS = {"seed": (0, _as_int, False), "out": ("runs/desk", _as_str, False)}
+
+DEFAULTS = {
+    **{
+        section: {key: default for key, (default, _, _) in leaves.items()}
+        for section, leaves in _SCHEMA.items()
+    },
+    **{name: default for name, (default, _, _) in _TOP_SCALARS.items()},
+}
+
+
+def default_tree() -> dict:
+    return copy.deepcopy(DEFAULTS)
 
 
 def merge_tree(base: dict, user: dict) -> dict:
@@ -275,14 +266,12 @@ def apply_override(tree: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _leaf(tree: dict, section: str, key: str):
-    caster, nullable = _SCHEMA[section][key]
-    value = tree[section][key]
+def _cast(path: str, value, caster, nullable: bool):
     if value is None:
         if nullable:
             return None
-        raise ConfigurationError(f"config field {section}.{key} is missing a value")
-    return caster(f"{section}.{key}", value)
+        raise ConfigurationError(f"config field {path} is missing a value")
+    return caster(path, value)
 
 
 def _jsonable(value):
@@ -352,14 +341,8 @@ class ExperimentConfig:
     burn_in: int
     generate_horizon: int
     train_window: int
-    input_mode: str
-    output_mode: str
-    split_fraction: float
-    wall_policy: str
-    wall_values: Optional[Tuple[float, ...]]
     case: Optional[str]
-    spec: NetworkSpec
-    train: TrainConfig
+    recipe: SurrogateRecipe
     rollout_horizon: int
     macnet: MacnetConfig
     seed: int
@@ -370,161 +353,60 @@ class ExperimentConfig:
         return self.initial.build(self.grid)
 
 
-def input_width(input_mode: str) -> int:
-    return TIER_WIDTH if input_mode == "tier" else N_VARS
-
-
-def _resolve_spec(tree: dict, input_mode: str) -> Tuple[Optional[str], NetworkSpec]:
-    case = _leaf(tree, "network", "case")
-    custom = _leaf(tree, "network", "custom")
+def _resolve_spec(network: dict, input_mode: str) -> NetworkSpec:
+    case, custom = network["case"], network["custom"]
     if (case is None) == (custom is None):
         raise ConfigurationError(
             "network needs exactly one of network.case or network.custom"
         )
     width = input_width(input_mode)
     if case is not None:
-        if case not in CASES:
-            raise ConfigurationError(
-                f"network.case must be one of {sorted(CASES)}, got {case!r}"
-            )
         base = CASES[case]
-        return case, NetworkSpec(width, base.hidden, 1, base.activation)
-    return None, NetworkSpec(width, tuple(custom["hidden"]), 1, custom["activation"])
+        return NetworkSpec(width, base.hidden, 1, base.activation)
+    return NetworkSpec(width, tuple(custom["hidden"]), 1, custom["activation"])
 
 
 def resolve_config(tree: dict) -> ExperimentConfig:
     """Validate a merged tree and construct every referenced object."""
-    for section, keys in _SCHEMA.items():
-        if not isinstance(tree.get(section), dict):
+    leaves = {}
+    for section, schema in _SCHEMA.items():
+        node = tree.get(section)
+        if not isinstance(node, dict):
             raise ConfigurationError(f"config section {section!r} must be an object")
-        for key in keys:
-            if key not in tree[section]:
-                tree[section][key] = copy.deepcopy(DEFAULTS[section][key])
+        leaves[section] = {}
+        for key, (default, caster, nullable) in schema.items():
+            value = node[key] if key in node else copy.deepcopy(default)
+            value = _cast(f"{section}.{key}", value, caster, nullable)
+            leaves[section][key] = value
             # Canonicalize so the echoed document holds resolved values
             # (e.g. the string "inf" becomes the float it parsed to).
-            tree[section][key] = _jsonable(_leaf(tree, section, key))
-    for name in _TOP_SCALARS:
-        if name not in tree:
-            tree[name] = copy.deepcopy(DEFAULTS[name])
-        caster, _ = _TOP_SCALARS[name]
-        tree[name] = caster(name, tree[name])
+            node[key] = _jsonable(value)
+    for name, (default, caster, nullable) in _TOP_SCALARS.items():
+        value = tree[name] if name in tree else copy.deepcopy(default)
+        tree[name] = _cast(name, value, caster, nullable)
 
-    grid = GridSpec(
-        m=_leaf(tree, "grid", "m"),
-        n=_leaf(tree, "grid", "n"),
-        dx=_leaf(tree, "grid", "dx"),
-        dr=_leaf(tree, "grid", "dr"),
-        dt=_leaf(tree, "grid", "dt"),
+    grid = GridSpec(**leaves["grid"])
+    dataset = leaves["dataset"]
+    train_window = dataset.pop("train_window")
+    recipe = SurrogateRecipe(
+        spec=_resolve_spec(leaves["network"], dataset["input_mode"]),
+        train=TrainConfig(**leaves["train"], seed=tree["seed"]),
+        **dataset,
     )
-    params = PhysicalParams(
-        diffusivity=_leaf(tree, "physical", "diffusivity"),
-        arrhenius_a=_leaf(tree, "physical", "arrhenius_a"),
-        arrhenius_b=_leaf(tree, "physical", "arrhenius_b"),
-        activation_energy=_leaf(tree, "physical", "activation_energy"),
-        gas_constant=_leaf(tree, "physical", "gas_constant"),
-        heat_release=_leaf(tree, "physical", "heat_release"),
-        reference_pressure=_leaf(tree, "physical", "reference_pressure"),
-        molar_mass=_leaf(tree, "physical", "molar_mass"),
-        wall_temperature=_leaf(tree, "physical", "wall_temperature"),
-        axial_bc=_leaf(tree, "physical", "axial_bc"),
-    )
-    partition = DomainPartition(m=grid.m, m_star=_leaf(tree, "partition", "m_star"))
-    initial = InitialCondition(
-        **{key: _leaf(tree, "initial", key) for key in _SCHEMA["initial"]}
-    )
-
-    burn_in = _leaf(tree, "generate", "burn_in")
-    generate_horizon = _leaf(tree, "generate", "horizon")
-    if burn_in < 0:
-        raise ConfigurationError("generate.burn_in must be non-negative")
-    if generate_horizon < 1:
-        raise ConfigurationError("generate.horizon must be at least 1")
-
-    train_window = _leaf(tree, "dataset", "train_window")
-    if train_window < 1:
-        raise ConfigurationError("dataset.train_window must be at least 1")
-    input_mode = _leaf(tree, "dataset", "input_mode")
-    if input_mode not in INPUT_MODES:
-        raise ConfigurationError(
-            f"dataset.input_mode must be one of {INPUT_MODES}, got {input_mode!r}"
-        )
-    output_mode = _leaf(tree, "dataset", "output_mode")
-    if output_mode not in OUTPUT_MODES:
-        raise ConfigurationError(
-            f"dataset.output_mode must be one of {OUTPUT_MODES}, got {output_mode!r}"
-        )
-    split_fraction = _leaf(tree, "dataset", "split_fraction")
-    if not 0.0 < split_fraction < 1.0:
-        raise ConfigurationError("dataset.split_fraction must lie strictly in (0, 1)")
-    wall_policy = _leaf(tree, "dataset", "wall_policy")
-    if wall_policy not in WALL_POLICIES:
-        raise ConfigurationError(
-            f"dataset.wall_policy must be one of {WALL_POLICIES}, got {wall_policy!r}"
-        )
-    wall_values = _leaf(tree, "dataset", "wall_values")
-
-    case, spec = _resolve_spec(tree, input_mode)
-
-    train = TrainConfig(
-        learning_rate=_leaf(tree, "train", "learning_rate"),
-        optimizer=_leaf(tree, "train", "optimizer"),
-        beta1=_leaf(tree, "train", "beta1"),
-        beta2=_leaf(tree, "train", "beta2"),
-        eps=_leaf(tree, "train", "eps"),
-        batch_size=_leaf(tree, "train", "batch_size"),
-        max_epochs=_leaf(tree, "train", "max_epochs"),
-        patience=_leaf(tree, "train", "patience"),
-        min_delta=_leaf(tree, "train", "min_delta"),
-        seed=_TOP_SCALARS["seed"][0]("seed", tree["seed"]),
-    )
-
-    rollout_horizon = _leaf(tree, "rollout", "horizon")
-    if rollout_horizon < 1:
-        raise ConfigurationError("rollout.horizon must be at least 1")
-
-    retrain = _leaf(tree, "macnet", "retrain")
-    if retrain not in RETRAIN_POLICIES:
-        raise ConfigurationError(
-            f"macnet.retrain must be one of {RETRAIN_POLICIES}, got {retrain!r}"
-        )
-    macnet = MacnetConfig(
-        cfd_window=_leaf(tree, "macnet", "cfd_window"),
-        tolerance=_leaf(tree, "macnet", "tolerance"),
-        max_ml_steps=_leaf(tree, "macnet", "max_ml_steps"),
-        horizon=_leaf(tree, "macnet", "horizon"),
-        retrain=retrain,
-        spec=spec,
-        train_config=train,
-        input_mode=input_mode,
-        output_mode=output_mode,
-        split_fraction=split_fraction,
-        wall_policy=wall_policy,
-        wall_values=wall_values,
-    )
-
-    seed = _TOP_SCALARS["seed"][0]("seed", tree["seed"])
-    out = _TOP_SCALARS["out"][0]("out", tree["out"])
-
     return ExperimentConfig(
         grid=grid,
-        params=params,
-        partition=partition,
-        initial=initial,
-        burn_in=burn_in,
-        generate_horizon=generate_horizon,
+        params=PhysicalParams(**leaves["physical"]),
+        partition=DomainPartition(m=grid.m, **leaves["partition"]),
+        initial=InitialCondition(**leaves["initial"]),
+        burn_in=leaves["generate"]["burn_in"],
+        generate_horizon=leaves["generate"]["horizon"],
         train_window=train_window,
-        input_mode=input_mode,
-        output_mode=output_mode,
-        split_fraction=split_fraction,
-        wall_policy=wall_policy,
-        wall_values=wall_values,
-        case=case,
-        spec=spec,
-        train=train,
-        rollout_horizon=rollout_horizon,
-        macnet=macnet,
-        seed=seed,
-        out=out,
+        case=leaves["network"]["case"],
+        recipe=recipe,
+        rollout_horizon=leaves["rollout"]["horizon"],
+        macnet=MacnetConfig(**leaves["macnet"], recipe=recipe),
+        seed=tree["seed"],
+        out=tree["out"],
         tree=tree,
     )
 

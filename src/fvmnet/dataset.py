@@ -32,6 +32,11 @@ TIER_SLOTS = ("center", "i-1", "i+1", "j-1", "j+1")
 TIER_WIDTH = len(TIER_SLOTS) * N_VARS  # 30
 
 
+def input_width(input_mode: str) -> int:
+    """Features per sample row: the full tier or the bare center values."""
+    return TIER_WIDTH if input_mode == "tier" else N_VARS
+
+
 @dataclass(frozen=True)
 class DomainPartition:
     """Axial split into inlet strip, sampled middle band, outlet strip.
@@ -280,11 +285,6 @@ def _harvest(
 ):
     if len(series) < 2:
         raise DomainError(f"dataset window needs >= 2 snapshots, got {len(series)}")
-    if input_mode not in INPUT_MODES:
-        raise DomainError(f"input_mode must be one of {INPUT_MODES}, got {input_mode!r}")
-    if output_mode not in OUTPUT_MODES:
-        raise DomainError(f"output_mode must be one of {OUTPUT_MODES}, got {output_mode!r}")
-
     inputs, targets = [], []
     for snap_t, snap_next in zip(series[:-1], series[1:]):
         inputs.append(input_matrix(snap_t, partition, input_mode, wall_policy, wall_values))
@@ -340,13 +340,3 @@ def build_datasets(
         )
     return out
 
-
-def build_dataset(
-    series: Sequence[Snapshot],
-    grid: GridSpec,
-    partition: DomainPartition,
-    variable: str,
-    **kwargs,
-) -> DatasetSplit:
-    """Single-variable convenience wrapper around build_datasets."""
-    return build_datasets(series, grid, partition, variables=[variable], **kwargs)[variable]

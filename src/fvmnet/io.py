@@ -8,12 +8,16 @@ separate timing sidecars to keep the main artifacts deterministic.
 
 Every file is written through `atomic_writer`: the text goes to a temporary
 file beside the target, which replaces the target only once complete, so an
-interrupted write never leaves a partial file under the final name. Manifests
-are written last.
+interrupted write never leaves a partial file under the final name. A save
+of several files first removes the directory's old manifest and writes the
+new one last: the series manifest lists the snapshots, and the bundle
+manifest holds the sha256 of the standardizer and each checkpoint, so a
+bundle saved only in part, or mixed from two saves, is refused on load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -34,6 +38,8 @@ SNAPSHOT_HEADER = "i,j," + ",".join(VARIABLES)
 CHECKPOINT_FORMAT = "fvmnet-checkpoint-1"
 STANDARDIZER_FORMAT = "fvmnet-standardizer-1"
 STANDARDIZER_FILE = "standardizer.json"
+BUNDLE_FORMAT = "fvmnet-bundle-1"
+BUNDLE_MANIFEST = "manifest.json"
 TRACE_FORMAT = "fvmnet-trace-1"
 
 
@@ -60,11 +66,28 @@ def atomic_writer(path: str) -> Iterator[TextIO]:
         raise
 
 
-def dump_json(path: str, payload) -> str:
-    """Write JSON deterministically: sorted keys, 2-space indent, one trailing \\n."""
+def _remove_stale(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def dump_json(path: str, payload, digests: Optional[Dict[str, str]] = None) -> str:
+    """Write JSON deterministically: sorted keys, 2-space indent, one trailing \\n.
+
+    With `digests`, also record the sha256 of the written text under the
+    file's base name.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with atomic_writer(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    if digests is not None:
+        digests[os.path.basename(path)] = _sha256(text)
     return path
 
 
@@ -182,10 +205,7 @@ def save_series(
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     # A manifest from an earlier save would name snapshots being overwritten.
-    try:
-        os.remove(manifest_path)
-    except FileNotFoundError:
-        pass
+    _remove_stale(manifest_path)
     entries = []
     for idx, snap in enumerate(series):
         if snap.shape != (grid.m, grid.n):
@@ -264,10 +284,12 @@ def load_series(manifest_path: str) -> Tuple[List[Snapshot], GridSpec, PhysicalP
 # ----- standardizer and network checkpoints -----
 
 
-def save_standardizer(path: str, standardizer: Standardizer) -> str:
+def save_standardizer(
+    path: str, standardizer: Standardizer, digests: Optional[Dict[str, str]] = None
+) -> str:
     payload = {"format": STANDARDIZER_FORMAT}
     payload.update(standardizer.to_dict())
-    return dump_json(path, payload)
+    return dump_json(path, payload, digests)
 
 
 def load_standardizer(path: str) -> Standardizer:
@@ -304,10 +326,20 @@ def save_bundle(
     seed: int,
     train_config: TrainConfig,
 ) -> List[str]:
-    """Write standardizer.json plus one checkpoint per variable; returns paths."""
+    """Write standardizer.json, one checkpoint per variable, then manifest.json.
+
+    Returns the paths written. The manifest goes last and names the sha256 of
+    every other file; an earlier one is removed first, since it would vouch
+    for files this save overwrites.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, BUNDLE_MANIFEST)
+    _remove_stale(manifest_path)
+    digests: Dict[str, str] = {}
     paths = [
-        save_standardizer(os.path.join(out_dir, STANDARDIZER_FILE), bundle.standardizer)
+        save_standardizer(
+            os.path.join(out_dir, STANDARDIZER_FILE), bundle.standardizer, digests
+        )
     ]
     digest = config_digest(train_config)
     for v in VARIABLES:
@@ -331,18 +363,50 @@ def save_bundle(
             "weights": [w.tolist() for w in net.weights],
             "biases": [b.tolist() for b in net.biases],
         }
-        paths.append(dump_json(checkpoint_path(out_dir, v), payload))
+        paths.append(dump_json(checkpoint_path(out_dir, v), payload, digests))
+    paths.append(
+        dump_json(manifest_path, {"format": BUNDLE_FORMAT, "files": digests})
+    )
     return paths
 
 
+def _read_verified(path: str, digests: Mapping[str, str]):
+    """Parse one bundle file after checking its text against the manifest."""
+    name = os.path.basename(path)
+    if name not in digests:
+        raise ArtifactIOError(f"bundle manifest does not list {path}")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ArtifactIOError(f"file not found: {path}") from None
+    if _sha256(text) != digests[name]:
+        raise ArtifactIOError(
+            f"{path} does not match the sha256 in the bundle manifest"
+        )
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ArtifactIOError(f"corrupt JSON in {path}: {err}") from None
+
+
 def load_bundle(out_dir: str) -> SurrogateBundle:
-    standardizer = load_standardizer(os.path.join(out_dir, STANDARDIZER_FILE))
+    manifest_path = os.path.join(out_dir, BUNDLE_MANIFEST)
+    if not os.path.exists(manifest_path):
+        raise ArtifactIOError(f"bundle manifest not found: {manifest_path}")
+    manifest = read_json(manifest_path)
+    _expect_format(manifest, BUNDLE_FORMAT, manifest_path)
+    digests = manifest.get("files", {})
+    path = os.path.join(out_dir, STANDARDIZER_FILE)
+    payload = _read_verified(path, digests)
+    _expect_format(payload, STANDARDIZER_FORMAT, path)
+    standardizer = Standardizer.from_dict(payload)
     networks: Dict[str, Network] = {}
     scales: Dict[str, Tuple[float, float]] = {}
     modes = None
     for v in VARIABLES:
         path = checkpoint_path(out_dir, v)
-        payload = read_json(path)
+        payload = _read_verified(path, digests)
         _expect_format(payload, CHECKPOINT_FORMAT, path)
         if payload["variable"] != v:
             raise ArtifactIOError(

@@ -13,12 +13,12 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .dataset import INPUT_MODES, OUTPUT_MODES, DomainPartition
+from .dataset import DomainPartition
 from .errors import DomainError, MacnetAbortError, TrainingDivergedError
-from .network import CASES, NetworkSpec
 from .rollout import (
+    SurrogateRecipe,
     predict_step,
     relative_error,
     residual_denominator,
@@ -26,7 +26,7 @@ from .rollout import (
     train_bundle,
 )
 from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, step
-from .training import TrainConfig, derived_seed
+from .training import derived_seed
 
 logger = logging.getLogger(__name__)
 
@@ -38,20 +38,15 @@ ML_END_REASONS = ("breach", "max_ml_steps", "horizon")
 
 @dataclass(frozen=True)
 class MacnetConfig:
-    """Gating and retraining knobs for the alternation loop."""
+    """Gating and retraining knobs for the alternation loop, plus the recipe
+    every (re)training follows."""
 
+    recipe: SurrogateRecipe
     cfd_window: int = 2
     tolerance: float = 5.0
     max_ml_steps: int = 10
     horizon: int = 40
     retrain: str = "warm-start"
-    spec: NetworkSpec = CASES["c"]
-    train_config: TrainConfig = TrainConfig()
-    input_mode: str = "tier"
-    output_mode: str = "derivative"
-    split_fraction: float = 0.8
-    wall_policy: str = "zero_neumann"
-    wall_values: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         if self.cfd_window < 1:
@@ -67,10 +62,6 @@ class MacnetConfig:
             )
         if self.retrain not in RETRAIN_POLICIES:
             raise DomainError(f"retrain must be one of {RETRAIN_POLICIES}")
-        if self.input_mode not in INPUT_MODES:
-            raise DomainError(f"input_mode must be one of {INPUT_MODES}")
-        if self.output_mode not in OUTPUT_MODES:
-            raise DomainError(f"output_mode must be one of {OUTPUT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -201,14 +192,8 @@ def run(
                 window,
                 grid,
                 partition,
-                config.spec,
-                config.train_config,
+                config.recipe,
                 seed=retrain_seed(seed, len(trace.retrains)),
-                input_mode=config.input_mode,
-                output_mode=config.output_mode,
-                split_fraction=config.split_fraction,
-                wall_policy=config.wall_policy,
-                wall_values=config.wall_values,
                 warm_from=warm,
             )
         except TrainingDivergedError as err:
@@ -278,15 +263,6 @@ def run(
         trace.wall_seconds, trace.train_seconds,
     )
     return series, trace
-
-
-def speedup(trace: MacnetTrace, pure_cfd_seconds: float) -> float:
-    """Wall-clock ratio of a pure-solver run to this hybrid run (logged, not asserted)."""
-    if not pure_cfd_seconds > 0.0 or not trace.wall_seconds > 0.0:
-        raise DomainError("speedup needs positive wall times on both sides")
-    ratio = pure_cfd_seconds / trace.wall_seconds
-    logger.info("hybrid speedup vs pure solver: %.2fx", ratio)
-    return ratio
 
 
 def step_costs(trace: MacnetTrace, pure_cfd_seconds: float) -> Tuple[float, float, float]:

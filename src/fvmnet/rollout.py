@@ -1,10 +1,14 @@
-"""Rollout evaluation: surrogate stepping, error metrics, residual tracking.
+"""Surrogate training and rollout: recipe, stepping, error metrics, residuals.
 
-A trained SurrogateBundle advances the middle band of the domain one Euler
-step at a time while the reference solver keeps advancing the inlet and
-outlet strips. Three evaluation modes compare the result against a stored
-truth series: teacher-forced single-step, autoregressive multi-step, and a
-frozen constant-gradient baseline.
+A SurrogateRecipe names how a bundle is trained (network spec, training
+settings, tier or center inputs, derivative or absolute targets, split
+fraction, wall handling) and checks that those settings fit together;
+`train_bundle` turns a snapshot window and a recipe into a SurrogateBundle.
+The bundle advances the middle band of the domain one Euler step at a time
+while the reference solver keeps advancing the inlet and outlet strips.
+Three evaluation modes compare the result against a stored truth series:
+teacher-forced single-step, autoregressive multi-step, and a frozen
+constant-gradient baseline.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ import numpy as np
 from .dataset import (
     INPUT_MODES,
     OUTPUT_MODES,
-    TIER_WIDTH,
     DomainPartition,
     Standardizer,
+    _check_wall_args,
     build_datasets,
     fit_standardizer,
     input_matrix,
+    input_width,
     target_scale,
 )
 from .errors import BlowupError, ConfigurationError, DomainError
@@ -86,7 +91,7 @@ class SurrogateBundle:
         missing = [v for v in VARIABLES if v not in self.target_scales]
         if missing:
             raise DomainError(f"bundle is missing target scales for {missing}")
-        width = TIER_WIDTH if self.input_mode == "tier" else N_VARS
+        width = input_width(self.input_mode)
         if self.standardizer.width != width:
             raise DomainError(
                 f"{self.input_mode!r} inputs have width {width}, "
@@ -276,9 +281,6 @@ class RolloutReport:
     def max_series(self, variable: str) -> List[float]:
         return [rec.max_errors[variable] for rec in self.steps]
 
-    def mean_series(self, variable: str) -> List[float]:
-        return [rec.mean_errors[variable] for rec in self.steps]
-
     def residual_series(self) -> List[float]:
         return [rec.scaled_residual for rec in self.steps]
 
@@ -466,18 +468,52 @@ def growth_fit_rss(errors: Sequence[float]) -> Tuple[float, float]:
     return rss[0], rss[1]
 
 
+@dataclass(frozen=True)
+class SurrogateRecipe:
+    """Everything `train_bundle` needs besides the data and the seed.
+
+    The network spec and training settings, the input layout (tier or
+    center), the target kind (derivative or absolute), the train fraction of
+    the shuffled rows, and how the radial wall neighbor is filled. The spec
+    must map the input layout's width to one output.
+    """
+
+    spec: NetworkSpec
+    train: TrainConfig
+    input_mode: str = "tier"
+    output_mode: str = "derivative"
+    split_fraction: float = 0.8
+    wall_policy: str = "zero_neumann"
+    wall_values: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if self.input_mode not in INPUT_MODES:
+            raise DomainError(
+                f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}"
+            )
+        if self.output_mode not in OUTPUT_MODES:
+            raise DomainError(
+                f"output_mode must be one of {OUTPUT_MODES}, got {self.output_mode!r}"
+            )
+        _check_wall_args(self.wall_policy, self.wall_values)
+        if not 0.0 < self.split_fraction < 1.0:
+            raise DomainError(
+                f"split_fraction must be in (0, 1), got {self.split_fraction}"
+            )
+        width = input_width(self.input_mode)
+        if self.spec.n_inputs != width or self.spec.n_outputs != 1:
+            raise DomainError(
+                f"{self.input_mode!r} inputs need a {width}->1 network, "
+                f"spec maps {self.spec.n_inputs}->{self.spec.n_outputs}"
+            )
+
+
 def train_bundle(
     series: Sequence[Snapshot],
     grid: GridSpec,
     partition: DomainPartition,
-    spec: NetworkSpec,
-    train_config: TrainConfig,
+    recipe: SurrogateRecipe,
     seed: int = 0,
-    input_mode: str = "tier",
-    output_mode: str = "derivative",
-    split_fraction: float = 0.8,
-    wall_policy: str = "zero_neumann",
-    wall_values: Optional[Sequence[float]] = None,
     warm_from: Optional[SurrogateBundle] = None,
 ) -> Tuple[SurrogateBundle, Dict[str, TrainReport]]:
     """Build datasets from a snapshot window and train all six networks.
@@ -487,31 +523,28 @@ def train_bundle(
     from that bundle's parameters instead of a fresh initialization; the
     standardizer and target scales are refitted on the new window either way.
     """
-    expected_width = TIER_WIDTH if input_mode == "tier" else N_VARS
-    if spec.n_inputs != expected_width or spec.n_outputs != 1:
-        raise DomainError(
-            f"{input_mode!r} inputs need a {expected_width}->1 network, "
-            f"spec maps {spec.n_inputs}->{spec.n_outputs}"
-        )
     if warm_from is not None:
         for v in VARIABLES:
-            if warm_from.networks[v].spec != spec:
+            if warm_from.networks[v].spec != recipe.spec:
                 raise DomainError(
                     f"warm start requires matching specs; network for {v!r} differs"
                 )
-        if (warm_from.input_mode, warm_from.output_mode) != (input_mode, output_mode):
+        if (warm_from.input_mode, warm_from.output_mode) != (
+            recipe.input_mode,
+            recipe.output_mode,
+        ):
             raise DomainError("warm start requires matching input/output modes")
 
     splits = build_datasets(
         series,
         grid,
         partition,
-        input_mode=input_mode,
-        output_mode=output_mode,
-        split_fraction=split_fraction,
+        input_mode=recipe.input_mode,
+        output_mode=recipe.output_mode,
+        split_fraction=recipe.split_fraction,
         seed=derived_seed(seed, "split"),
-        wall_policy=wall_policy,
-        wall_values=wall_values,
+        wall_policy=recipe.wall_policy,
+        wall_values=recipe.wall_values,
     )
     shared = splits[VARIABLES[0]]
     standardizer = fit_standardizer(shared.train_inputs)
@@ -527,8 +560,8 @@ def train_bundle(
         if warm_from is not None:
             net = warm_from.networks[v].copy()
         else:
-            net = init_network(spec, derived_seed(seed, "init", v))
-        config = replace(train_config, seed=derived_seed(seed, "train", v))
+            net = init_network(recipe.spec, derived_seed(seed, "init", v))
+        config = replace(recipe.train, seed=derived_seed(seed, "train", v))
         net, report = train(
             net,
             z_train,
@@ -545,9 +578,9 @@ def train_bundle(
         networks=networks,
         standardizer=standardizer,
         target_scales=scales,
-        input_mode=input_mode,
-        output_mode=output_mode,
-        wall_policy=wall_policy,
-        wall_values=wall_values,
+        input_mode=recipe.input_mode,
+        output_mode=recipe.output_mode,
+        wall_policy=recipe.wall_policy,
+        wall_values=recipe.wall_values,
     )
     return bundle, reports

@@ -37,19 +37,7 @@ def desk_series(desk_cfg):
 def desk_bundle(desk_cfg, desk_series):
     cfg = desk_cfg
     window = desk_series[: cfg.train_window + 1]
-    return train_bundle(
-        window,
-        cfg.grid,
-        cfg.partition,
-        cfg.spec,
-        cfg.train,
-        seed=cfg.seed,
-        input_mode=cfg.input_mode,
-        output_mode=cfg.output_mode,
-        split_fraction=cfg.split_fraction,
-        wall_policy=cfg.wall_policy,
-        wall_values=cfg.wall_values,
-    )
+    return train_bundle(window, cfg.grid, cfg.partition, cfg.recipe, seed=cfg.seed)
 
 
 @pytest.fixture(scope="session")

@@ -26,9 +26,9 @@ import pytest
 from oracles import DerivativeOracle, finite_difference_check, sample_components
 
 from fvmnet.cli import main
-from fvmnet.config import input_width
+from fvmnet.dataset import input_width
 from fvmnet.macnet import hybrid_error_audit, retrain_seed, run, validate_trace
-from fvmnet.network import CASES, NetworkSpec, forward, init_network, param_count
+from fvmnet.network import CASES, forward, init_network, param_count
 from fvmnet.rollout import (
     growth_fit_rss,
     multi_step,
@@ -124,19 +124,12 @@ def test_04_ablation_ordering(desk_cfg, desk_series, desk_bundle):
         return worst
 
     def variant_error(input_mode, output_mode):
-        spec = NetworkSpec(input_width(input_mode), cfg.spec.hidden, 1, cfg.spec.activation)
+        spec = replace(cfg.recipe.spec, n_inputs=input_width(input_mode))
+        recipe = replace(
+            cfg.recipe, spec=spec, input_mode=input_mode, output_mode=output_mode
+        )
         bundle, _ = train_bundle(
-            desk_series[: w + 1],
-            cfg.grid,
-            cfg.partition,
-            spec,
-            cfg.train,
-            seed=cfg.seed,
-            input_mode=input_mode,
-            output_mode=output_mode,
-            split_fraction=cfg.split_fraction,
-            wall_policy=cfg.wall_policy,
-            wall_values=cfg.wall_values,
+            desk_series[: w + 1], cfg.grid, cfg.partition, recipe, seed=cfg.seed
         )
         return one_step_error(bundle)
 
@@ -218,14 +211,8 @@ def test_08_hybrid_trace_validity_and_tolerance_extremes(desk_cfg, desk_series):
         truth[: w + 1],
         cfg.grid,
         cfg.partition,
-        inf_cfg.spec,
-        inf_cfg.train_config,
+        inf_cfg.recipe,
         seed=retrain_seed(cfg.seed, 0),
-        input_mode=inf_cfg.input_mode,
-        output_mode=inf_cfg.output_mode,
-        split_fraction=inf_cfg.split_fraction,
-        wall_policy=inf_cfg.wall_policy,
-        wall_values=inf_cfg.wall_values,
     )
     denominator = residual_denominator(truth[: w + 1], cfg.grid, cfg.params)
     plain = multi_step(

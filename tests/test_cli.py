@@ -273,18 +273,19 @@ def test_macnet_writes_valid_trace_and_audit(config_path, tmp_path):
     assert os.path.exists(os.path.join(out, "macnet", "residuals.csv"))
     timing = read_csv(
         os.path.join(out, "macnet", "macnet_timing.csv"),
-        "wall_seconds,train_seconds,pure_cfd_seconds,speedup,"
+        "wall_seconds,train_seconds,pure_cfd_seconds,"
         "hybrid_step_ms,solver_step_ms,step_cost_ratio",
     )
     assert float(timing[0][0]) > 0.0
     assert trace.candidates() > 0
-    hybrid_ms, solver_ms, ratio = (float(v) for v in timing[0][4:])
+    hybrid_ms, solver_ms, ratio = (float(v) for v in timing[0][3:])
     assert hybrid_ms > 0.0 and solver_ms > 0.0
     assert ratio == pytest.approx(hybrid_ms / solver_ms)
     assert solver_ms == pytest.approx(1e3 * float(timing[0][2]) / trace.horizon)
     assert run_cli("report", "--out", out) == 0
     summary = open(os.path.join(out, "report", "summary.md")).read()
     assert f"cost ratio {ratio:.3f}" in summary
+    assert "speedup" not in summary
 
 
 def test_macnet_infinite_tolerance_retrains_once(config_path, tmp_path):

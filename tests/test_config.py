@@ -23,16 +23,17 @@ def test_defaults_resolve_to_the_reference_experiment():
     assert cfg.partition.m_star == 16
     assert cfg.partition.flame == (16, 80)
     assert cfg.case == "c"
-    assert cfg.spec.hidden == (64, 64, 64)
-    assert cfg.spec.n_inputs == 30
-    assert cfg.train.optimizer == "adam"
-    assert cfg.train.batch_size == 128
+    assert cfg.recipe.spec.hidden == (64, 64, 64)
+    assert cfg.recipe.spec.n_inputs == 30
+    assert cfg.recipe.train.optimizer == "adam"
+    assert cfg.recipe.train.batch_size == 128
     assert cfg.rollout_horizon == 10
     assert cfg.macnet.cfd_window == 2
     assert cfg.macnet.tolerance == 5.0
     assert cfg.macnet.horizon == 40
     assert cfg.params.wall_temperature == 300.0
-    assert cfg.seed == 0 and cfg.train.seed == 0
+    assert cfg.seed == 0 and cfg.recipe.train.seed == 0
+    assert cfg.macnet.recipe is cfg.recipe
 
 
 def test_default_initial_state_respects_stability_gates():
@@ -116,14 +117,14 @@ def test_network_case_and_custom_are_exclusive():
         {"network": {"case": None, "custom": {"hidden": [16, 8], "activation": "sigmoid"}}}
     )
     assert cfg.case is None
-    assert cfg.spec.hidden == (16, 8)
-    assert cfg.spec.activation == "sigmoid"
+    assert cfg.recipe.spec.hidden == (16, 8)
+    assert cfg.recipe.spec.activation == "sigmoid"
 
 
 def test_center_mode_resizes_network_inputs():
     cfg = resolve_config_from({"dataset": {"input_mode": "center"}})
-    assert cfg.spec.n_inputs == 6
-    assert cfg.macnet.spec.n_inputs == 6
+    assert cfg.recipe.spec.n_inputs == 6
+    assert cfg.macnet.recipe.spec.n_inputs == 6
 
 
 def test_range_checks():
@@ -146,7 +147,7 @@ def test_overrides_parse_json_then_fall_back_to_strings():
     cfg = resolve_config(tree)
     assert cfg.macnet.tolerance == 2.5
     assert cfg.case == "a"
-    assert cfg.seed == 11 and cfg.train.seed == 11
+    assert cfg.seed == 11 and cfg.recipe.train.seed == 11
     assert cfg.params.wall_temperature is None
 
 
@@ -210,7 +211,7 @@ def test_effective_tree_round_trips():
     cfg = load_config()
     again = resolve_config(json.loads(json.dumps(cfg.tree)))
     assert again.grid == cfg.grid
-    assert again.spec == cfg.spec
+    assert again.recipe == cfg.recipe
     assert again.macnet == cfg.macnet
     assert json.dumps(again.tree, sort_keys=True) == json.dumps(
         cfg.tree, sort_keys=True

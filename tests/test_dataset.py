@@ -11,7 +11,6 @@ from fvmnet.dataset import (
     TIER_WIDTH,
     DomainPartition,
     Standardizer,
-    build_dataset,
     build_datasets,
     center_matrix,
     fit_standardizer,
@@ -255,14 +254,14 @@ def series_fixture(pairs=1, m=12, n=5, dt=0.001, seed=30):
 def test_sample_count_matches_band_times_pairs():
     series, grid = series_fixture(pairs=3, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    ds = build_dataset(series, grid, part, "T", seed=1)
+    ds = build_datasets(series, grid, part, variables=["T"], seed=1)["T"]
     assert ds.n_total == 3 * part.flame_width() * 5
 
 
 def test_desk_scale_sample_count():
     series, grid = series_fixture(pairs=1, m=96, n=24)
     part = DomainPartition(m=96, m_star=16)
-    ds = build_dataset(series, grid, part, "T", seed=1)
+    ds = build_datasets(series, grid, part, variables=["T"], seed=1)["T"]
     assert ds.n_total == 1536
     assert ds.train_inputs.shape == (round(0.8 * 1536), 30)
     assert ds.val_inputs.shape[0] == 1536 - round(0.8 * 1536)
@@ -271,7 +270,7 @@ def test_desk_scale_sample_count():
 def test_split_preserves_the_sample_multiset():
     series, grid = series_fixture(pairs=2, m=10, n=4)
     part = DomainPartition(m=10, m_star=2)
-    ds = build_dataset(series, grid, part, "X_fuel", seed=7)
+    ds = build_datasets(series, grid, part, variables=["X_fuel"], seed=7)["X_fuel"]
     joined = np.concatenate(
         [
             np.column_stack([ds.train_inputs, ds.train_targets]),
@@ -297,9 +296,9 @@ def test_split_preserves_the_sample_multiset():
 def test_split_is_seed_deterministic_and_seed_sensitive():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    a = build_dataset(series, grid, part, "T", seed=3)
-    b = build_dataset(series, grid, part, "T", seed=3)
-    c = build_dataset(series, grid, part, "T", seed=4)
+    a = build_datasets(series, grid, part, variables=["T"], seed=3)["T"]
+    b = build_datasets(series, grid, part, variables=["T"], seed=3)["T"]
+    c = build_datasets(series, grid, part, variables=["T"], seed=4)["T"]
     np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
     np.testing.assert_array_equal(a.train_targets, b.train_targets)
     assert not np.array_equal(a.train_inputs, c.train_inputs)
@@ -316,9 +315,9 @@ def test_variables_share_inputs_and_shuffle():
 def test_center_mode_and_absolute_mode():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    ds = build_dataset(
-        series, grid, part, "T", input_mode="center", output_mode="absolute", seed=2
-    )
+    ds = build_datasets(
+        series, grid, part, variables=["T"], input_mode="center", output_mode="absolute", seed=2
+    )["T"]
     assert ds.train_inputs.shape[1] == N_VARS
     # Absolute targets are next-step values; all train targets must appear in
     # the next snapshot's temperature plane.
@@ -331,12 +330,12 @@ def test_dataset_input_validation():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
     with pytest.raises(DomainError):
-        build_dataset(series[:1], grid, part, "T")
+        build_datasets(series[:1], grid, part, variables=["T"])["T"]
     with pytest.raises(DomainError):
-        build_dataset(series, grid, part, "T", input_mode="stencil")
+        build_datasets(series, grid, part, variables=["T"], input_mode="stencil")["T"]
     with pytest.raises(DomainError):
-        build_dataset(series, grid, part, "T", output_mode="next")
+        build_datasets(series, grid, part, variables=["T"], output_mode="next")["T"]
     with pytest.raises(DomainError):
-        build_dataset(series, grid, part, "rho")
+        build_datasets(series, grid, part, variables=["rho"])["rho"]
     with pytest.raises(DomainError):
-        build_dataset(series, grid, part, "T", split_fraction=1.0)
+        build_datasets(series, grid, part, variables=["T"], split_fraction=1.0)["T"]

@@ -238,6 +238,43 @@ def test_missing_checkpoint_is_reported(tmp_path):
         load_bundle(str(tmp_path))
 
 
+def test_interrupted_bundle_save_leaves_a_bundle_that_will_not_load(tmp_path, monkeypatch):
+    save_bundle(str(tmp_path), make_bundle(), seed=1, train_config=TrainConfig())
+    calls = []
+    real_dump = fvmnet.io.dump_json
+
+    def failing_dump(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 4:  # standardizer and two checkpoints are rewritten
+            raise OSError("disk full")
+        return real_dump(*args, **kwargs)
+
+    monkeypatch.setattr(fvmnet.io, "dump_json", failing_dump)
+    with pytest.raises(OSError, match="disk full"):
+        save_bundle(str(tmp_path), make_bundle(), seed=0, train_config=TrainConfig())
+    monkeypatch.undo()
+    seeds = [read_json(str(tmp_path / f"checkpoint_{v}.json"))["seed"] for v in VARIABLES]
+    assert seeds == [0, 0, 1, 1, 1, 1]
+    with pytest.raises(ArtifactIOError, match="manifest not found"):
+        load_bundle(str(tmp_path))
+
+
+def test_bundle_files_must_match_the_manifest(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    save_bundle(str(a), make_bundle(), seed=1, train_config=TrainConfig())
+    save_bundle(str(b), make_bundle(), seed=0, train_config=TrainConfig())
+    manifest = read_json(str(a / "manifest.json"))
+    assert manifest["format"] == "fvmnet-bundle-1"
+    assert sorted(manifest["files"]) == sorted(
+        ["standardizer.json"] + [f"checkpoint_{v}.json" for v in VARIABLES]
+    )
+    load_bundle(str(a))
+    # A checkpoint from another save is whole, but not the one the manifest names.
+    (a / "checkpoint_X_ox.json").write_bytes((b / "checkpoint_X_ox.json").read_bytes())
+    with pytest.raises(ArtifactIOError, match="sha256"):
+        load_bundle(str(a))
+
+
 def test_train_reports_file_lists_losses(tmp_path):
     reports = {
         v: TrainReport(

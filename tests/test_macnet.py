@@ -13,12 +13,11 @@ from fvmnet.macnet import (
     hybrid_error_audit,
     retrain_seed,
     run,
-    speedup,
     step_costs,
     validate_trace,
 )
 from fvmnet.network import NetworkSpec
-from fvmnet.rollout import multi_step, residual_denominator, train_bundle
+from fvmnet.rollout import SurrogateRecipe, multi_step, residual_denominator, train_bundle
 from fvmnet.solver import IDX, VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
 from fvmnet.training import TrainConfig
 
@@ -29,6 +28,7 @@ PARAMS = PhysicalParams(
 )
 SPEC = NetworkSpec(30, (8,), 1)
 TRAIN = TrainConfig(max_epochs=15, patience=15, batch_size=32)
+RECIPE = SurrogateRecipe(SPEC, TRAIN)
 
 
 def blob_state():
@@ -48,8 +48,7 @@ def small_config(**overrides):
         tolerance=float("inf"),
         max_ml_steps=6,
         horizon=8,
-        spec=SPEC,
-        train_config=TRAIN,
+        recipe=RECIPE,
     )
     base.update(overrides)
     return MacnetConfig(**base)
@@ -95,9 +94,7 @@ def test_infinite_tolerance_matches_plain_multi_step_bit_exactly():
         assert np.array_equal(series[k].values, truth[k].values)
 
     window = truth[: config.cfd_window + 1]
-    bundle, _ = train_bundle(
-        window, GRID, PART, SPEC, TRAIN, seed=retrain_seed(seed, 0)
-    )
+    bundle, _ = train_bundle(window, GRID, PART, RECIPE, seed=retrain_seed(seed, 0))
     denom = residual_denominator(window, GRID, PARAMS)
     plain = multi_step(
         bundle,
@@ -226,23 +223,15 @@ def test_warm_and_scratch_policies_diverge_after_first_retrain():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_divergence_aborts_with_partial_trace():
     config = small_config(
-        train_config=TrainConfig(
-            optimizer="sgd", learning_rate=1e12, max_epochs=20, patience=20
+        recipe=SurrogateRecipe(
+            SPEC,
+            TrainConfig(optimizer="sgd", learning_rate=1e12, max_epochs=20, patience=20),
         )
     )
     with pytest.raises(MacnetAbortError) as err:
         run(blob_state(), config, GRID, PARAMS, PART, seed=5)
     assert len(err.value.series) == config.cfd_window + 1
     assert [p.mode for p in err.value.trace.phases] == ["CFD"]
-
-
-def test_speedup_is_a_simple_ratio():
-    trace = MacnetTrace(horizon=4, cfd_window=2, tolerance=1.0, max_ml_steps=2)
-    trace.phases.append(Phase("CFD", 0, 4, ended_by="horizon"))
-    trace.wall_seconds = 2.0
-    assert speedup(trace, 8.0) == 4.0
-    with pytest.raises(DomainError):
-        speedup(trace, 0.0)
 
 
 def test_step_costs_divide_by_candidates_and_horizon():

@@ -1,5 +1,7 @@
 """Rollout tests: hybrid stepping, error metrics, residual scaling, baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fvmnet.rollout import (
     RolloutReport,
     StepRecord,
     SurrogateBundle,
+    SurrogateRecipe,
     constant_gradient,
     growth_fit_rss,
     multi_step,
@@ -441,19 +444,18 @@ def test_bundle_validation_catches_mismatches():
 
 SMALL_SPEC = NetworkSpec(TIER_WIDTH, (8,), 1)
 SMALL_CONFIG = TrainConfig(max_epochs=12, patience=12, batch_size=32, seed=0)
+SMALL_RECIPE = SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG)
 
 
 def test_train_bundle_is_seed_deterministic():
     truth = simulate(blob_state(), GRID, PARAMS, 3)
     ids = []
     for _ in range(2):
-        bundle, reports = train_bundle(
-            truth, GRID, PART, SMALL_SPEC, SMALL_CONFIG, seed=11
-        )
+        bundle, reports = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=11)
         ids.append({v: reports[v].param_snapshot_id for v in VARIABLES})
     assert ids[0] == ids[1]
-    other, _ = train_bundle(truth, GRID, PART, SMALL_SPEC, SMALL_CONFIG, seed=12)
-    bundle, _ = train_bundle(truth, GRID, PART, SMALL_SPEC, SMALL_CONFIG, seed=11)
+    other, _ = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=12)
+    bundle, _ = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=11)
     assert any(
         not np.array_equal(bundle.networks[v].weights[0], other.networks[v].weights[0])
         for v in VARIABLES
@@ -462,23 +464,41 @@ def test_train_bundle_is_seed_deterministic():
 
 def test_train_bundle_warm_start_and_spec_checks():
     truth = simulate(blob_state(), GRID, PARAMS, 3)
-    bundle, _ = train_bundle(truth, GRID, PART, SMALL_SPEC, SMALL_CONFIG, seed=1)
-    warmed, reports = train_bundle(
-        truth, GRID, PART, SMALL_SPEC, SMALL_CONFIG, seed=2, warm_from=bundle
-    )
+    bundle, _ = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=1)
+    warmed, reports = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=2, warm_from=bundle)
     assert all(reports[v].epochs_run >= 1 for v in VARIABLES)
     out = predict_step(warmed, truth[0], PART, GRID, PARAMS)
     assert np.isfinite(out.values).all()
 
-    with pytest.raises(DomainError):
-        train_bundle(
-            truth, GRID, PART, NetworkSpec(TIER_WIDTH, (4,), 1), SMALL_CONFIG,
-            seed=2, warm_from=bundle,
-        )
-    with pytest.raises(DomainError):
-        train_bundle(
-            truth, GRID, PART, NetworkSpec(6, (8,), 1), SMALL_CONFIG, seed=2
-        )
+    narrow = replace(SMALL_RECIPE, spec=NetworkSpec(TIER_WIDTH, (4,), 1))
+    with pytest.raises(DomainError, match="matching specs"):
+        train_bundle(truth, GRID, PART, narrow, seed=2, warm_from=bundle)
+    absolute = replace(SMALL_RECIPE, output_mode="absolute")
+    with pytest.raises(DomainError, match="matching input/output modes"):
+        train_bundle(truth, GRID, PART, absolute, seed=2, warm_from=bundle)
+
+    # The recipe rejects every inconsistent setting before any training.
+    with pytest.raises(DomainError, match="6->1"):
+        SurrogateRecipe(NetworkSpec(TIER_WIDTH, (8,), 1), SMALL_CONFIG, input_mode="center")
+    with pytest.raises(DomainError, match="30->1"):
+        SurrogateRecipe(NetworkSpec(6, (8,), 1), SMALL_CONFIG)
+    with pytest.raises(DomainError, match="30->1"):
+        SurrogateRecipe(NetworkSpec(TIER_WIDTH, (8,), 2), SMALL_CONFIG)
+    with pytest.raises(DomainError, match="input_mode"):
+        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, input_mode="stencil")
+    with pytest.raises(DomainError, match="output_mode"):
+        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, output_mode="next")
+    with pytest.raises(DomainError, match="wall_values"):
+        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, wall_policy="wall_value")
+    with pytest.raises(DomainError, match="wall_policy"):
+        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, wall_policy="mirror")
+    for fraction in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(DomainError, match="split_fraction"):
+            SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, split_fraction=fraction)
+    walled = SurrogateRecipe(
+        SMALL_SPEC, SMALL_CONFIG, wall_policy="wall_value", wall_values=(0.0,) * 6
+    )
+    assert replace(walled, split_fraction=0.5).wall_values == (0.0,) * 6
 
 
 def test_trained_bundle_beats_zero_bundle_on_one_step():
@@ -486,7 +506,7 @@ def test_trained_bundle_beats_zero_bundle_on_one_step():
     # predicting "nothing changes".
     truth = simulate(blob_state(), GRID, PARAMS, 6)
     config = TrainConfig(max_epochs=200, patience=200, batch_size=32, seed=0)
-    bundle, _ = train_bundle(truth[:5], GRID, PART, SMALL_SPEC, config, seed=3)
+    bundle, _ = train_bundle(truth[:5], GRID, PART, SurrogateRecipe(SMALL_SPEC, config), seed=3)
     denom = denom_for(truth)
     trained = single_step(bundle, truth[4:6], PART, GRID, PARAMS, denom)
     frozen = single_step(zero_bundle(), truth[4:6], PART, GRID, PARAMS, denom)
