@@ -37,7 +37,6 @@ VARIANTS = {
     "derivative-only": ("center", "derivative"),
     "general": ("center", "absolute"),
 }
-VARIANT_ORDER = ("fvmn", "tier-only", "derivative-only", "general")
 ABLATION_HEADER = (
     "kind,name,input_mode,output_mode,param_count,epochs,max_rel_err_T,mean_rel_err_T"
 )
@@ -45,6 +44,21 @@ MACNET_TIMING_HEADER = (
     "wall_seconds,train_seconds,pure_cfd_seconds,"
     "hybrid_step_ms,solver_step_ms,step_cost_ratio"
 )
+
+# Every artifact `report` reads, by name, relative to the run directory.
+REPORT_INPUTS = {
+    "effective_config.json": "effective_config.json",
+    "series": "series/manifest.json",
+    "train_reports": "model/train_reports.json",
+    "ablation": "ablation.csv",
+    "report_multi": "report_multi.csv",
+    "report_single": "report_single.csv",
+    "report_constant-gradient": "report_constant-gradient.csv",
+    "growth_fit": "growth_fit.json",
+    "trace": "macnet/trace.json",
+    "audit": "macnet/audit.csv",
+    "macnet_timing": "macnet/macnet_timing.csv",
+}
 
 
 def _apply_thread_cap(argv: List[str]) -> None:
@@ -192,17 +206,11 @@ def _echo_config(cfg) -> str:
     return dump_json(os.path.join(cfg.out, "effective_config.json"), cfg.tree)
 
 
-def _default_manifest(cfg, args) -> str:
-    explicit = getattr(args, "manifest", None)
-    return explicit or os.path.join(cfg.out, "series", "manifest.json")
-
-
 def _load_series_checked(cfg, args):
+    """The series at --manifest (default: the run's own), on the configured grid."""
     from .io import load_series
 
-    manifest = _default_manifest(cfg, args)
-    if not os.path.exists(manifest):
-        raise ArtifactIOError(f"manifest not found: {manifest}")
+    manifest = args.manifest or os.path.join(cfg.out, "series", "manifest.json")
     series, grid, params = load_series(manifest)
     if grid != cfg.grid:
         raise ConfigurationError(
@@ -290,7 +298,7 @@ def _parse_cases(text: str) -> List[str]:
 
 def _parse_variants(text: str) -> List[str]:
     if text == "all":
-        return list(VARIANT_ORDER)
+        return list(VARIANTS)
     if text == "none":
         return []
     names = [part.strip() for part in text.split(",") if part.strip()]
@@ -498,18 +506,19 @@ def cmd_macnet(args) -> int:
     return EXIT_OK
 
 
-def _read_optional_csv(path: str, header: str):
-    from .io import read_csv
-
-    return read_csv(path, header) if os.path.exists(path) else None
-
-
 def cmd_report(args) -> int:
     import numpy as np
 
     from .config import load_config
     from .dataset import target_matrix
-    from .io import REPORT_HEADER, atomic_writer, load_series, read_json, write_csv
+    from .io import (
+        REPORT_HEADER,
+        atomic_writer,
+        load_series,
+        read_csv,
+        read_json,
+        write_csv,
+    )
     from .solver import IDX
 
     run_dir = args.out
@@ -520,34 +529,10 @@ def cmd_report(args) -> int:
         raise ArtifactIOError(f"run directory not found: {run_dir}")
 
     found = {}
-    echo = os.path.join(run_dir, "effective_config.json")
-    if os.path.exists(echo):
-        found["effective_config.json"] = echo
-    manifest = os.path.join(run_dir, "series", "manifest.json")
-    if os.path.exists(manifest):
-        found["series"] = manifest
-    model = os.path.join(run_dir, "model", "train_reports.json")
-    if os.path.exists(model):
-        found["train_reports"] = model
-    ablation = os.path.join(run_dir, "ablation.csv")
-    if os.path.exists(ablation):
-        found["ablation"] = ablation
-    for mode in ("multi", "single", "constant-gradient"):
-        path = os.path.join(run_dir, f"report_{mode}.csv")
+    for name, rel in REPORT_INPUTS.items():
+        path = os.path.join(run_dir, rel)
         if os.path.exists(path):
-            found[f"report_{mode}"] = path
-    growth = os.path.join(run_dir, "growth_fit.json")
-    if os.path.exists(growth):
-        found["growth_fit"] = growth
-    trace = os.path.join(run_dir, "macnet", "trace.json")
-    if os.path.exists(trace):
-        found["trace"] = trace
-    audit = os.path.join(run_dir, "macnet", "audit.csv")
-    if os.path.exists(audit):
-        found["audit"] = audit
-    timing = os.path.join(run_dir, "macnet", "macnet_timing.csv")
-    if os.path.exists(timing):
-        found["macnet_timing"] = timing
+            found[name] = path
     if not found:
         raise ArtifactIOError(f"no artifacts found in {run_dir}")
 
@@ -562,7 +547,7 @@ def cmd_report(args) -> int:
         key = f"report_{mode}"
         if key not in found:
             continue
-        rows = _read_optional_csv(found[key], REPORT_HEADER)
+        rows = read_csv(found[key], REPORT_HEADER)
         by_step = {}
         for row in rows:
             rec = by_step.setdefault(int(row[0]), {"residual": float(row[5])})
@@ -601,7 +586,7 @@ def cmd_report(args) -> int:
             )
 
     if "ablation" in found:
-        rows = _read_optional_csv(found["ablation"], ABLATION_HEADER)
+        rows = read_csv(found["ablation"], ABLATION_HEADER)
         case_rows = [row for row in rows if row[0] == "case"]
         if case_rows:
             written.append(
@@ -678,7 +663,7 @@ def cmd_report(args) -> int:
             f"{len(loaded.retrains)} retrains, {len(loaded.fallbacks)} fallbacks"
         )
         if "macnet_timing" in found:
-            row = _read_optional_csv(found["macnet_timing"], MACNET_TIMING_HEADER)[0]
+            row = read_csv(found["macnet_timing"], MACNET_TIMING_HEADER)[0]
             lines.append("")
             lines.append(
                 f"- wall {float(row[0]):.2f}s (training {float(row[1]):.2f}s), "

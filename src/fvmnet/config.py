@@ -341,7 +341,6 @@ class ExperimentConfig:
     burn_in: int
     generate_horizon: int
     train_window: int
-    case: Optional[str]
     recipe: SurrogateRecipe
     rollout_horizon: int
     macnet: MacnetConfig
@@ -401,7 +400,6 @@ def resolve_config(tree: dict) -> ExperimentConfig:
         burn_in=leaves["generate"]["burn_in"],
         generate_horizon=leaves["generate"]["horizon"],
         train_window=train_window,
-        case=leaves["network"]["case"],
         recipe=recipe,
         rollout_horizon=leaves["rollout"]["horizon"],
         macnet=MacnetConfig(**leaves["macnet"], recipe=recipe),

@@ -16,7 +16,7 @@ the axis mirror uses the center value, the wall either repeats the center
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,12 +67,6 @@ class DomainPartition:
     @property
     def outlet(self) -> Tuple[int, int]:
         return (self.m - self.m_star, self.m)
-
-    def flame_width(self) -> int:
-        return self.m - 2 * self.m_star
-
-    def contains(self, i: int) -> bool:
-        return self.m_star <= i < self.m - self.m_star
 
 
 def _check_wall_args(wall_policy: str, wall_values) -> Optional[np.ndarray]:
@@ -193,10 +187,10 @@ def _floored_std(std: np.ndarray, mean: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Standardizer:
-    """Per-feature affine map to zero mean, unit spread, with exact inverse.
+    """Per-feature affine map to zero mean, unit spread.
 
-    Stds carry a floor of 1e-12 * max(1, |mean|) so constant features stay
-    invertible.
+    Stds carry a floor of 1e-12 * max(1, |mean|) so constant features map to
+    finite values.
     """
 
     mean: np.ndarray
@@ -220,21 +214,8 @@ class Standardizer:
             raise DomainError(f"standardizer width {self.width}, input width {x.shape[-1]}")
         return (x - self.mean) / self.std
 
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[-1] != self.width:
-            raise DomainError(f"standardizer width {self.width}, input width {z.shape[-1]}")
-        return z * self.std + self.mean
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Standardizer":
-        return cls(
-            mean=np.asarray(data["mean"], dtype=np.float64),
-            std=np.asarray(data["std"], dtype=np.float64),
-        )
 
 
 def fit_standardizer(inputs: np.ndarray) -> Standardizer:
@@ -268,10 +249,6 @@ class DatasetSplit:
     train_targets: np.ndarray
     val_inputs: np.ndarray
     val_targets: np.ndarray
-
-    @property
-    def n_total(self) -> int:
-        return self.train_inputs.shape[0] + self.val_inputs.shape[0]
 
 
 def _harvest(

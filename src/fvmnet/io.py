@@ -13,6 +13,15 @@ of several files first removes the directory's old manifest and writes the
 new one last: the series manifest lists the snapshots, and the bundle
 manifest holds the sha256 of the standardizer and each checkpoint, so a
 bundle saved only in part, or mixed from two saves, is refused on load.
+
+The grid and physical-parameter records of the series manifest, the
+checkpoint `spec`, each `train_reports.json` entry and the trace header and
+its phase, retrain and fallback entries are their dataclass's fields, written
+by `dataclasses.asdict` and read back by `_record`. Adding a field to one of
+those dataclasses therefore changes the file format and needs its format tag
+bumped. A malformed file (a missing or unknown key, a value of the wrong type,
+or one the record's own checks refuse) raises ArtifactIOError naming the
+file, which the CLI reports with exit code 4.
 """
 
 from __future__ import annotations
@@ -21,12 +30,14 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import get_type_hints
 
 import numpy as np
 
 from .dataset import Standardizer
-from .errors import ArtifactIOError, DomainError
+from .errors import ArtifactIOError, DomainError, FvmnetError
 from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
 from .network import Network, NetworkSpec, param_count
 from .rollout import RolloutReport, SurrogateBundle
@@ -41,6 +52,13 @@ STANDARDIZER_FILE = "standardizer.json"
 BUNDLE_FORMAT = "fvmnet-bundle-1"
 BUNDLE_MANIFEST = "manifest.json"
 TRACE_FORMAT = "fvmnet-trace-1"
+# The MacnetTrace fields trace.json holds; the wall-clock ones stay out.
+TRACE_FIELDS = (
+    "horizon", "cfd_window", "tolerance", "max_ml_steps",
+    "phases", "retrains", "fallbacks",
+)
+# SurrogateBundle fields every checkpoint repeats; siblings must agree on them.
+MODE_FIELDS = ("input_mode", "output_mode", "wall_policy", "wall_values")
 
 
 def _fmt(x) -> str:
@@ -101,11 +119,58 @@ def read_json(path: str):
         raise ArtifactIOError(f"corrupt JSON in {path}: {err}") from None
 
 
-def _expect_format(payload: Mapping, tag: str, path: str) -> None:
-    if payload.get("format") != tag:
-        raise ArtifactIOError(
-            f"{path} has format {payload.get('format')!r}, expected {tag!r}"
-        )
+def _expect_format(payload, tag: str, path: str) -> None:
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != tag:
+        raise ArtifactIOError(f"{path} has format {found!r}, expected {tag!r}")
+
+
+def _get(data, key: str, path: str, kind=object):
+    """data[key], or ArtifactIOError naming `path` if it is absent or not a `kind`."""
+    if not isinstance(data, dict) or key not in data:
+        raise ArtifactIOError(f"{path} has no {key!r} field")
+    if not isinstance(data[key], kind):
+        raise ArtifactIOError(f"{path} has a malformed {key!r} field: {data[key]!r}")
+    return data[key]
+
+
+# JSON types a record field of each scalar type accepts; container fields are
+# left to the record's own __post_init__ checks.
+_JSON_SCALARS = {
+    int: int,
+    float: (int, float),
+    str: str,
+    Optional[float]: (int, float, type(None)),
+}
+
+
+def _record(cls, data, path: str, names: Optional[Sequence[str]] = None):
+    """`cls(**data)` for a record read from `path`, with errors naming the file.
+
+    The record must hold exactly the fields `names` (default: every field of
+    the dataclass `cls`). A missing or unknown key, a scalar of the wrong JSON
+    type, or a value that `cls` itself refuses raises ArtifactIOError.
+    """
+    if names is None:
+        names = [f.name for f in fields(cls)]
+    what = f"{path}: {cls.__name__} record"
+    if not isinstance(data, dict):
+        raise ArtifactIOError(f"{what} is not a JSON object: {data!r}")
+    missing = [k for k in names if k not in data]
+    if missing:
+        raise ArtifactIOError(f"{what} lacks {missing}")
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ArtifactIOError(f"{what} has unknown keys {unknown}")
+    hints = get_type_hints(cls)
+    for k in names:
+        kinds, value = _JSON_SCALARS.get(hints[k]), data[k]
+        if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ArtifactIOError(f"{what} field {k!r} has the wrong type: {value!r}")
+    try:
+        return cls(**data)
+    except (FvmnetError, TypeError, ValueError) as err:
+        raise ArtifactIOError(f"{what} is invalid: {err}") from None
 
 
 def write_csv(path: str, header: str, rows: Sequence[Sequence]) -> str:
@@ -133,60 +198,6 @@ def read_csv(path: str, header: str) -> List[List[str]]:
             return [line.rstrip("\n").split(",") for line in fh if line.strip()]
     except FileNotFoundError:
         raise ArtifactIOError(f"file not found: {path}") from None
-
-
-# ----- grid and params records -----
-
-
-def grid_to_dict(grid: GridSpec) -> dict:
-    return {
-        "m": grid.m,
-        "n": grid.n,
-        "dx": grid.dx,
-        "dr": grid.dr,
-        "dt": grid.dt,
-    }
-
-
-def grid_from_dict(data: Mapping) -> GridSpec:
-    return GridSpec(
-        m=int(data["m"]),
-        n=int(data["n"]),
-        dx=float(data["dx"]),
-        dr=float(data["dr"]),
-        dt=float(data["dt"]),
-    )
-
-
-def params_to_dict(params: PhysicalParams) -> dict:
-    return {
-        "diffusivity": {k: float(v) for k, v in params.diffusivity.items()},
-        "arrhenius_a": params.arrhenius_a,
-        "arrhenius_b": params.arrhenius_b,
-        "activation_energy": params.activation_energy,
-        "gas_constant": params.gas_constant,
-        "heat_release": params.heat_release,
-        "reference_pressure": params.reference_pressure,
-        "molar_mass": params.molar_mass,
-        "wall_temperature": params.wall_temperature,
-        "axial_bc": params.axial_bc,
-    }
-
-
-def params_from_dict(data: Mapping) -> PhysicalParams:
-    wall = data.get("wall_temperature")
-    return PhysicalParams(
-        diffusivity=dict(data["diffusivity"]),
-        arrhenius_a=float(data["arrhenius_a"]),
-        arrhenius_b=float(data["arrhenius_b"]),
-        activation_energy=float(data["activation_energy"]),
-        gas_constant=float(data["gas_constant"]),
-        heat_release=float(data["heat_release"]),
-        reference_pressure=float(data["reference_pressure"]),
-        molar_mass=float(data["molar_mass"]),
-        wall_temperature=None if wall is None else float(wall),
-        axial_bc=str(data["axial_bc"]),
-    )
 
 
 # ----- snapshot series -----
@@ -226,9 +237,9 @@ def save_series(
         entries.append({"file": name, "time": snap.time})
     manifest = {
         "format": SERIES_FORMAT,
-        "grid": grid_to_dict(grid),
+        "grid": asdict(grid),
         "variables": list(VARIABLES),
-        "params": params_to_dict(params),
+        "params": asdict(params),
         "snapshots": entries,
     }
     if extra:
@@ -258,14 +269,20 @@ def load_series(manifest_path: str) -> Tuple[List[Snapshot], GridSpec, PhysicalP
         raise ArtifactIOError(f"manifest not found: {manifest_path}")
     payload = read_json(manifest_path)
     _expect_format(payload, SERIES_FORMAT, manifest_path)
-    if payload["variables"] != list(VARIABLES):
+    variables = _get(payload, "variables", manifest_path)
+    if variables != list(VARIABLES):
         raise ArtifactIOError(
-            f"{manifest_path} stores variables {payload['variables']}, "
+            f"{manifest_path} stores variables {variables}, "
             f"this package uses {list(VARIABLES)}"
         )
-    grid = grid_from_dict(payload["grid"])
-    params = params_from_dict(payload["params"])
-    times = [float(entry["time"]) for entry in payload["snapshots"]]
+    grid = _record(GridSpec, _get(payload, "grid", manifest_path), manifest_path)
+    params = _record(
+        PhysicalParams, _get(payload, "params", manifest_path), manifest_path
+    )
+    entries = _get(payload, "snapshots", manifest_path, list)
+    times = [
+        float(_get(entry, "time", manifest_path, (int, float))) for entry in entries
+    ]
     for k in range(1, len(times)):
         gap = times[k] - times[k - 1]
         if abs(gap - grid.dt) > 1e-9 * max(1.0, grid.dt):
@@ -275,45 +292,18 @@ def load_series(manifest_path: str) -> Tuple[List[Snapshot], GridSpec, PhysicalP
             )
     base = os.path.dirname(manifest_path)
     series = [
-        _load_snapshot_csv(os.path.join(base, entry["file"]), grid.m, grid.n, time_)
-        for entry, time_ in zip(payload["snapshots"], times)
+        _load_snapshot_csv(
+            os.path.join(base, _get(entry, "file", manifest_path, str)),
+            grid.m,
+            grid.n,
+            time_,
+        )
+        for entry, time_ in zip(entries, times)
     ]
     return series, grid, params
 
 
 # ----- standardizer and network checkpoints -----
-
-
-def save_standardizer(
-    path: str, standardizer: Standardizer, digests: Optional[Dict[str, str]] = None
-) -> str:
-    payload = {"format": STANDARDIZER_FORMAT}
-    payload.update(standardizer.to_dict())
-    return dump_json(path, payload, digests)
-
-
-def load_standardizer(path: str) -> Standardizer:
-    payload = read_json(path)
-    _expect_format(payload, STANDARDIZER_FORMAT, path)
-    return Standardizer.from_dict(payload)
-
-
-def _spec_to_dict(spec: NetworkSpec) -> dict:
-    return {
-        "n_inputs": spec.n_inputs,
-        "hidden": list(spec.hidden),
-        "n_outputs": spec.n_outputs,
-        "activation": spec.activation,
-    }
-
-
-def _spec_from_dict(data: Mapping) -> NetworkSpec:
-    return NetworkSpec(
-        n_inputs=int(data["n_inputs"]),
-        hidden=tuple(int(h) for h in data["hidden"]),
-        n_outputs=int(data["n_outputs"]),
-        activation=str(data["activation"]),
-    )
 
 
 def checkpoint_path(out_dir: str, variable: str) -> str:
@@ -337,8 +327,10 @@ def save_bundle(
     _remove_stale(manifest_path)
     digests: Dict[str, str] = {}
     paths = [
-        save_standardizer(
-            os.path.join(out_dir, STANDARDIZER_FILE), bundle.standardizer, digests
+        dump_json(
+            os.path.join(out_dir, STANDARDIZER_FILE),
+            {"format": STANDARDIZER_FORMAT, **bundle.standardizer.to_dict()},
+            digests,
         )
     ]
     digest = config_digest(train_config)
@@ -348,7 +340,7 @@ def save_bundle(
         payload = {
             "format": CHECKPOINT_FORMAT,
             "variable": v,
-            "spec": _spec_to_dict(net.spec),
+            "spec": asdict(net.spec),
             "param_count": param_count(net.spec),
             "seed": int(seed),
             "train_config_digest": digest,
@@ -390,17 +382,25 @@ def _read_verified(path: str, digests: Mapping[str, str]):
         raise ArtifactIOError(f"corrupt JSON in {path}: {err}") from None
 
 
+def _arrays(payload, key: str, path: str) -> List[np.ndarray]:
+    try:
+        return [np.asarray(a, dtype=np.float64) for a in _get(payload, key, path, list)]
+    except (TypeError, ValueError):
+        raise ArtifactIOError(f"{path} has a malformed {key!r} field") from None
+
+
 def load_bundle(out_dir: str) -> SurrogateBundle:
     manifest_path = os.path.join(out_dir, BUNDLE_MANIFEST)
     if not os.path.exists(manifest_path):
         raise ArtifactIOError(f"bundle manifest not found: {manifest_path}")
     manifest = read_json(manifest_path)
     _expect_format(manifest, BUNDLE_FORMAT, manifest_path)
-    digests = manifest.get("files", {})
+    digests = _get(manifest, "files", manifest_path, dict)
     path = os.path.join(out_dir, STANDARDIZER_FILE)
     payload = _read_verified(path, digests)
     _expect_format(payload, STANDARDIZER_FORMAT, path)
-    standardizer = Standardizer.from_dict(payload)
+    del payload["format"]
+    standardizer = _record(Standardizer, payload, path)
     networks: Dict[str, Network] = {}
     scales: Dict[str, Tuple[float, float]] = {}
     modes = None
@@ -408,52 +408,34 @@ def load_bundle(out_dir: str) -> SurrogateBundle:
         path = checkpoint_path(out_dir, v)
         payload = _read_verified(path, digests)
         _expect_format(payload, CHECKPOINT_FORMAT, path)
-        if payload["variable"] != v:
-            raise ArtifactIOError(
-                f"{path} stores variable {payload['variable']!r}, expected {v!r}"
-            )
-        spec = _spec_from_dict(payload["spec"])
-        networks[v] = Network(
-            spec=spec,
-            weights=[np.asarray(w, dtype=np.float64) for w in payload["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in payload["biases"]],
-        )
-        scales[v] = (float(payload["target_scale"][0]), float(payload["target_scale"][1]))
-        these = (
-            payload["input_mode"],
-            payload["output_mode"],
-            payload["wall_policy"],
-            None
-            if payload["wall_values"] is None
-            else tuple(float(w) for w in payload["wall_values"]),
-        )
+        stored = _get(payload, "variable", path)
+        if stored != v:
+            raise ArtifactIOError(f"{path} stores variable {stored!r}, expected {v!r}")
+        spec = _record(NetworkSpec, _get(payload, "spec", path), path)
+        weights, biases = _arrays(payload, "weights", path), _arrays(payload, "biases", path)
+        sizes = spec.layer_sizes()
+        if [w.shape for w in weights] != sizes or [b.shape for b in biases] != [
+            (fan_out,) for _, fan_out in sizes
+        ]:
+            raise ArtifactIOError(f"{path} holds weights that do not fit its spec")
+        networks[v] = Network(spec=spec, weights=weights, biases=biases)
+        scale = _get(payload, "target_scale", path, list)
+        if len(scale) != 2 or not all(isinstance(s, (int, float)) for s in scale):
+            raise ArtifactIOError(f"{path} target_scale is not two numbers: {scale!r}")
+        scales[v] = (float(scale[0]), float(scale[1]))
+        these = [_get(payload, k, path) for k in MODE_FIELDS]
         if modes is None:
             modes = these
         elif modes != these:
             raise ArtifactIOError(f"{path} disagrees with sibling checkpoints on modes")
-    return SurrogateBundle(
-        networks=networks,
-        standardizer=standardizer,
-        target_scales=scales,
-        input_mode=modes[0],
-        output_mode=modes[1],
-        wall_policy=modes[2],
-        wall_values=modes[3],
-    )
+    record = dict(zip(MODE_FIELDS, modes))
+    record.update(networks=networks, standardizer=standardizer, target_scales=scales)
+    return _record(SurrogateBundle, record, out_dir)
 
 
 def save_train_reports(out_dir: str, reports: Mapping[str, TrainReport]) -> str:
     payload = {
-        v: {
-            "best_epoch": rep.best_epoch,
-            "stopped_epoch": rep.stopped_epoch,
-            "best_val_loss": rep.best_val_loss,
-            "epochs_run": rep.epochs_run,
-            "param_snapshot_id": rep.param_snapshot_id,
-            "train_losses": list(rep.train_losses),
-            "val_losses": list(rep.val_losses),
-        }
-        for v, rep in reports.items()
+        v: {**asdict(rep), "epochs_run": rep.epochs_run} for v, rep in reports.items()
     }
     return dump_json(os.path.join(out_dir, "train_reports.json"), payload)
 
@@ -522,37 +504,8 @@ def write_trace(out_dir: str, trace: MacnetTrace, emit_residuals: bool = False) 
     Wall-clock fields stay out of trace.json; the caller owns timing sidecars.
     """
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "format": TRACE_FORMAT,
-        "horizon": trace.horizon,
-        "cfd_window": trace.cfd_window,
-        "tolerance": trace.tolerance,
-        "max_ml_steps": trace.max_ml_steps,
-        "phases": [
-            {
-                "mode": p.mode,
-                "start": p.start,
-                "end": p.end,
-                "residuals": [float(r) for r in p.residuals],
-                "ended_by": p.ended_by,
-                "breach_residual": p.breach_residual,
-            }
-            for p in trace.phases
-        ],
-        "retrains": [
-            {
-                "at_step": r.at_step,
-                "policy": r.policy,
-                "val_losses": {v: float(r.val_losses[v]) for v in VARIABLES},
-                "param_ids": {v: str(r.param_ids[v]) for v in VARIABLES},
-                "denominator": r.denominator,
-            }
-            for r in trace.retrains
-        ],
-        "fallbacks": [
-            {"at_step": f.at_step, "residual": f.residual} for f in trace.fallbacks
-        ],
-    }
+    record = asdict(trace)
+    payload = {"format": TRACE_FORMAT, **{k: record[k] for k in TRACE_FIELDS}}
     paths = [dump_json(os.path.join(out_dir, "trace.json"), payload)]
     if emit_residuals:
         rows = []
@@ -572,40 +525,11 @@ def write_trace(out_dir: str, trace: MacnetTrace, emit_residuals: bool = False) 
 def load_trace(path: str) -> MacnetTrace:
     payload = read_json(path)
     _expect_format(payload, TRACE_FORMAT, path)
-    trace = MacnetTrace(
-        horizon=int(payload["horizon"]),
-        cfd_window=int(payload["cfd_window"]),
-        tolerance=float(payload["tolerance"]),
-        max_ml_steps=int(payload["max_ml_steps"]),
-    )
-    for p in payload["phases"]:
-        trace.phases.append(
-            Phase(
-                mode=str(p["mode"]),
-                start=int(p["start"]),
-                end=int(p["end"]),
-                residuals=tuple(float(r) for r in p["residuals"]),
-                ended_by=str(p["ended_by"]),
-                breach_residual=None
-                if p["breach_residual"] is None
-                else float(p["breach_residual"]),
-            )
-        )
-    for r in payload["retrains"]:
-        trace.retrains.append(
-            RetrainEvent(
-                at_step=int(r["at_step"]),
-                policy=str(r["policy"]),
-                val_losses={v: float(r["val_losses"][v]) for v in VARIABLES},
-                param_ids={v: str(r["param_ids"][v]) for v in VARIABLES},
-                denominator=float(r["denominator"]),
-            )
-        )
-    for f in payload["fallbacks"]:
-        trace.fallbacks.append(
-            FallbackEvent(at_step=int(f["at_step"]), residual=float(f["residual"]))
-        )
-    return trace
+    del payload["format"]
+    events = (("phases", Phase), ("retrains", RetrainEvent), ("fallbacks", FallbackEvent))
+    for key, cls in events:
+        payload[key] = [_record(cls, item, path) for item in _get(payload, key, path, list)]
+    return _record(MacnetTrace, payload, path, TRACE_FIELDS)
 
 
 AUDIT_HEADER = "step,mode,variable,max_rel_err,mean_rel_err"

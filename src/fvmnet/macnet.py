@@ -33,7 +33,6 @@ logger = logging.getLogger(__name__)
 RETRAIN_POLICIES = ("warm-start", "from-scratch")
 PHASE_MODES = ("CFD", "ML")
 CFD_END_REASONS = ("window", "horizon")
-ML_END_REASONS = ("breach", "max_ml_steps", "horizon")
 
 
 @dataclass(frozen=True)
@@ -80,6 +79,9 @@ class Phase:
     residuals: Tuple[float, ...] = ()
     ended_by: str = "window"
     breach_residual: Optional[float] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", tuple(self.residuals))
 
 
 @dataclass(frozen=True)

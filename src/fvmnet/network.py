@@ -19,6 +19,7 @@ variant and a tapered variant, all with 30 inputs and one output.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -39,7 +40,16 @@ class NetworkSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        try:
+            for name in ("n_inputs", "n_outputs"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            hidden = tuple(operator.index(h) for h in self.hidden)
+            object.__setattr__(self, "hidden", hidden)
+        except TypeError:
+            raise DomainError(
+                f"spec sizes must be integers, got {self.n_inputs!r}, "
+                f"{self.hidden!r}, {self.n_outputs!r}"
+            ) from None
         if self.n_inputs < 1 or self.n_outputs < 1:
             raise DomainError("spec needs n_inputs >= 1 and n_outputs >= 1")
         if any(h < 1 for h in self.hidden):
@@ -168,16 +178,6 @@ def predict(
         z += b
         a = z if l == last else _activate(z, net.spec.activation, z)
     return a[:, 0] if net.spec.n_outputs == 1 else a
-
-
-def forward(net: Network, x: np.ndarray) -> float:
-    """Single-sample scalar output (single-output nets)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DomainError(f"forward takes one sample vector, got shape {x.shape}")
-    if net.spec.n_outputs != 1:
-        raise DomainError("scalar forward needs a single-output network")
-    return float(predict(net, x[None, :])[0])
 
 
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:

@@ -85,6 +85,7 @@ class SurrogateBundle:
             raise DomainError(f"input_mode must be one of {INPUT_MODES}")
         if self.output_mode not in OUTPUT_MODES:
             raise DomainError(f"output_mode must be one of {OUTPUT_MODES}")
+        _check_wall_args(self.wall_policy, self.wall_values)
         missing = [v for v in VARIABLES if v not in self.networks]
         if missing:
             raise DomainError(f"bundle is missing networks for {missing}")

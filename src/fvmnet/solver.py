@@ -17,6 +17,7 @@ no in-step sweeping).
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -56,6 +57,13 @@ class GridSpec:
     dt: float
 
     def __post_init__(self):
+        for name in ("m", "n"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DomainError(
+                    f"grid size {name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.m < 3 or self.n < 2:
             raise DomainError(f"grid needs m >= 3 and n >= 2, got {self.m}x{self.n}")
         for name in ("dx", "dr", "dt"):

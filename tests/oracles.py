@@ -5,7 +5,9 @@ the package implementation: per-neuron Python loops instead of matrix
 products, central finite differences instead of the chain rule, per-cell
 stencil reads instead of whole-band slices, a full solver step instead
 of trained networks, and per-array optimizer updates instead of one flat
-in-place update.
+in-place update. `forward` is the exception: the single-sample scalar entry
+to the package's `predict` that the loop and finite-difference oracles are
+compared against.
 """
 
 import math
@@ -20,7 +22,7 @@ from fvmnet.dataset import (
     _check_wall_args,
 )
 from fvmnet.errors import DomainError
-from fvmnet.network import Network, backward_batch, forward
+from fvmnet.network import Network, backward_batch, predict
 from fvmnet.solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot, step
 
 
@@ -50,7 +52,8 @@ def tier_input(
     m, n = snapshot.shape
     if partition.m != m:
         raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")
-    if not partition.contains(i):
+    lo, hi = partition.flame
+    if not lo <= i < hi:
         raise DomainError(f"cell ({i}, {j}) outside the sampled band {partition.flame}")
     if not 0 <= j < n:
         raise DomainError(f"radial index {j} outside [0, {n})")
@@ -70,7 +73,8 @@ def tier_input(
 
 def center_input(snapshot: Snapshot, i: int, j: int, partition: DomainPartition) -> np.ndarray:
     """Cell-center values only, in variable order."""
-    if not partition.contains(i):
+    lo, hi = partition.flame
+    if not lo <= i < hi:
         raise DomainError(f"cell ({i}, {j}) outside the sampled band {partition.flame}")
     return snapshot.values[:, i, j].copy()
 
@@ -113,6 +117,16 @@ class DerivativeOracle:
         lo, hi = partition.flame
         band = (advanced.values[:, lo:hi, :] - state.values[:, lo:hi, :]) / grid.dt
         return np.ascontiguousarray(band.transpose(1, 2, 0).reshape(-1, N_VARS))
+
+
+def forward(net: Network, x) -> float:
+    """Single-sample scalar output of a single-output network, through `predict`."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DomainError(f"forward takes one sample vector, got shape {x.shape}")
+    if net.spec.n_outputs != 1:
+        raise DomainError("scalar forward needs a single-output network")
+    return float(predict(net, x[None, :])[0])
 
 
 def loop_forward(net: Network, x) -> float:

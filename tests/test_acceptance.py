@@ -23,12 +23,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import DerivativeOracle, finite_difference_check, sample_components
+from oracles import DerivativeOracle, finite_difference_check, forward, sample_components
 
 from fvmnet.cli import main
 from fvmnet.dataset import input_width
 from fvmnet.macnet import hybrid_error_audit, retrain_seed, run, validate_trace
-from fvmnet.network import CASES, forward, init_network, param_count
+from fvmnet.network import CASES, init_network, param_count
 from fvmnet.rollout import (
     growth_fit_rss,
     multi_step,

@@ -14,6 +14,7 @@ from fvmnet.config import (
     resolve_config,
 )
 from fvmnet.errors import ArtifactIOError, ConfigurationError
+from fvmnet.network import CASES
 from fvmnet.solver import stability_numbers
 
 
@@ -22,8 +23,8 @@ def test_defaults_resolve_to_the_reference_experiment():
     assert (cfg.grid.m, cfg.grid.n) == (96, 24)
     assert cfg.partition.m_star == 16
     assert cfg.partition.flame == (16, 80)
-    assert cfg.case == "c"
-    assert cfg.recipe.spec.hidden == (64, 64, 64)
+    assert cfg.recipe.spec.hidden == CASES["c"].hidden == (64, 64, 64)
+    assert cfg.recipe.spec.activation == CASES["c"].activation
     assert cfg.recipe.spec.n_inputs == 30
     assert cfg.recipe.train.optimizer == "adam"
     assert cfg.recipe.train.batch_size == 128
@@ -116,7 +117,6 @@ def test_network_case_and_custom_are_exclusive():
     cfg = resolve_config_from(
         {"network": {"case": None, "custom": {"hidden": [16, 8], "activation": "sigmoid"}}}
     )
-    assert cfg.case is None
     assert cfg.recipe.spec.hidden == (16, 8)
     assert cfg.recipe.spec.activation == "sigmoid"
 
@@ -146,7 +146,8 @@ def test_overrides_parse_json_then_fall_back_to_strings():
     apply_override(tree, "physical.wall_temperature=null")
     cfg = resolve_config(tree)
     assert cfg.macnet.tolerance == 2.5
-    assert cfg.case == "a"
+    assert cfg.recipe.spec.hidden == CASES["a"].hidden
+    assert cfg.recipe.spec.activation == CASES["a"].activation
     assert cfg.seed == 11 and cfg.recipe.train.seed == 11
     assert cfg.params.wall_temperature is None
 

@@ -1,11 +1,14 @@
 """Round-trip and determinism checks for the on-disk artifact formats."""
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from oracles import forward
 
+from fvmnet.cli import main
 from fvmnet.dataset import TIER_WIDTH, Standardizer, fit_standardizer
 import fvmnet.io
 from fvmnet.errors import ArtifactIOError
@@ -13,13 +16,11 @@ from fvmnet.io import (
     dump_json,
     load_bundle,
     load_series,
-    load_standardizer,
     load_trace,
     read_csv,
     read_json,
     save_bundle,
     save_series,
-    save_standardizer,
     save_train_reports,
     write_audit,
     write_csv,
@@ -35,7 +36,7 @@ from fvmnet.macnet import (
     RetrainEvent,
     validate_trace,
 )
-from fvmnet.network import NetworkSpec, forward, init_network
+from fvmnet.network import NetworkSpec, init_network
 from fvmnet.rollout import RolloutReport, StepRecord, SurrogateBundle
 from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
 from fvmnet.training import TrainConfig, TrainReport
@@ -186,12 +187,14 @@ def make_bundle(seed=0):
 
 
 def test_standardizer_round_trip(tmp_path):
-    standardizer = Standardizer(mean=np.arange(4.0), std=np.array([1.0, 2.0, 0.5, 3.0]))
-    path = str(tmp_path / "s.json")
-    save_standardizer(path, standardizer)
-    back = load_standardizer(path)
-    assert np.array_equal(back.mean, standardizer.mean)
-    assert np.array_equal(back.std, standardizer.std)
+    bundle = make_bundle()
+    bundle.standardizer = Standardizer(
+        mean=np.arange(float(TIER_WIDTH)), std=np.linspace(0.5, 3.0, TIER_WIDTH)
+    )
+    save_bundle(str(tmp_path), bundle, seed=0, train_config=TrainConfig())
+    back = load_bundle(str(tmp_path)).standardizer
+    assert np.array_equal(back.mean, bundle.standardizer.mean)
+    assert np.array_equal(back.std, bundle.standardizer.std)
 
 
 def test_bundle_round_trip_preserves_weights_and_predictions(tmp_path):
@@ -455,3 +458,154 @@ def test_write_csv_floats_round_trip(tmp_path):
     write_csv(path, "a,b,c,d", [tuple(tricky)])
     row = read_csv(path, "a,b,c,d")[0]
     assert [float(cell) for cell in row] == tricky
+
+
+# ----- record formats and malformed records -----
+
+
+def json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_record_formats_are_pinned(tmp_path):
+    """The exact text of the dataclass-backed records: a field added to one of
+    these dataclasses shows up here (and needs a format-tag bump)."""
+    snapshot = Snapshot(np.zeros((len(VARIABLES), GRID.m, GRID.n)), 0.0)
+    manifest = save_series(str(tmp_path / "series"), [snapshot], GRID, PARAMS)
+    assert open(manifest).read() == json_text(
+        {
+            "format": "fvmnet-series-1",
+            "grid": {"dr": 0.01, "dt": 0.002, "dx": 0.01, "m": 12, "n": 4},
+            "params": {
+                "activation_energy": 0.0,
+                "arrhenius_a": 0.0,
+                "arrhenius_b": 0.0,
+                "axial_bc": "inflow_outflow",
+                "diffusivity": {
+                    "T": 0.0001, "X_fuel": 5e-05, "X_ox": 5e-05, "X_prod": 5e-05,
+                },
+                "gas_constant": 8.314,
+                "heat_release": 0.0,
+                "molar_mass": 0.0289,
+                "reference_pressure": 101325.0,
+                "wall_temperature": 310.0,
+            },
+            "snapshots": [{"file": "snap_000000.csv", "time": 0.0}],
+            "variables": ["v_x", "v_r", "T", "X_fuel", "X_prod", "X_ox"],
+        }
+    )
+
+    trace = MacnetTrace(horizon=4, cfd_window=2, tolerance=5.0, max_ml_steps=2)
+    trace.phases += [
+        Phase("CFD", 0, 2),
+        Phase("ML", 2, 3, residuals=(0.5,), ended_by="breach", breach_residual=6.25),
+        Phase("CFD", 3, 4, ended_by="horizon"),
+    ]
+    trace.retrains.append(
+        RetrainEvent(
+            at_step=2, policy="warm-start",
+            val_losses={v: 0.25 for v in VARIABLES},
+            param_ids={v: "ab" * 6 for v in VARIABLES},
+            denominator=3.5,
+        )
+    )
+    trace.fallbacks.append(FallbackEvent(at_step=2, residual=7.5))
+    trace.wall_seconds, trace.train_seconds, trace.ml_seconds = 9.5, 3.25, 1.125
+    path = write_trace(str(tmp_path / "macnet"), trace)[0]
+    assert open(path).read() == json_text(
+        {
+            "cfd_window": 2,
+            "fallbacks": [{"at_step": 2, "residual": 7.5}],
+            "format": "fvmnet-trace-1",
+            "horizon": 4,
+            "max_ml_steps": 2,
+            "phases": [
+                {"breach_residual": None, "end": 2, "ended_by": "window",
+                 "mode": "CFD", "residuals": [], "start": 0},
+                {"breach_residual": 6.25, "end": 3, "ended_by": "breach",
+                 "mode": "ML", "residuals": [0.5], "start": 2},
+                {"breach_residual": None, "end": 4, "ended_by": "horizon",
+                 "mode": "CFD", "residuals": [], "start": 3},
+            ],
+            "retrains": [
+                {
+                    "at_step": 2,
+                    "denominator": 3.5,
+                    "param_ids": {v: "abababababab" for v in VARIABLES},
+                    "policy": "warm-start",
+                    "val_losses": {v: 0.25 for v in VARIABLES},
+                }
+            ],
+            "tolerance": 5.0,
+        }
+    )
+
+    report = TrainReport(
+        train_losses=[1.0, 0.5], val_losses=[1.25, 0.75], best_epoch=1,
+        stopped_epoch=1, best_val_loss=0.75, param_snapshot_id="ab" * 6,
+    )
+    path = save_train_reports(str(tmp_path), {"T": report})
+    assert open(path).read() == json_text(
+        {
+            "T": {
+                "best_epoch": 1,
+                "best_val_loss": 0.75,
+                "epochs_run": 2,
+                "param_snapshot_id": "abababababab",
+                "stopped_epoch": 1,
+                "train_losses": [1.0, 0.5],
+                "val_losses": [1.25, 0.75],
+            }
+        }
+    )
+
+
+# (artifact, breakage): each edits one parsed file in place.
+MALFORMED = {
+    "series-missing-key": ("series", lambda p: p["params"].pop("molar_mass")),
+    "series-unknown-key": ("series", lambda p: p["grid"].update(spacing=0.01)),
+    "series-string-grid-size": ("series", lambda p: p["grid"].update(m="96")),
+    "series-snapshot-without-file": ("series", lambda p: p["snapshots"][0].pop("file")),
+    "trace-missing-key": ("trace", lambda p: p.pop("horizon")),
+    "trace-unknown-key": ("trace", lambda p: p["phases"][1].update(bogus=1)),
+    "trace-missing-event-key": ("trace", lambda p: p["retrains"][0].pop("denominator")),
+    "checkpoint-missing-key": ("checkpoint", lambda p: p["spec"].pop("activation")),
+    "checkpoint-unknown-key": ("checkpoint", lambda p: p["spec"].update(dropout=0.5)),
+    "checkpoint-missing-scale": ("checkpoint", lambda p: p.pop("target_scale")),
+    "checkpoint-string-width": ("checkpoint", lambda p: p["spec"].update(n_inputs="30")),
+    "checkpoint-weights-off-spec": ("checkpoint", lambda p: p["weights"][0].pop()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_exits_4_naming_the_file(tmp_path, capsys, case):
+    artifact, breakage = MALFORMED[case]
+    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
+    run = str(tmp_path / "run")
+    if artifact == "series":
+        target = manifest
+        argv = ["train", "--manifest", manifest, "--out", run]
+    elif artifact == "trace":
+        target = write_trace(str(tmp_path / "macnet"), make_trace())[0]
+        argv = ["report", "--out", str(tmp_path)]
+    else:
+        model = str(tmp_path / "model")
+        save_bundle(model, make_bundle(), seed=0, train_config=TrainConfig())
+        target = os.path.join(model, "checkpoint_T.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": vars(GRID), "partition": {"m_star": 3}}))
+        argv = ["rollout", "--config", str(config), "--manifest", manifest,
+                "--model", model, "--out", run]
+    payload = read_json(target)
+    breakage(payload)
+    text = json_text(payload)
+    with open(target, "w") as fh:
+        fh.write(text)
+    if artifact == "checkpoint":  # keep the bundle manifest vouching for the edit
+        bundle_manifest = read_json(os.path.join(model, "manifest.json"))
+        bundle_manifest["files"]["checkpoint_T.json"] = hashlib.sha256(
+            text.encode()
+        ).hexdigest()
+        dump_json(os.path.join(model, "manifest.json"), bundle_manifest)
+    assert main(argv) == 4
+    assert target in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_difference_check, loop_forward, sample_components
+from oracles import finite_difference_check, forward, loop_forward, sample_components
 
 from fvmnet.errors import DomainError
 from fvmnet.network import (
@@ -13,7 +13,6 @@ from fvmnet.network import (
     Network,
     NetworkSpec,
     backward_batch,
-    forward,
     forward_batch,
     init_network,
     layer_buffers,
@@ -55,6 +54,9 @@ def test_spec_validation():
         NetworkSpec(4, (0,))
     with pytest.raises(DomainError):
         NetworkSpec(4, (4,), activation="tanh")
+    for bad in (("4", (4,)), (4, (4.0,)), (4, ("4",))):
+        with pytest.raises(DomainError, match="integers"):
+            NetworkSpec(*bad)
 
 
 def test_init_bounds_seeding_and_zero_biases():

@@ -210,7 +210,7 @@ def test_relative_error_single_perturbed_cell():
     pred.values[IDX["T"]][6, 2] = 303.0
     mx, mean = relative_error(pred, truth, "T", PART)
     assert mx == 0.01
-    assert mean == pytest.approx(0.01 / (PART.flame_width() * GRID.n), rel=1e-12)
+    assert mean == pytest.approx(0.01 / ((PART.m - 2 * PART.m_star) * GRID.n), rel=1e-12)
 
 
 def test_relative_error_matches_brute_force_loop():
@@ -234,7 +234,7 @@ def test_relative_error_floor_excludes_near_zero_denominators():
     pred.values[IDX["X_prod"]][7, 1] = 1.02
     mx, mean = relative_error(pred, truth, "X_prod", PART)
     assert mx == pytest.approx(0.02, rel=1e-12), "tiny-truth cell leaked into max"
-    cells = PART.flame_width() * GRID.n
+    cells = (PART.m - 2 * PART.m_star) * GRID.n
     assert mean == pytest.approx((0.5 + 0.02) / cells, rel=1e-9)
 
 
@@ -440,6 +440,15 @@ def test_bundle_validation_catches_mismatches():
             standardizer=bundle.standardizer,
             target_scales={v: (0.0, 0.0) for v in VARIABLES},
         )
+    for policy, values in (("mirror", None), ("wall_value", None), ("wall_value", [0.0])):
+        with pytest.raises(DomainError, match="wall"):
+            SurrogateBundle(
+                networks=bundle.networks,
+                standardizer=bundle.standardizer,
+                target_scales=bundle.target_scales,
+                wall_policy=policy,
+                wall_values=values,
+            )
 
 
 SMALL_SPEC = NetworkSpec(TIER_WIDTH, (8,), 1)

@@ -416,6 +416,10 @@ def test_grid_and_param_validation():
         GridSpec(m=2, n=3, dx=0.01, dr=0.01, dt=0.001)
     with pytest.raises(DomainError):
         GridSpec(m=8, n=3, dx=-0.01, dr=0.01, dt=0.001)
+    for m in ("96", 96.0):
+        with pytest.raises(DomainError, match="integer"):
+            GridSpec(m=m, n=3, dx=0.01, dr=0.01, dt=0.001)
+    assert type(GridSpec(m=np.int64(8), n=3, dx=0.01, dr=0.01, dt=0.001).m) is int
     with pytest.raises(DomainError):
         PhysicalParams(diffusivity={"T": 1e-5})  # missing species entries
     with pytest.raises(DomainError):
