@@ -313,7 +313,6 @@ def _parse_variants(text: str) -> List[str]:
 def cmd_ablate(args) -> int:
     from dataclasses import replace
 
-    from .dataset import input_width
     from .io import write_csv
     from .network import CASES, param_count
     from .rollout import predict_step, relative_error, train_bundle
@@ -342,25 +341,24 @@ def cmd_ablate(args) -> int:
 
     rows = []
     case_cache = {}
+    fvmn = replace(cfg.recipe.layout, input_mode="tier", output_mode="derivative")
     for label in cases:
-        recipe = replace(
-            cfg.recipe, spec=CASES[label], input_mode="tier", output_mode="derivative"
-        )
+        recipe = replace(cfg.recipe, spec=CASES[label], layout=fvmn)
         scores = run_one(recipe)
-        case_cache[(recipe.spec, "tier", "derivative")] = scores
+        case_cache[(recipe.spec, fvmn)] = scores
         rows.append(("case", label, "tier", "derivative", *scores))
         log.info("ablate case %s: max T error %.3e", label, scores[2])
     for name in variants:
         input_mode, output_mode = VARIANTS[name]
+        layout = replace(cfg.recipe.layout, input_mode=input_mode, output_mode=output_mode)
         recipe = replace(
             cfg.recipe,
-            spec=replace(cfg.recipe.spec, n_inputs=input_width(input_mode)),
-            input_mode=input_mode,
-            output_mode=output_mode,
+            spec=replace(cfg.recipe.spec, n_inputs=layout.width),
+            layout=layout,
         )
         # The fvmn variant at a swept case's spec repeats that case's run
         # bit for bit (same seed), so reuse its scores when available.
-        key = (recipe.spec, input_mode, output_mode)
+        key = (recipe.spec, layout)
         scores = case_cache[key] if key in case_cache else run_one(recipe)
         rows.append(("variant", name, input_mode, output_mode, *scores))
         log.info("ablate variant %s: max T error %.3e", name, scores[2])
@@ -510,7 +508,6 @@ def cmd_report(args) -> int:
     import numpy as np
 
     from .config import load_config
-    from .dataset import target_matrix
     from .io import (
         REPORT_HEADER,
         atomic_writer,
@@ -613,14 +610,14 @@ def cmd_report(args) -> int:
         cfg = load_config(found["effective_config.json"])
         series, grid, _ = load_series(found["series"])
         window = series[: cfg.train_window + 1]
-        output_mode = cfg.recipe.output_mode
+        layout = cfg.recipe.layout
         targets = np.concatenate(
             [
-                target_matrix(a, b, cfg.partition, grid.dt, output_mode)[:, IDX["T"]]
+                layout.targets(a, b, cfg.partition, grid.dt)[:, IDX["T"]]
                 for a, b in zip(window[:-1], window[1:])
             ]
         )
-        if output_mode == "derivative":
+        if layout.output_mode == "derivative":
             targets = targets * grid.dt
         counts, edges = np.histogram(targets, bins=41)
         written.append(

@@ -8,8 +8,11 @@ may be null. Unknown sections or keys are rejected by name, a non-nullable
 field set to null is reported as missing, and dotted `a.b=value` overrides
 edit the tree before validation, so a bad flag fails the same way a bad file
 does. Each section's resolved leaves are the keyword arguments of the object
-it builds; the dataset leaves, the network and the training settings make
-one `SurrogateRecipe`, which the train, ablate and macnet commands share.
+it builds. The `dataset` leaves other than `train_window` and
+`split_fraction` make one `CellLayout`, the tier-input/derivative-output
+choice that the recipe, the trained bundle and every checkpoint then carry
+whole; the layout, split fraction, network and training settings make one
+`SurrogateRecipe`, which the train, ablate and macnet commands share.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import INPUT_MODES, OUTPUT_MODES, WALL_POLICIES, DomainPartition, input_width
+from .dataset import INPUT_MODES, OUTPUT_MODES, WALL_POLICIES, CellLayout, DomainPartition
 from .errors import ArtifactIOError, ConfigurationError
 from .macnet import RETRAIN_POLICIES, MacnetConfig
 from .network import CASES, NetworkSpec
 from .rollout import SurrogateRecipe
 from .solver import IDX, N_VARS, VARIABLES, GridSpec, PhysicalParams, Snapshot
-from .training import TrainConfig
+from .training import OPTIMIZERS, TrainConfig
 
 # ----- leaf casters; each names the dotted path it rejects -----
 
@@ -181,20 +184,20 @@ _SCHEMA = {
     },
     "train": {
         "learning_rate": (0.001, _as_float, False),
-        "optimizer": ("adam", _as_str, False),
+        "optimizer": ("adam", _one_of(OPTIMIZERS), False),
         "beta1": (0.9, _as_float, False),
         "beta2": (0.999, _as_float, False),
         "eps": (1e-8, _as_float, False),
-        "batch_size": (128, _as_int, False),
-        "max_epochs": (300, _as_int, False),
-        "patience": (50, _as_int, False),
+        "batch_size": (128, _int_at_least(1), False),
+        "max_epochs": (300, _int_at_least(1), False),
+        "patience": (50, _int_at_least(1), False),
         "min_delta": (1e-8, _as_float, False),
     },
     "rollout": {"horizon": (10, _int_at_least(1), False)},
     "macnet": {
-        "cfd_window": (2, _as_int, False),
+        "cfd_window": (2, _int_at_least(1), False),
         "tolerance": (5.0, _as_float, False),
-        "max_ml_steps": (10, _as_int, False),
+        "max_ml_steps": (10, _int_at_least(1), False),
         "horizon": (40, _as_int, False),
         "retrain": ("warm-start", _one_of(RETRAIN_POLICIES), False),
     },
@@ -352,13 +355,12 @@ class ExperimentConfig:
         return self.initial.build(self.grid)
 
 
-def _resolve_spec(network: dict, input_mode: str) -> NetworkSpec:
+def _resolve_spec(network: dict, width: int) -> NetworkSpec:
     case, custom = network["case"], network["custom"]
     if (case is None) == (custom is None):
         raise ConfigurationError(
             "network needs exactly one of network.case or network.custom"
         )
-    width = input_width(input_mode)
     if case is not None:
         base = CASES[case]
         return NetworkSpec(width, base.hidden, 1, base.activation)
@@ -387,10 +389,13 @@ def resolve_config(tree: dict) -> ExperimentConfig:
     grid = GridSpec(**leaves["grid"])
     dataset = leaves["dataset"]
     train_window = dataset.pop("train_window")
+    split_fraction = dataset.pop("split_fraction")
+    layout = CellLayout(**dataset)
     recipe = SurrogateRecipe(
-        spec=_resolve_spec(leaves["network"], dataset["input_mode"]),
+        spec=_resolve_spec(leaves["network"], layout.width),
         train=TrainConfig(**leaves["train"], seed=tree["seed"]),
-        **dataset,
+        layout=layout,
+        split_fraction=split_fraction,
     )
     return ExperimentConfig(
         grid=grid,

@@ -1,10 +1,14 @@
 """Per-cell training data extracted from snapshot series.
 
 Each sample pairs a stencil of local values at time t with a scalar target for
-one designated variable. Inputs come in two layouts: a five-point tier per
-variable (center, axial neighbors, radial neighbors) or the bare cell-center
-values. Targets come in two flavors: the forward-difference time derivative
-(x_next - x) / dt or the raw next-step value.
+one designated variable. One `CellLayout` fixes what a sample holds, which is
+the choice the paper's FVMN makes and its ablation variants undo: inputs are
+a five-point tier per variable (center, axial neighbors, radial neighbors) or
+the bare cell-center values, and targets are the forward-difference time
+derivative (x_next - x) / dt or the raw next-step value. The layout is built
+once from the `dataset` config leaves, checked once on construction, carried
+whole by the recipe and the trained bundle, and written as four keys into
+every checkpoint.
 
 Samples are harvested only from the middle band of the channel; the inlet and
 outlet strips stay on the solver's books, which also guarantees every sampled
@@ -21,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .solver import IDX, N_VARS, VARIABLES, GridSpec, Snapshot
+from .solver import IDX, N_VARS, VARIABLES, GridSpec, Snapshot, check_consecutive
 
 INPUT_MODES = ("tier", "center")
 OUTPUT_MODES = ("derivative", "absolute")
@@ -30,11 +34,6 @@ WALL_POLICIES = ("zero_neumann", "wall_value")
 # Stencil slots per variable, in feature order.
 TIER_SLOTS = ("center", "i-1", "i+1", "j-1", "j+1")
 TIER_WIDTH = len(TIER_SLOTS) * N_VARS  # 30
-
-
-def input_width(input_mode: str) -> int:
-    """Features per sample row: the full tier or the bare center values."""
-    return TIER_WIDTH if input_mode == "tier" else N_VARS
 
 
 @dataclass(frozen=True)
@@ -69,27 +68,14 @@ class DomainPartition:
         return (self.m - self.m_star, self.m)
 
 
-def _check_wall_args(wall_policy: str, wall_values) -> Optional[np.ndarray]:
-    if wall_policy not in WALL_POLICIES:
-        raise DomainError(f"wall_policy must be one of {WALL_POLICIES}, got {wall_policy!r}")
-    if wall_policy == "wall_value":
-        if wall_values is None:
-            raise DomainError("wall_value policy needs a wall_values vector")
-        wv = np.asarray(wall_values, dtype=np.float64)
-        if wv.shape != (N_VARS,):
-            raise DomainError(f"wall_values must have shape ({N_VARS},), got {wv.shape}")
-        return wv
-    return None
-
-
 def tier_matrix(
-    snapshot: Snapshot,
-    partition: DomainPartition,
-    wall_policy: str = "zero_neumann",
-    wall_values=None,
+    snapshot: Snapshot, partition: DomainPartition, wall_values=None
 ) -> np.ndarray:
-    """Tier inputs for every middle-band cell, rows i-major then j."""
-    wv = _check_wall_args(wall_policy, wall_values)
+    """Tier inputs for every middle-band cell, rows i-major then j.
+
+    The radial wall neighbor repeats the center, or takes `wall_values` (one
+    per variable) when given.
+    """
     m, n = snapshot.shape
     if partition.m != m:
         raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")
@@ -104,10 +90,10 @@ def tier_matrix(
     jm1[:, :, 0] = slab[:, :, 0]
     jp1 = np.empty_like(slab)
     jp1[:, :, :-1] = slab[:, :, 1:]
-    if wv is None:
+    if wall_values is None:
         jp1[:, :, -1] = slab[:, :, -1]
     else:
-        jp1[:, :, -1] = wv[:, None]
+        jp1[:, :, -1] = np.asarray(wall_values, dtype=np.float64)[:, None]
 
     # (vars, slots, band, n) -> (band, n, vars, slots) -> rows of width 5*vars
     stack = np.stack([slab, im1, ip1, jm1, jp1], axis=1)
@@ -126,52 +112,68 @@ def center_matrix(snapshot: Snapshot, partition: DomainPartition) -> np.ndarray:
     return np.ascontiguousarray(slab.transpose(1, 2, 0).reshape((hi - lo) * n, N_VARS))
 
 
-def input_matrix(
-    snapshot: Snapshot,
-    partition: DomainPartition,
-    input_mode: str,
-    wall_policy: str = "zero_neumann",
-    wall_values=None,
-) -> np.ndarray:
-    if input_mode == "tier":
-        return tier_matrix(snapshot, partition, wall_policy, wall_values)
-    if input_mode == "center":
-        return center_matrix(snapshot, partition)
-    raise DomainError(f"input_mode must be one of {INPUT_MODES}, got {input_mode!r}")
+@dataclass(frozen=True)
+class CellLayout:
+    """What one sample row holds and what its target is: the FVMN choice.
 
+    `input_mode` "tier" reads the five-point stencil of every variable,
+    "center" the bare cell values. `output_mode` "derivative" targets
+    (x_next - x) / dt, "absolute" the next-step value. The tier's radial wall
+    neighbor repeats the center under `wall_policy` "zero_neumann" and takes
+    `wall_values` (one per variable, kept as a tuple of floats) under
+    "wall_value".
+    """
 
-def _check_pair(snap_t: Snapshot, snap_next: Snapshot, dt: float) -> None:
-    if snap_t.shape != snap_next.shape:
-        raise DomainError(
-            f"snapshot pair shapes differ: {snap_t.shape} vs {snap_next.shape}"
+    input_mode: str = "tier"
+    output_mode: str = "derivative"
+    wall_policy: str = "zero_neumann"
+    wall_values: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if self.input_mode not in INPUT_MODES:
+            raise DomainError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
+        if self.output_mode not in OUTPUT_MODES:
+            raise DomainError(f"output_mode must be one of {OUTPUT_MODES}, got {self.output_mode!r}")
+        if self.wall_policy not in WALL_POLICIES:
+            raise DomainError(f"wall_policy must be one of {WALL_POLICIES}, got {self.wall_policy!r}")
+        if self.wall_values is None:
+            if self.wall_policy == "wall_value":
+                raise DomainError("wall_value policy needs a wall_values vector")
+            return
+        values = tuple(float(w) for w in self.wall_values)
+        if len(values) != N_VARS:
+            raise DomainError(f"wall_values must hold {N_VARS} numbers, got {len(values)}")
+        object.__setattr__(self, "wall_values", values)
+
+    @property
+    def width(self) -> int:
+        """Features per sample row: the full tier or the bare center values."""
+        return TIER_WIDTH if self.input_mode == "tier" else N_VARS
+
+    def inputs(self, snapshot: Snapshot, partition: DomainPartition) -> np.ndarray:
+        """(cells, width) input rows for every middle-band cell, i-major then j."""
+        if self.input_mode == "center":
+            return center_matrix(snapshot, partition)
+        walls = self.wall_values if self.wall_policy == "wall_value" else None
+        return tier_matrix(snapshot, partition, walls)
+
+    def targets(
+        self,
+        snap_t: Snapshot,
+        snap_next: Snapshot,
+        partition: DomainPartition,
+        dt: float,
+    ) -> np.ndarray:
+        """(cells, vars) targets for one consecutive pair, rows as in `inputs`."""
+        check_consecutive(snap_t, snap_next, dt)
+        lo, hi = partition.flame
+        n = snap_t.shape[1]
+        block = snap_next.values[:, lo:hi, :]
+        if self.output_mode == "derivative":
+            block = (block - snap_t.values[:, lo:hi, :]) / dt
+        return np.ascontiguousarray(
+            block.transpose(1, 2, 0).reshape((hi - lo) * n, N_VARS)
         )
-    elapsed = snap_next.time - snap_t.time
-    if abs(elapsed - dt) > 1e-9 * max(1.0, abs(dt)):
-        raise DomainError(
-            f"snapshot pair is not one step apart: gap {elapsed:.12g}, dt {dt:.12g}"
-        )
-
-
-def target_matrix(
-    snap_t: Snapshot,
-    snap_next: Snapshot,
-    partition: DomainPartition,
-    dt: float,
-    output_mode: str,
-) -> np.ndarray:
-    """(cells, vars) matrix of targets for one consecutive pair."""
-    if output_mode not in OUTPUT_MODES:
-        raise DomainError(f"output_mode must be one of {OUTPUT_MODES}, got {output_mode!r}")
-    _check_pair(snap_t, snap_next, dt)
-    lo, hi = partition.flame
-    n = snap_t.shape[1]
-    cur = snap_t.values[:, lo:hi, :]
-    nxt = snap_next.values[:, lo:hi, :]
-    if output_mode == "derivative":
-        block = (nxt - cur) / dt
-    else:
-        block = nxt
-    return np.ascontiguousarray(block.transpose(1, 2, 0).reshape((hi - lo) * n, N_VARS))
 
 
 # ----- standardization -----
@@ -255,17 +257,14 @@ def _harvest(
     series: Sequence[Snapshot],
     grid: GridSpec,
     partition: DomainPartition,
-    input_mode: str,
-    output_mode: str,
-    wall_policy: str,
-    wall_values,
+    layout: CellLayout,
 ):
     if len(series) < 2:
         raise DomainError(f"dataset window needs >= 2 snapshots, got {len(series)}")
     inputs, targets = [], []
     for snap_t, snap_next in zip(series[:-1], series[1:]):
-        inputs.append(input_matrix(snap_t, partition, input_mode, wall_policy, wall_values))
-        targets.append(target_matrix(snap_t, snap_next, partition, grid.dt, output_mode))
+        inputs.append(layout.inputs(snap_t, partition))
+        targets.append(layout.targets(snap_t, snap_next, partition, grid.dt))
     return np.concatenate(inputs, axis=0), np.concatenate(targets, axis=0)
 
 
@@ -273,29 +272,20 @@ def build_datasets(
     series: Sequence[Snapshot],
     grid: GridSpec,
     partition: DomainPartition,
-    variables: Sequence[str] = VARIABLES,
-    input_mode: str = "tier",
-    output_mode: str = "derivative",
+    layout: CellLayout = CellLayout(),
     split_fraction: float = 0.8,
     seed: int = 0,
-    wall_policy: str = "zero_neumann",
-    wall_values=None,
 ) -> dict:
-    """One DatasetSplit per requested variable, sharing inputs and shuffle.
+    """One DatasetSplit per variable, sharing inputs and shuffle.
 
     Every consecutive pair in the window yields one sample per middle-band
     cell. All variables see identical input rows in identical shuffled order,
     so an input standardizer fitted on any one train split serves them all.
     """
-    for v in variables:
-        if v not in IDX:
-            raise DomainError(f"unknown variable {v!r}")
     if not 0.0 < split_fraction < 1.0:
         raise DomainError(f"split_fraction must be in (0, 1), got {split_fraction}")
 
-    inputs, target_cols = _harvest(
-        series, grid, partition, input_mode, output_mode, wall_policy, wall_values
-    )
+    inputs, target_cols = _harvest(series, grid, partition, layout)
     total = inputs.shape[0]
     perm = np.random.default_rng(seed).permutation(total)
     n_train = int(round(split_fraction * total))
@@ -307,7 +297,7 @@ def build_datasets(
     train_inputs, val_inputs = inputs[tr], inputs[va]
 
     out = {}
-    for v in variables:
+    for v in VARIABLES:
         col = target_cols[:, IDX[v]]
         out[v] = DatasetSplit(
             train_inputs=train_inputs,
@@ -316,4 +306,3 @@ def build_datasets(
             val_targets=col[va],
         )
     return out
-

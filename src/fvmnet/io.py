@@ -15,9 +15,12 @@ manifest holds the sha256 of the standardizer and each checkpoint, so a
 bundle saved only in part, or mixed from two saves, is refused on load.
 
 The grid and physical-parameter records of the series manifest, the
-checkpoint `spec`, each `train_reports.json` entry and the trace header and
-its phase, retrain and fallback entries are their dataclass's fields, written
-by `dataclasses.asdict` and read back by `_record`. Adding a field to one of
+checkpoint `spec` and its four cell-layout keys (`input_mode`, `output_mode`,
+`wall_policy`, `wall_values`: the bundle's one `CellLayout`, which every
+checkpoint repeats and sibling checkpoints must agree on), each
+`train_reports.json` entry and the trace header and its phase, retrain and
+fallback entries are their dataclass's fields, written by
+`dataclasses.asdict` and read back by `_record`. Adding a field to one of
 those dataclasses therefore changes the file format and needs its format tag
 bumped. A malformed file (a missing or unknown key, a value of the wrong type,
 or one the record's own checks refuse) raises ArtifactIOError naming the
@@ -36,7 +39,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .dataset import Standardizer
+from .dataset import CellLayout, Standardizer
 from .errors import ArtifactIOError, DomainError, FvmnetError
 from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
 from .network import Network, NetworkSpec, param_count
@@ -57,8 +60,8 @@ TRACE_FIELDS = (
     "horizon", "cfd_window", "tolerance", "max_ml_steps",
     "phases", "retrains", "fallbacks",
 )
-# SurrogateBundle fields every checkpoint repeats; siblings must agree on them.
-MODE_FIELDS = ("input_mode", "output_mode", "wall_policy", "wall_values")
+# The CellLayout fields every checkpoint repeats; siblings must agree on them.
+MODE_FIELDS = tuple(f.name for f in fields(CellLayout))
 
 
 def _fmt(x) -> str:
@@ -346,12 +349,7 @@ def save_bundle(
             "train_config_digest": digest,
             "standardizer_file": STANDARDIZER_FILE,
             "target_scale": [mean, std],
-            "input_mode": bundle.input_mode,
-            "output_mode": bundle.output_mode,
-            "wall_policy": bundle.wall_policy,
-            "wall_values": None
-            if bundle.wall_values is None
-            else [float(w) for w in bundle.wall_values],
+            **asdict(bundle.layout),
             "weights": [w.tolist() for w in net.weights],
             "biases": [b.tolist() for b in net.biases],
         }
@@ -403,7 +401,7 @@ def load_bundle(out_dir: str) -> SurrogateBundle:
     standardizer = _record(Standardizer, payload, path)
     networks: Dict[str, Network] = {}
     scales: Dict[str, Tuple[float, float]] = {}
-    modes = None
+    layouts: List[CellLayout] = []
     for v in VARIABLES:
         path = checkpoint_path(out_dir, v)
         payload = _read_verified(path, digests)
@@ -423,13 +421,13 @@ def load_bundle(out_dir: str) -> SurrogateBundle:
         if len(scale) != 2 or not all(isinstance(s, (int, float)) for s in scale):
             raise ArtifactIOError(f"{path} target_scale is not two numbers: {scale!r}")
         scales[v] = (float(scale[0]), float(scale[1]))
-        these = [_get(payload, k, path) for k in MODE_FIELDS]
-        if modes is None:
-            modes = these
-        elif modes != these:
-            raise ArtifactIOError(f"{path} disagrees with sibling checkpoints on modes")
-    record = dict(zip(MODE_FIELDS, modes))
-    record.update(networks=networks, standardizer=standardizer, target_scales=scales)
+        layouts.append(
+            _record(CellLayout, {k: _get(payload, k, path) for k in MODE_FIELDS}, path)
+        )
+        if layouts[-1] != layouts[0]:
+            raise ArtifactIOError(f"{path} disagrees with its sibling checkpoints on the layout")
+    record = dict(networks=networks, standardizer=standardizer, target_scales=scales,
+                  layout=layouts[0])
     return _record(SurrogateBundle, record, out_dir)
 
 

@@ -1,9 +1,10 @@
 """Surrogate training and rollout: recipe, stepping, error metrics, residuals.
 
 A SurrogateRecipe names how a bundle is trained (network spec, training
-settings, tier or center inputs, derivative or absolute targets, split
-fraction, wall handling) and checks that those settings fit together;
-`train_bundle` turns a snapshot window and a recipe into a SurrogateBundle.
+settings, the `CellLayout` of tier or center inputs, derivative or absolute
+targets and wall handling, and the split fraction) and checks that the spec
+fits the layout's width; `train_bundle` turns a snapshot window and a recipe
+into a SurrogateBundle, which carries the same layout to its checkpoints.
 The bundle advances the middle band of the domain one Euler step at a time
 while the reference solver keeps advancing the inlet and outlet strips.
 Three evaluation modes compare the result against a stored truth series:
@@ -20,15 +21,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import (
-    INPUT_MODES,
-    OUTPUT_MODES,
+    CellLayout,
     DomainPartition,
     Standardizer,
-    _check_wall_args,
     build_datasets,
     fit_standardizer,
-    input_matrix,
-    input_width,
     target_scale,
 )
 from .errors import BlowupError, ConfigurationError, DomainError
@@ -40,6 +37,7 @@ from .solver import (
     GridSpec,
     PhysicalParams,
     Snapshot,
+    check_consecutive,
     continuity_residual,
     step_columns,
 )
@@ -68,34 +66,27 @@ def _check_state(state: Snapshot, grid: GridSpec, partition: DomainPartition) ->
 class SurrogateBundle:
     """One trained network per variable plus the scaling that wraps them.
 
-    All six networks read the same standardized input row; each output is
-    un-scaled by that variable's target statistics before use.
+    All six networks read the same standardized input row, built by the
+    cell layout they were trained on; each output is un-scaled by that
+    variable's target statistics before use.
     """
 
     networks: Dict[str, Network]
     standardizer: Standardizer
     target_scales: Dict[str, Tuple[float, float]]
-    input_mode: str = "tier"
-    output_mode: str = "derivative"
-    wall_policy: str = "zero_neumann"
-    wall_values: Optional[Sequence[float]] = None
+    layout: CellLayout = CellLayout()
 
     def __post_init__(self):
-        if self.input_mode not in INPUT_MODES:
-            raise DomainError(f"input_mode must be one of {INPUT_MODES}")
-        if self.output_mode not in OUTPUT_MODES:
-            raise DomainError(f"output_mode must be one of {OUTPUT_MODES}")
-        _check_wall_args(self.wall_policy, self.wall_values)
         missing = [v for v in VARIABLES if v not in self.networks]
         if missing:
             raise DomainError(f"bundle is missing networks for {missing}")
         missing = [v for v in VARIABLES if v not in self.target_scales]
         if missing:
             raise DomainError(f"bundle is missing target scales for {missing}")
-        width = input_width(self.input_mode)
+        width = self.layout.width
         if self.standardizer.width != width:
             raise DomainError(
-                f"{self.input_mode!r} inputs have width {width}, "
+                f"{self.layout.input_mode!r} inputs have width {width}, "
                 f"standardizer has width {self.standardizer.width}"
             )
         for v in VARIABLES:
@@ -119,9 +110,7 @@ class SurrogateBundle:
 
         Networks of one spec share a single set of layer buffers per call.
         """
-        x = input_matrix(
-            state, partition, self.input_mode, self.wall_policy, self.wall_values
-        )
+        x = self.layout.inputs(state, partition)
         z = self.standardizer.apply(x)
         out = np.empty((x.shape[0], N_VARS), dtype=np.float64)
         buffers = {}
@@ -161,7 +150,7 @@ def timed_predict_step(
     t0 = time.perf_counter()
     outputs = bundle.cell_outputs(state, partition, grid, params)
     band = outputs.reshape(hi - lo, grid.n, N_VARS).transpose(2, 0, 1)
-    if bundle.output_mode == "derivative":
+    if bundle.layout.output_mode == "derivative":
         band = state.values[:, lo:hi, :] + grid.dt * band
     ml_ms = (time.perf_counter() - t0) * 1e3
 
@@ -401,13 +390,7 @@ def single_step(
 
 def window_gradient(first: Snapshot, second: Snapshot, grid: GridSpec) -> np.ndarray:
     """Frozen per-cell time gradient (6, m, n) from one consecutive pair."""
-    if first.shape != second.shape:
-        raise DomainError(f"shape mismatch {first.shape} vs {second.shape}")
-    gap = second.time - first.time
-    if abs(gap - grid.dt) > 1e-9 * max(1.0, grid.dt):
-        raise DomainError(
-            f"snapshots are {gap} apart, expected one step of dt={grid.dt}"
-        )
+    check_consecutive(first, second, grid.dt)
     return (second.values - first.values) / grid.dt
 
 
@@ -473,38 +456,25 @@ def growth_fit_rss(errors: Sequence[float]) -> Tuple[float, float]:
 class SurrogateRecipe:
     """Everything `train_bundle` needs besides the data and the seed.
 
-    The network spec and training settings, the input layout (tier or
-    center), the target kind (derivative or absolute), the train fraction of
-    the shuffled rows, and how the radial wall neighbor is filled. The spec
-    must map the input layout's width to one output.
+    The network spec and training settings, the cell layout (what a sample
+    row holds and what it targets), and the train fraction of the shuffled
+    rows. The spec must map the layout's width to one output.
     """
 
     spec: NetworkSpec
     train: TrainConfig
-    input_mode: str = "tier"
-    output_mode: str = "derivative"
+    layout: CellLayout = CellLayout()
     split_fraction: float = 0.8
-    wall_policy: str = "zero_neumann"
-    wall_values: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.input_mode not in INPUT_MODES:
-            raise DomainError(
-                f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}"
-            )
-        if self.output_mode not in OUTPUT_MODES:
-            raise DomainError(
-                f"output_mode must be one of {OUTPUT_MODES}, got {self.output_mode!r}"
-            )
-        _check_wall_args(self.wall_policy, self.wall_values)
         if not 0.0 < self.split_fraction < 1.0:
             raise DomainError(
                 f"split_fraction must be in (0, 1), got {self.split_fraction}"
             )
-        width = input_width(self.input_mode)
+        width = self.layout.width
         if self.spec.n_inputs != width or self.spec.n_outputs != 1:
             raise DomainError(
-                f"{self.input_mode!r} inputs need a {width}->1 network, "
+                f"{self.layout.input_mode!r} inputs need a {width}->1 network, "
                 f"spec maps {self.spec.n_inputs}->{self.spec.n_outputs}"
             )
 
@@ -530,22 +500,16 @@ def train_bundle(
                 raise DomainError(
                     f"warm start requires matching specs; network for {v!r} differs"
                 )
-        if (warm_from.input_mode, warm_from.output_mode) != (
-            recipe.input_mode,
-            recipe.output_mode,
-        ):
-            raise DomainError("warm start requires matching input/output modes")
+        if warm_from.layout != recipe.layout:
+            raise DomainError("warm start requires a matching cell layout")
 
     splits = build_datasets(
         series,
         grid,
         partition,
-        input_mode=recipe.input_mode,
-        output_mode=recipe.output_mode,
-        split_fraction=recipe.split_fraction,
-        seed=derived_seed(seed, "split"),
-        wall_policy=recipe.wall_policy,
-        wall_values=recipe.wall_values,
+        recipe.layout,
+        recipe.split_fraction,
+        derived_seed(seed, "split"),
     )
     shared = splits[VARIABLES[0]]
     standardizer = fit_standardizer(shared.train_inputs)
@@ -579,9 +543,6 @@ def train_bundle(
         networks=networks,
         standardizer=standardizer,
         target_scales=scales,
-        input_mode=recipe.input_mode,
-        output_mode=recipe.output_mode,
-        wall_policy=recipe.wall_policy,
-        wall_values=recipe.wall_values,
+        layout=recipe.layout,
     )
     return bundle, reports

@@ -365,6 +365,19 @@ def simulate(
     return series
 
 
+def check_consecutive(earlier: Snapshot, later: Snapshot, dt: float) -> None:
+    """Raise DomainError unless `later` is one `dt` step after `earlier`, same shape."""
+    if earlier.shape != later.shape:
+        raise DomainError(
+            f"snapshot pair shapes differ: {earlier.shape} vs {later.shape}"
+        )
+    gap = later.time - earlier.time
+    if abs(gap - dt) > 1e-9 * max(1.0, abs(dt)):
+        raise DomainError(
+            f"snapshot pair is not one step apart: gap {gap:.12g}, dt {dt:.12g}"
+        )
+
+
 def continuity_residual(
     current: Snapshot, previous: Snapshot, grid: GridSpec, params: PhysicalParams
 ) -> float:
@@ -378,12 +391,7 @@ def continuity_residual(
     so the result is a diagnostic defect scale, not a conservation proof.
     """
     _check_shape(current, grid)
-    _check_shape(previous, grid)
-    elapsed = current.time - previous.time
-    if abs(elapsed - grid.dt) > 1e-9 * max(1.0, grid.dt):
-        raise DomainError(
-            f"residual needs a consecutive pair: time gap {elapsed:.9g} != dt {grid.dt:.9g}"
-        )
+    check_consecutive(previous, current, grid.dt)
 
     rho_t = ideal_gas_density(current.values[IT], params)
     rho_p = ideal_gas_density(previous.values[IT], params)

@@ -15,15 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fvmnet.dataset import (
-    TIER_WIDTH,
-    DomainPartition,
-    _check_pair,
-    _check_wall_args,
-)
+from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition
 from fvmnet.errors import DomainError
 from fvmnet.network import Network, backward_batch, predict
-from fvmnet.solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot, step
+from fvmnet.solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot, check_consecutive, step
 
 
 def flame_cells(partition: DomainPartition, n: int) -> np.ndarray:
@@ -48,7 +43,8 @@ def tier_input(
     j-1 slot repeats the center; at the wall the j+1 slot repeats the center
     or takes the per-variable wall value, by policy.
     """
-    wv = _check_wall_args(wall_policy, wall_values)
+    layout = CellLayout(wall_policy=wall_policy, wall_values=wall_values)
+    wv = layout.wall_values if wall_policy == "wall_value" else None
     m, n = snapshot.shape
     if partition.m != m:
         raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")
@@ -88,7 +84,7 @@ def derivative_target(
     dt: float,
 ) -> float:
     """Forward-difference rate (x_next - x) / dt for one cell and variable."""
-    _check_pair(snap_t, snap_next, dt)
+    check_consecutive(snap_t, snap_next, dt)
     if variable not in IDX:
         raise DomainError(f"unknown variable {variable!r}")
     k = IDX[variable]
@@ -103,8 +99,7 @@ class DerivativeOracle:
     reproduce the reference solver on the middle band.
     """
 
-    input_mode: str = "tier"
-    output_mode: str = "derivative"
+    layout: CellLayout = CellLayout()
 
     def cell_outputs(
         self,

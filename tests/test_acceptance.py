@@ -26,7 +26,6 @@ import pytest
 from oracles import DerivativeOracle, finite_difference_check, forward, sample_components
 
 from fvmnet.cli import main
-from fvmnet.dataset import input_width
 from fvmnet.macnet import hybrid_error_audit, retrain_seed, run, validate_trace
 from fvmnet.network import CASES, init_network, param_count
 from fvmnet.rollout import (
@@ -124,10 +123,9 @@ def test_04_ablation_ordering(desk_cfg, desk_series, desk_bundle):
         return worst
 
     def variant_error(input_mode, output_mode):
-        spec = replace(cfg.recipe.spec, n_inputs=input_width(input_mode))
-        recipe = replace(
-            cfg.recipe, spec=spec, input_mode=input_mode, output_mode=output_mode
-        )
+        layout = replace(cfg.recipe.layout, input_mode=input_mode, output_mode=output_mode)
+        spec = replace(cfg.recipe.spec, n_inputs=layout.width)
+        recipe = replace(cfg.recipe, spec=spec, layout=layout)
         bundle, _ = train_bundle(
             desk_series[: w + 1], cfg.grid, cfg.partition, recipe, seed=cfg.seed
         )

@@ -105,6 +105,8 @@ def test_enum_fields_are_validated():
         resolve_config_from({"macnet": {"retrain": "sometimes"}})
     with pytest.raises(ConfigurationError, match="network.case"):
         resolve_config_from({"network": {"case": "z"}})
+    with pytest.raises(ConfigurationError, match="train.optimizer"):
+        resolve_config_from({"train": {"optimizer": "rmsprop"}})
 
 
 def test_network_case_and_custom_are_exclusive():
@@ -136,6 +138,15 @@ def test_range_checks():
         resolve_config_from({"generate": {"burn_in": -1}})
     with pytest.raises(ConfigurationError, match="rollout.horizon"):
         resolve_config_from({"rollout": {"horizon": 0}})
+    for section, key in (
+        ("train", "batch_size"),
+        ("train", "max_epochs"),
+        ("train", "patience"),
+        ("macnet", "cfd_window"),
+        ("macnet", "max_ml_steps"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be at least 1"):
+            resolve_config_from({section: {key: 0}})
 
 
 def test_overrides_parse_json_then_fall_back_to_strings():

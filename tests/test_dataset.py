@@ -1,20 +1,22 @@
 """Dataset extraction tests: stencil layout, targets, standardizer, splits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import center_input, derivative_target, flame_cells, tier_input
 
+from fvmnet.cli import VARIANTS
 from fvmnet.dataset import (
     TIER_WIDTH,
+    CellLayout,
     DomainPartition,
     Standardizer,
     build_datasets,
     center_matrix,
     fit_standardizer,
-    target_matrix,
     tier_matrix,
 )
 from fvmnet.errors import DomainError
@@ -43,6 +45,28 @@ def test_partition_bounds_and_validation():
         DomainPartition(m=10, m_star=5)  # no middle band left
     with pytest.raises(DomainError):
         DomainPartition(m=10, m_star=0)
+
+
+# ----- cell layout -----
+
+
+def test_cell_layout_validation():
+    with pytest.raises(DomainError, match="input_mode"):
+        CellLayout(input_mode="stencil")
+    with pytest.raises(DomainError, match="output_mode"):
+        CellLayout(output_mode="next")
+    with pytest.raises(DomainError, match="wall_policy"):
+        CellLayout(wall_policy="mirror")
+    with pytest.raises(DomainError, match="wall_values"):
+        CellLayout(wall_policy="wall_value")
+    with pytest.raises(DomainError, match="6 numbers, got 5"):
+        CellLayout(wall_policy="wall_value", wall_values=[0.0] * 5)
+    walled = CellLayout(wall_policy="wall_value", wall_values=np.arange(6))
+    assert walled.wall_values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    assert all(type(w) is float for w in walled.wall_values)
+    assert walled == CellLayout(wall_policy="wall_value", wall_values=[0, 1, 2, 3, 4, 5])
+    assert CellLayout().width == TIER_WIDTH
+    assert CellLayout(input_mode="center").width == N_VARS
 
 
 # ----- tier stencil -----
@@ -119,32 +143,56 @@ def test_tier_rejects_cells_outside_band_and_bad_args():
         tier_input(snap, 3, 2, DomainPartition(m=9, m_star=2))
 
 
+# (policy, wall values): zero_neumann ignores values it is given.
+WALL_CASES = (("zero_neumann", None), ("zero_neumann", "wall"), ("wall_value", "wall"))
+
+
+def variant_layouts(input_mode, wall):
+    """Layouts of every ablation variant reading `input_mode`, under each wall case."""
+    for name, (inputs, outputs) in VARIANTS.items():
+        if inputs != input_mode:
+            continue
+        for policy, values in WALL_CASES:
+            yield name, CellLayout(inputs, outputs, policy, None if values is None else wall)
+
+
 def test_tier_matrix_agrees_with_scalar_extraction():
     rng = np.random.default_rng(21)
     snap = random_snapshot(rng, 12, 6)
     part = DomainPartition(m=12, m_star=3)
     wall = rng.standard_normal(N_VARS)
-    for policy, wv in (("zero_neumann", None), ("wall_value", wall)):
-        mat = tier_matrix(snap, part, policy, wv)
-        cells = flame_cells(part, 6)
-        assert mat.shape == (cells.shape[0], TIER_WIDTH)
+    cells = flame_cells(part, 6)
+    names = set()
+    for name, layout in variant_layouts("tier", wall):
+        names.add(name)
+        mat = layout.inputs(snap, part)
+        assert mat.shape == (cells.shape[0], TIER_WIDTH) == (cells.shape[0], layout.width)
+        wv = wall if layout.wall_policy == "wall_value" else None
+        assert mat.tobytes() == tier_matrix(snap, part, wv).tobytes()
         for row in range(0, cells.shape[0], 7):
             i, j = cells[row]
             np.testing.assert_array_equal(
-                mat[row], tier_input(snap, int(i), int(j), part, policy, wv)
+                mat[row],
+                tier_input(snap, int(i), int(j), part, layout.wall_policy, layout.wall_values),
             )
+    assert names == {"fvmn", "tier-only"}
 
 
 def test_center_matrix_agrees_with_scalar_extraction():
     rng = np.random.default_rng(22)
     snap = random_snapshot(rng, 10, 4)
     part = DomainPartition(m=10, m_star=2)
-    mat = center_matrix(snap, part)
     cells = flame_cells(part, 4)
-    assert mat.shape == (cells.shape[0], N_VARS)
-    for row in (0, 5, 11, cells.shape[0] - 1):
-        i, j = cells[row]
-        np.testing.assert_array_equal(mat[row], center_input(snap, int(i), int(j), part))
+    names = set()
+    for name, layout in variant_layouts("center", rng.standard_normal(N_VARS)):
+        names.add(name)
+        mat = layout.inputs(snap, part)
+        assert mat.shape == (cells.shape[0], N_VARS) == (cells.shape[0], layout.width)
+        assert mat.tobytes() == center_matrix(snap, part).tobytes()
+        for row in (0, 5, 11, cells.shape[0] - 1):
+            i, j = cells[row]
+            np.testing.assert_array_equal(mat[row], center_input(snap, int(i), int(j), part))
+    assert names == {"derivative-only", "general"}
 
 
 # ----- targets -----
@@ -188,8 +236,8 @@ def test_target_matrix_modes():
     a = random_snapshot(rng, 10, 4, time=0.0)
     b = random_snapshot(rng, 10, 4, time=0.001)
     part = DomainPartition(m=10, m_star=2)
-    deriv = target_matrix(a, b, part, 0.001, "derivative")
-    absol = target_matrix(a, b, part, 0.001, "absolute")
+    deriv = CellLayout(output_mode="derivative").targets(a, b, part, 0.001)
+    absol = CellLayout(output_mode="absolute").targets(a, b, part, 0.001)
     cells = flame_cells(part, 4)
     row = 9
     i, j = (int(c) for c in cells[row])
@@ -197,8 +245,9 @@ def test_target_matrix_modes():
         (b.values[IDX["T"], i, j] - a.values[IDX["T"], i, j]) / 0.001, rel=1e-12
     )
     assert absol[row, IDX["X_ox"]] == b.values[IDX["X_ox"], i, j]
-    with pytest.raises(DomainError):
-        target_matrix(a, b, part, 0.001, "delta")
+    # Targets come from consecutive pairs only.
+    with pytest.raises(DomainError, match="gap 0.001, dt 0.002"):
+        CellLayout().targets(a, b, part, 0.002)
 
 
 # ----- standardizer -----
@@ -251,7 +300,7 @@ def series_fixture(pairs=1, m=12, n=5, dt=0.001, seed=30):
 def test_sample_count_matches_band_times_pairs():
     series, grid = series_fixture(pairs=3, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    ds = build_datasets(series, grid, part, variables=["T"], seed=1)["T"]
+    ds = build_datasets(series, grid, part, seed=1)["T"]
     n_total = ds.train_inputs.shape[0] + ds.val_inputs.shape[0]
     assert n_total == 3 * (part.m - 2 * part.m_star) * 5
 
@@ -259,7 +308,7 @@ def test_sample_count_matches_band_times_pairs():
 def test_desk_scale_sample_count():
     series, grid = series_fixture(pairs=1, m=96, n=24)
     part = DomainPartition(m=96, m_star=16)
-    ds = build_datasets(series, grid, part, variables=["T"], seed=1)["T"]
+    ds = build_datasets(series, grid, part, seed=1)["T"]
     assert ds.train_inputs.shape[0] + ds.val_inputs.shape[0] == 1536
     assert ds.train_inputs.shape == (round(0.8 * 1536), 30)
     assert ds.val_inputs.shape[0] == 1536 - round(0.8 * 1536)
@@ -268,21 +317,18 @@ def test_desk_scale_sample_count():
 def test_split_preserves_the_sample_multiset():
     series, grid = series_fixture(pairs=2, m=10, n=4)
     part = DomainPartition(m=10, m_star=2)
-    ds = build_datasets(series, grid, part, variables=["X_fuel"], seed=7)["X_fuel"]
+    ds = build_datasets(series, grid, part, seed=7)["X_fuel"]
     joined = np.concatenate(
         [
             np.column_stack([ds.train_inputs, ds.train_targets]),
             np.column_stack([ds.val_inputs, ds.val_targets]),
         ]
     )
-    from fvmnet.dataset import input_matrix
-
-    raw_inputs = np.concatenate(
-        [input_matrix(s, part, "tier") for s in series[:-1]], axis=0
-    )
+    layout = CellLayout()
+    raw_inputs = np.concatenate([layout.inputs(s, part) for s in series[:-1]], axis=0)
     raw_targets = np.concatenate(
         [
-            target_matrix(a, b, part, grid.dt, "derivative")[:, IDX["X_fuel"]]
+            layout.targets(a, b, part, grid.dt)[:, IDX["X_fuel"]]
             for a, b in zip(series[:-1], series[1:])
         ]
     )
@@ -294,9 +340,9 @@ def test_split_preserves_the_sample_multiset():
 def test_split_is_seed_deterministic_and_seed_sensitive():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    a = build_datasets(series, grid, part, variables=["T"], seed=3)["T"]
-    b = build_datasets(series, grid, part, variables=["T"], seed=3)["T"]
-    c = build_datasets(series, grid, part, variables=["T"], seed=4)["T"]
+    a = build_datasets(series, grid, part, seed=3)["T"]
+    b = build_datasets(series, grid, part, seed=3)["T"]
+    c = build_datasets(series, grid, part, seed=4)["T"]
     np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
     np.testing.assert_array_equal(a.train_targets, b.train_targets)
     assert not np.array_equal(a.train_inputs, c.train_inputs)
@@ -305,7 +351,7 @@ def test_split_is_seed_deterministic_and_seed_sensitive():
 def test_variables_share_inputs_and_shuffle():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    splits = build_datasets(series, grid, part, variables=("T", "X_ox"), seed=5)
+    splits = build_datasets(series, grid, part, seed=5)
     np.testing.assert_array_equal(splits["T"].train_inputs, splits["X_ox"].train_inputs)
     assert not np.array_equal(splits["T"].train_targets, splits["X_ox"].train_targets)
 
@@ -313,9 +359,7 @@ def test_variables_share_inputs_and_shuffle():
 def test_center_mode_and_absolute_mode():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    ds = build_datasets(
-        series, grid, part, variables=["T"], input_mode="center", output_mode="absolute", seed=2
-    )["T"]
+    ds = build_datasets(series, grid, part, CellLayout("center", "absolute"), seed=2)["T"]
     assert ds.train_inputs.shape[1] == N_VARS
     # Absolute targets are next-step values; all train targets must appear in
     # the next snapshot's temperature plane.
@@ -327,13 +371,11 @@ def test_center_mode_and_absolute_mode():
 def test_dataset_input_validation():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    with pytest.raises(DomainError):
-        build_datasets(series[:1], grid, part, variables=["T"])["T"]
-    with pytest.raises(DomainError):
-        build_datasets(series, grid, part, variables=["T"], input_mode="stencil")["T"]
-    with pytest.raises(DomainError):
-        build_datasets(series, grid, part, variables=["T"], output_mode="next")["T"]
-    with pytest.raises(DomainError):
-        build_datasets(series, grid, part, variables=["rho"])["rho"]
-    with pytest.raises(DomainError):
-        build_datasets(series, grid, part, variables=["T"], split_fraction=1.0)["T"]
+    with pytest.raises(DomainError, match=">= 2 snapshots"):
+        build_datasets(series[:1], grid, part)
+    with pytest.raises(DomainError, match="split_fraction"):
+        build_datasets(series, grid, part, split_fraction=1.0)
+    with pytest.raises(DomainError, match="empty side"):
+        build_datasets(series, grid, part, split_fraction=1e-4)
+    with pytest.raises(DomainError, match="not one step apart"):
+        build_datasets(series, replace(grid, dt=2 * grid.dt), part)

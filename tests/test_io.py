@@ -3,13 +3,14 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import forward
 
 from fvmnet.cli import main
-from fvmnet.dataset import TIER_WIDTH, Standardizer, fit_standardizer
+from fvmnet.dataset import TIER_WIDTH, CellLayout, Standardizer, fit_standardizer
 import fvmnet.io
 from fvmnet.errors import ArtifactIOError
 from fvmnet.io import (
@@ -198,7 +199,8 @@ def test_standardizer_round_trip(tmp_path):
 
 
 def test_bundle_round_trip_preserves_weights_and_predictions(tmp_path):
-    bundle = make_bundle()
+    walls = CellLayout(output_mode="absolute", wall_policy="wall_value", wall_values=range(6))
+    bundle = replace(make_bundle(), layout=walls)
     save_bundle(str(tmp_path), bundle, seed=7, train_config=TrainConfig())
     back = load_bundle(str(tmp_path))
     x = np.random.default_rng(3).normal(size=TIER_WIDTH)
@@ -212,6 +214,7 @@ def test_bundle_round_trip_preserves_weights_and_predictions(tmp_path):
         assert forward(load, x) == forward(orig, x)
         assert back.target_scales[v] == bundle.target_scales[v]
     assert np.array_equal(back.standardizer.mean, bundle.standardizer.mean)
+    assert back.layout == walls
 
 
 def test_bundle_rewrite_is_byte_identical(tmp_path):
@@ -574,6 +577,10 @@ MALFORMED = {
     "checkpoint-missing-scale": ("checkpoint", lambda p: p.pop("target_scale")),
     "checkpoint-string-width": ("checkpoint", lambda p: p["spec"].update(n_inputs="30")),
     "checkpoint-weights-off-spec": ("checkpoint", lambda p: p["weights"][0].pop()),
+    # A valid layout that its sibling checkpoints do not share.
+    "checkpoint-sibling-layout": (
+        "checkpoint", lambda p: p.update(wall_policy="wall_value", wall_values=[0.0] * 6)
+    ),
 }
 
 

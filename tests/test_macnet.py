@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fvmnet.dataset import DomainPartition
+from fvmnet.dataset import CellLayout, DomainPartition
 from fvmnet.errors import DomainError, MacnetAbortError
 from fvmnet.macnet import (
     FallbackEvent,
@@ -143,7 +143,7 @@ class KickBundle:
     """Stand-in surrogate whose axial-velocity kicks grow every call, so the
     continuity residual of its trajectory rises step by step."""
 
-    output_mode = "derivative"
+    layout = CellLayout()
 
     def __init__(self):
         self.calls = 0

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import DerivativeOracle
 
-from fvmnet.dataset import TIER_WIDTH, DomainPartition, Standardizer, input_matrix
+from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition, Standardizer
 from fvmnet.errors import BlowupError, ConfigurationError, DomainError
 from fvmnet.network import NetworkSpec, init_network, predict
 from fvmnet.rollout import (
@@ -57,8 +57,8 @@ def blob_state(grid=GRID, vx=0.4):
     return Snapshot(vals, 0.0)
 
 
-def zero_bundle(input_mode="tier"):
-    width = TIER_WIDTH if input_mode == "tier" else 6
+def zero_bundle():
+    width = TIER_WIDTH
     spec = NetworkSpec(width, (4,), 1)
     nets = {}
     for v in VARIABLES:
@@ -72,7 +72,6 @@ def zero_bundle(input_mode="tier"):
         networks=nets,
         standardizer=Standardizer(mean=np.zeros(width), std=np.ones(width)),
         target_scales={v: (0.0, 1.0) for v in VARIABLES},
-        input_mode=input_mode,
     )
 
 
@@ -121,7 +120,7 @@ def test_velocities_pass_through_a_zero_bundle_step():
 
 def test_nonfinite_network_output_names_cell_and_variable():
     class NanBundle:
-        output_mode = "derivative"
+        layout = CellLayout()
 
         def cell_outputs(self, state, partition, grid, params):
             lo, hi = partition.flame
@@ -156,7 +155,7 @@ def test_cell_outputs_share_no_stale_values_between_calls():
     states = [blob_state(), step(blob_state(vx=0.7), GRID, PARAMS)]
 
     def fresh(state):
-        z = bundle.standardizer.apply(input_matrix(state, PART, "tier"))
+        z = bundle.standardizer.apply(CellLayout().inputs(state, PART))
         out = np.empty((z.shape[0], len(VARIABLES)))
         for v in VARIABLES:
             mean, std = bundle.target_scales[v]
@@ -440,15 +439,14 @@ def test_bundle_validation_catches_mismatches():
             standardizer=bundle.standardizer,
             target_scales={v: (0.0, 0.0) for v in VARIABLES},
         )
-    for policy, values in (("mirror", None), ("wall_value", None), ("wall_value", [0.0])):
-        with pytest.raises(DomainError, match="wall"):
-            SurrogateBundle(
-                networks=bundle.networks,
-                standardizer=bundle.standardizer,
-                target_scales=bundle.target_scales,
-                wall_policy=policy,
-                wall_values=values,
-            )
+    # The layout sets the width the standardizer and networks must have.
+    with pytest.raises(DomainError, match="'center' inputs have width 6"):
+        SurrogateBundle(
+            networks=bundle.networks,
+            standardizer=bundle.standardizer,
+            target_scales=bundle.target_scales,
+            layout=CellLayout(input_mode="center"),
+        )
 
 
 SMALL_SPEC = NetworkSpec(TIER_WIDTH, (8,), 1)
@@ -482,32 +480,28 @@ def test_train_bundle_warm_start_and_spec_checks():
     narrow = replace(SMALL_RECIPE, spec=NetworkSpec(TIER_WIDTH, (4,), 1))
     with pytest.raises(DomainError, match="matching specs"):
         train_bundle(truth, GRID, PART, narrow, seed=2, warm_from=bundle)
-    absolute = replace(SMALL_RECIPE, output_mode="absolute")
-    with pytest.raises(DomainError, match="matching input/output modes"):
-        train_bundle(truth, GRID, PART, absolute, seed=2, warm_from=bundle)
+    walls = CellLayout(wall_policy="wall_value", wall_values=(0.0,) * 6)
+    for layout in (CellLayout(output_mode="absolute"), walls):
+        with pytest.raises(DomainError, match="matching cell layout"):
+            train_bundle(
+                truth, GRID, PART, replace(SMALL_RECIPE, layout=layout), seed=2,
+                warm_from=bundle,
+            )
 
-    # The recipe rejects every inconsistent setting before any training.
+    # The recipe rejects a spec that does not fit its layout before any training.
     with pytest.raises(DomainError, match="6->1"):
-        SurrogateRecipe(NetworkSpec(TIER_WIDTH, (8,), 1), SMALL_CONFIG, input_mode="center")
+        SurrogateRecipe(
+            NetworkSpec(TIER_WIDTH, (8,), 1), SMALL_CONFIG, CellLayout(input_mode="center")
+        )
     with pytest.raises(DomainError, match="30->1"):
         SurrogateRecipe(NetworkSpec(6, (8,), 1), SMALL_CONFIG)
     with pytest.raises(DomainError, match="30->1"):
         SurrogateRecipe(NetworkSpec(TIER_WIDTH, (8,), 2), SMALL_CONFIG)
-    with pytest.raises(DomainError, match="input_mode"):
-        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, input_mode="stencil")
-    with pytest.raises(DomainError, match="output_mode"):
-        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, output_mode="next")
-    with pytest.raises(DomainError, match="wall_values"):
-        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, wall_policy="wall_value")
-    with pytest.raises(DomainError, match="wall_policy"):
-        SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, wall_policy="mirror")
     for fraction in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(DomainError, match="split_fraction"):
             SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, split_fraction=fraction)
-    walled = SurrogateRecipe(
-        SMALL_SPEC, SMALL_CONFIG, wall_policy="wall_value", wall_values=(0.0,) * 6
-    )
-    assert replace(walled, split_fraction=0.5).wall_values == (0.0,) * 6
+    walled = SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG, walls)
+    assert replace(walled, split_fraction=0.5).layout == walls
 
 
 def test_trained_bundle_beats_zero_bundle_on_one_step():
