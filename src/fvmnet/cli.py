@@ -206,12 +206,15 @@ def _echo_config(cfg) -> str:
     return dump_json(os.path.join(cfg.out, "effective_config.json"), cfg.tree)
 
 
-def _load_series_checked(cfg, args):
-    """The series at --manifest (default: the run's own), on the configured grid."""
+def _load_series_checked(cfg, args, count):
+    """The series at --manifest (default: the run's own), on the configured grid.
+
+    Only its first `count` snapshots are parsed and returned.
+    """
     from .io import load_series
 
     manifest = args.manifest or os.path.join(cfg.out, "series", "manifest.json")
-    series, grid, params = load_series(manifest)
+    series, grid, params = load_series(manifest, count)
     if grid != cfg.grid:
         raise ConfigurationError(
             f"manifest grid {grid} does not match configured grid {cfg.grid}"
@@ -252,8 +255,8 @@ def cmd_train(args) -> int:
     from .rollout import train_bundle
 
     cfg = _load_cfg(args)
-    series, grid, _ = _load_series_checked(cfg, args)
     need = cfg.train_window + 1
+    series, grid, _ = _load_series_checked(cfg, args, need)
     if len(series) < need:
         raise ConfigurationError(
             f"series holds {len(series)} snapshots, "
@@ -318,8 +321,8 @@ def cmd_ablate(args) -> int:
     from .rollout import predict_step, relative_error, train_bundle
 
     cfg = _load_cfg(args)
-    series, grid, params = _load_series_checked(cfg, args)
     w = cfg.train_window
+    series, grid, params = _load_series_checked(cfg, args, w + 2)
     if len(series) < w + 2:
         raise ConfigurationError(
             f"ablation scores the step after the training window; "
@@ -391,11 +394,11 @@ def cmd_rollout(args) -> int:
     )
 
     cfg = _load_cfg(args)
-    series, grid, params = _load_series_checked(cfg, args)
-    model_dir = args.model or os.path.join(cfg.out, "model")
-    bundle = load_bundle(model_dir)
     w, horizon = cfg.train_window, cfg.rollout_horizon
     need = w + horizon + 1
+    series, grid, params = _load_series_checked(cfg, args, need)
+    model_dir = args.model or os.path.join(cfg.out, "model")
+    bundle = load_bundle(model_dir)
     if len(series) < need:
         raise ConfigurationError(
             f"rollout.horizon={horizon} after a {w}-step training window needs "
@@ -608,8 +611,7 @@ def cmd_report(args) -> int:
 
     if "series" in found and "effective_config.json" in found:
         cfg = load_config(found["effective_config.json"])
-        series, grid, _ = load_series(found["series"])
-        window = series[: cfg.train_window + 1]
+        window, grid, _ = load_series(found["series"], cfg.train_window + 1)
         layout = cfg.recipe.layout
         targets = np.concatenate(
             [

@@ -121,7 +121,8 @@ class CellLayout:
     (x_next - x) / dt, "absolute" the next-step value. The tier's radial wall
     neighbor repeats the center under `wall_policy` "zero_neumann" and takes
     `wall_values` (one per variable, kept as a tuple of floats) under
-    "wall_value".
+    "wall_value". Under "zero_neumann" any given `wall_values` are checked,
+    then dropped to None, so layouts that build the same inputs compare equal.
     """
 
     input_mode: str = "tier"
@@ -143,6 +144,8 @@ class CellLayout:
         values = tuple(float(w) for w in self.wall_values)
         if len(values) != N_VARS:
             raise DomainError(f"wall_values must hold {N_VARS} numbers, got {len(values)}")
+        if self.wall_policy != "wall_value":
+            values = None
         object.__setattr__(self, "wall_values", values)
 
     @property
@@ -154,8 +157,7 @@ class CellLayout:
         """(cells, width) input rows for every middle-band cell, i-major then j."""
         if self.input_mode == "center":
             return center_matrix(snapshot, partition)
-        walls = self.wall_values if self.wall_policy == "wall_value" else None
-        return tier_matrix(snapshot, partition, walls)
+        return tier_matrix(snapshot, partition, self.wall_values)
 
     def targets(
         self,

@@ -14,6 +14,12 @@ new one last: the series manifest lists the snapshots, and the bundle
 manifest holds the sha256 of the standardizer and each checkpoint, so a
 bundle saved only in part, or mixed from two saves, is refused on load.
 
+A series is read as much as its reader uses: `load_series(manifest, count)`
+checks the whole manifest (every record, time gap and listed file) but parses
+only the first `count` snapshot CSVs, so each command parses just the
+snapshots it works on, each a row at a time. A snapshot is written one axial
+column per call.
+
 The grid and physical-parameter records of the series manifest, the
 checkpoint `spec` and its four cell-layout keys (`input_mode`, `output_mode`,
 `wall_policy`, `wall_values`: the bundle's one `CellLayout`, which every
@@ -23,8 +29,9 @@ fallback entries are their dataclass's fields, written by
 `dataclasses.asdict` and read back by `_record`. Adding a field to one of
 those dataclasses therefore changes the file format and needs its format tag
 bumped. A malformed file (a missing or unknown key, a value of the wrong type,
-or one the record's own checks refuse) raises ArtifactIOError naming the
-file, which the CLI reports with exit code 4.
+or one the record's own checks refuse; in a snapshot CSV, a row with the
+wrong fields or label) raises ArtifactIOError naming the file, which the CLI
+reports with exit code 4.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .errors import ArtifactIOError, DomainError, FvmnetError
 from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
 from .network import Network, NetworkSpec, param_count
 from .rollout import RolloutReport, SurrogateBundle
-from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot
+from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, time_tolerance
 from .training import TrainConfig, TrainReport, config_digest
 
 SERIES_FORMAT = "fvmnet-series-1"
@@ -190,17 +197,23 @@ def write_csv(path: str, header: str, rows: Sequence[Sequence]) -> str:
     return path
 
 
-def read_csv(path: str, header: str) -> List[List[str]]:
+def _csv_rows(path: str, header: str) -> Iterator[List[str]]:
+    """The fields of each non-blank line after `header`, read one line at a time."""
     try:
-        with open(path) as fh:
-            first = fh.readline().rstrip("\n")
-            if first != header:
-                raise ArtifactIOError(
-                    f"{path} header is {first!r}, expected {header!r}"
-                )
-            return [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        fh = open(path)
     except FileNotFoundError:
         raise ArtifactIOError(f"file not found: {path}") from None
+    with fh:
+        first = fh.readline().rstrip("\n")
+        if first != header:
+            raise ArtifactIOError(f"{path} header is {first!r}, expected {header!r}")
+        for line in fh:
+            if line.strip():
+                yield line.rstrip("\n").split(",")
+
+
+def read_csv(path: str, header: str) -> List[List[str]]:
+    return list(_csv_rows(path, header))
 
 
 # ----- snapshot series -----
@@ -227,16 +240,16 @@ def save_series(
                 f"snapshot {idx} has shape {snap.shape}, grid is ({grid.m}, {grid.n})"
             )
         name = f"snap_{idx:06d}.csv"
-        values = snap.values
         with atomic_writer(os.path.join(out_dir, name)) as fh:
             fh.write(SNAPSHOT_HEADER + "\n")
+            # One write per axial column i: its n cells, one row each.
             for i in range(grid.m):
-                for j in range(grid.n):
-                    fh.write(
-                        f"{i},{j},"
-                        + ",".join(_fmt(values[k, i, j]) for k in range(len(VARIABLES)))
-                        + "\n"
+                fh.write(
+                    "".join(
+                        f"{i},{j}," + ",".join(_fmt(v) for v in cell) + "\n"
+                        for j, cell in enumerate(snap.values[:, i, :].T.tolist())
                     )
+                )
         entries.append({"file": name, "time": snap.time})
     manifest = {
         "format": SERIES_FORMAT,
@@ -251,23 +264,43 @@ def save_series(
 
 
 def _load_snapshot_csv(path: str, m: int, n: int, time_: float) -> Snapshot:
-    rows = read_csv(path, SNAPSHOT_HEADER)
-    if len(rows) != m * n:
-        raise ArtifactIOError(f"{path} has {len(rows)} cells, grid needs {m * n}")
-    values = np.empty((len(VARIABLES), m, n), dtype=np.float64)
-    for idx, row in enumerate(rows):
-        i, j = idx // n, idx % n
-        if int(row[0]) != i or int(row[1]) != j:
+    """Parse one snapshot CSV row by row, holding no more than its values."""
+    cells, width = m * n, 2 + len(VARIABLES)
+    table = np.empty((cells, len(VARIABLES)), dtype=np.float64)
+    rows = 0
+    for idx, row in enumerate(_csv_rows(path, SNAPSHOT_HEADER)):
+        rows += 1
+        if idx >= cells:
+            continue  # only counted, for the error below
+        i, j = divmod(idx, n)
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} fields, expected {width}")
+            label = (int(row[0]), int(row[1]))
+            table[idx] = list(map(float, row[2:]))
+        except ValueError as err:
+            raise ArtifactIOError(f"{path} row {idx} is malformed: {err}") from None
+        if label != (i, j):
             raise ArtifactIOError(
                 f"{path} row {idx} labels cell ({row[0]}, {row[1]}), "
                 f"expected ({i}, {j})"
             )
-        for k in range(len(VARIABLES)):
-            values[k, i, j] = float(row[2 + k])
+    if rows != cells:
+        raise ArtifactIOError(f"{path} has {rows} cells, grid needs {cells}")
+    values = np.ascontiguousarray(table.T).reshape(len(VARIABLES), m, n)
     return Snapshot(values, time_)
 
 
-def load_series(manifest_path: str) -> Tuple[List[Snapshot], GridSpec, PhysicalParams]:
+def load_series(
+    manifest_path: str, count: Optional[int] = None
+) -> Tuple[List[Snapshot], GridSpec, PhysicalParams]:
+    """The first `count` snapshots of a saved series (all by default), its grid and params.
+
+    The manifest is checked whole, whatever `count`: its format, variables,
+    grid and params records, every time gap, and that every listed snapshot
+    file exists. Only the snapshots returned are parsed, so a series shorter
+    than `count` comes back whole.
+    """
     if not os.path.exists(manifest_path):
         raise ArtifactIOError(f"manifest not found: {manifest_path}")
     payload = read_json(manifest_path)
@@ -288,20 +321,21 @@ def load_series(manifest_path: str) -> Tuple[List[Snapshot], GridSpec, PhysicalP
     ]
     for k in range(1, len(times)):
         gap = times[k] - times[k - 1]
-        if abs(gap - grid.dt) > 1e-9 * max(1.0, grid.dt):
+        if abs(gap - grid.dt) > time_tolerance(grid.dt):
             raise ArtifactIOError(
                 f"{manifest_path} snapshot {k} is {gap:.12g} after snapshot {k - 1}, "
                 f"expected one step of dt={grid.dt:.12g}"
             )
     base = os.path.dirname(manifest_path)
+    paths = [
+        os.path.join(base, _get(entry, "file", manifest_path, str)) for entry in entries
+    ]
+    for path in paths:
+        if not os.path.isfile(path):
+            raise ArtifactIOError(f"file not found: {path}")
     series = [
-        _load_snapshot_csv(
-            os.path.join(base, _get(entry, "file", manifest_path, str)),
-            grid.m,
-            grid.n,
-            time_,
-        )
-        for entry, time_ in zip(entries, times)
+        _load_snapshot_csv(path, grid.m, grid.n, time_)
+        for path, time_ in zip(paths[:count], times)
     ]
     return series, grid, params
 

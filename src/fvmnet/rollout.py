@@ -40,6 +40,7 @@ from .solver import (
     check_consecutive,
     continuity_residual,
     step_columns,
+    time_tolerance,
 )
 from .training import TrainConfig, TrainReport, derived_seed, train
 
@@ -289,7 +290,7 @@ def _check_truth(
         raise DomainError(
             f"truth series has {len(truth)} snapshots, horizon {horizon} needs {horizon + 1}"
         )
-    if abs(truth[0].time - initial.time) > 1e-9 * max(1.0, grid.dt):
+    if abs(truth[0].time - initial.time) > time_tolerance(grid.dt):
         raise DomainError(
             f"truth starts at t={truth[0].time}, initial state is at t={initial.time}"
         )

@@ -365,6 +365,11 @@ def simulate(
     return series
 
 
+def time_tolerance(dt: float) -> float:
+    """How far two snapshot times may differ and still count as the same time."""
+    return 1e-9 * max(1.0, abs(dt))
+
+
 def check_consecutive(earlier: Snapshot, later: Snapshot, dt: float) -> None:
     """Raise DomainError unless `later` is one `dt` step after `earlier`, same shape."""
     if earlier.shape != later.shape:
@@ -372,7 +377,7 @@ def check_consecutive(earlier: Snapshot, later: Snapshot, dt: float) -> None:
             f"snapshot pair shapes differ: {earlier.shape} vs {later.shape}"
         )
     gap = later.time - earlier.time
-    if abs(gap - dt) > 1e-9 * max(1.0, abs(dt)):
+    if abs(gap - dt) > time_tolerance(dt):
         raise DomainError(
             f"snapshot pair is not one step apart: gap {gap:.12g}, dt {dt:.12g}"
         )

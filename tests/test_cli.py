@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import fvmnet.io
 import fvmnet.rollout
 from fvmnet.cli import main
 from fvmnet.io import (
@@ -363,6 +364,30 @@ def test_report_histogram_bins_sum_to_sample_count(trained):
     m, n = SMALL["grid"]["m"], SMALL["grid"]["n"]
     flame_cols = m - 2 * SMALL["partition"]["m_star"]
     assert total == flame_cols * n
+
+
+def test_each_command_parses_only_the_snapshots_it_uses(trained, monkeypatch):
+    config_path, out = trained
+    parsed = []
+    original = fvmnet.io._load_snapshot_csv
+
+    def counted(path, *args):
+        parsed.append(os.path.basename(path))
+        return original(path, *args)
+
+    monkeypatch.setattr(fvmnet.io, "_load_snapshot_csv", counted)
+    w, horizon = 2, SMALL["rollout"]["horizon"]
+    uses = [
+        ("train", [], w + 1),
+        ("rollout", [], w + horizon + 1),
+        ("ablate", ["--cases", "a", "--variants", "none"], w + 2),
+        ("report", [], w + 1),  # the training window's target histogram
+    ]
+    for command, flags, count in uses:
+        parsed.clear()
+        argv = [command, "--config", config_path, "--out", out, *flags]
+        assert run_cli(*argv, "--set", f"dataset.train_window={w}") == 0
+        assert parsed == [f"snap_{k:06d}.csv" for k in range(count)], command
 
 
 def test_report_empty_directory_exit_code(tmp_path, capsys):

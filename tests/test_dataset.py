@@ -65,6 +65,12 @@ def test_cell_layout_validation():
     assert walled.wall_values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
     assert all(type(w) is float for w in walled.wall_values)
     assert walled == CellLayout(wall_policy="wall_value", wall_values=[0, 1, 2, 3, 4, 5])
+    # zero_neumann reads no wall values: they are checked, then dropped.
+    unread = CellLayout(wall_values=range(6))
+    assert unread.wall_values is None
+    assert unread == CellLayout()
+    with pytest.raises(DomainError, match="6 numbers, got 5"):
+        CellLayout(wall_values=[0.0] * 5)
     assert CellLayout().width == TIER_WIDTH
     assert CellLayout(input_mode="center").width == N_VARS
 

@@ -170,6 +170,61 @@ def test_snapshot_times_off_the_dt_grid_are_rejected(tmp_path, index, time_):
         load_series(manifest)
 
 
+def test_series_prefix_load_is_bit_equal_to_the_full_load(tmp_path):
+    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    full, grid, params = load_series(manifest)
+    for count in range(len(full) + 2):  # past the end returns the whole series
+        part, part_grid, part_params = load_series(manifest, count)
+        assert (part_grid, part_params) == (grid, params)
+        assert len(part) == min(count, len(full))
+        for a, b in zip(part, full):
+            assert a.time == b.time
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.values.flags.c_contiguous
+
+
+def test_manifest_is_checked_beyond_the_parsed_prefix(tmp_path):
+    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    payload = read_json(manifest)
+    payload["snapshots"][3]["time"] = 5 * GRID.dt
+    with open(manifest, "w") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(ArtifactIOError, match="snapshot 3"):
+        load_series(manifest, 1)
+    save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    os.remove(tmp_path / "snap_000003.csv")
+    with pytest.raises(ArtifactIOError, match="snap_000003.csv"):
+        load_series(manifest, 1)
+
+
+# (data row, fields -> replacement rows, expected message) for snapshot 0 of
+# the 12 x 4 grid: row 5 is cell (1, 1), row 47 the last.
+MALFORMED_ROWS = {
+    "non-numeric-value": (5, lambda f: [f[:4] + ["abc"] + f[5:]], "row 5 is malformed"),
+    "short-row": (5, lambda f: [f[:-1]], "row 5 is malformed: 7 fields, expected 8"),
+    "long-row": (5, lambda f: [f + ["0.0"]], "row 5 is malformed: 9 fields, expected 8"),
+    "non-integer-label": (5, lambda f: [["1.5"] + f[1:]], "row 5 is malformed"),
+    "wrong-label": (5, lambda f: [["0", "0"] + f[2:]], r"row 5 labels cell \(0, 0\)"),
+    "dropped-row": (5, lambda f: [], r"row 5 labels cell \(1, 2\), expected \(1, 1\)"),
+    "dropped-last-row": (47, lambda f: [], "has 47 cells, grid needs 48"),
+    "extra-last-row": (47, lambda f: [f, f], "has 49 cells, grid needs 48"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_snapshot_rows_exit_4_naming_the_file(tmp_path, capsys, case):
+    row, edit, message = MALFORMED_ROWS[case]
+    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
+    snap = tmp_path / "series" / "snap_000000.csv"
+    lines = snap.read_text().splitlines()  # line 0 is the header
+    lines[row + 1 : row + 2] = [",".join(f) for f in edit(lines[row + 1].split(","))]
+    snap.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ArtifactIOError, match=message):
+        load_series(manifest)
+    assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "run")]) == 4
+    assert f"{snap} " in capsys.readouterr().err
+
+
 # ----- standardizer and bundle checkpoints -----
 
 
