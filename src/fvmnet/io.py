@@ -321,7 +321,7 @@ def load_series(
     ]
     for k in range(1, len(times)):
         gap = times[k] - times[k - 1]
-        if abs(gap - grid.dt) > time_tolerance(grid.dt):
+        if not abs(gap - grid.dt) <= time_tolerance(grid.dt):  # a NaN time fails too
             raise ArtifactIOError(
                 f"{manifest_path} snapshot {k} is {gap:.12g} after snapshot {k - 1}, "
                 f"expected one step of dt={grid.dt:.12g}"
@@ -520,10 +520,8 @@ def write_error_field(path: str, pred: Snapshot, truth: Snapshot) -> str:
         raise DomainError(f"shape mismatch {pred.shape} vs {truth.shape}")
     m, n = pred.shape
     diff = np.abs(pred.values - truth.values)
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            rows.append((i, j, *(float(diff[k, i, j]) for k in range(len(VARIABLES)))))
+    cells = diff.transpose(1, 2, 0).tolist()  # cells[i][j] lists the variables
+    rows = [(i, j, *cells[i][j]) for i in range(m) for j in range(n)]
     return write_csv(path, ERROR_FIELD_HEADER, rows)
 
 

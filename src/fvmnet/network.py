@@ -6,11 +6,12 @@ arithmetic is 64-bit. Forward passes run as matrix products over sample
 batches; gradients come from the chain rule applied layer by layer, with the
 rectifier taking subgradient 0 at the kink.
 
-`predict` is the inference path: it keeps no per-layer caches and writes
+`predict` is the one forward pass: it keeps no per-layer caches and writes
 each layer in place into (rows, width) buffers, which a caller running
 several networks of one spec over the same rows can allocate once and share
-(`layer_buffers`). Its outputs are bit-equal to `forward_batch`, which keeps
-every pre- and post-activation array and exists for backprop only.
+(`layer_buffers`). Backprop runs `predict` and walks back over its buffers,
+which hold the post-activations, writing each gradient into caller-given
+arrays (in training, views of the optimizer's flat gradient vector).
 
 The named size cases a-h are the benchmark ladder used by the sweep command:
 widths from one 64-wide layer up to three 256-wide layers, plus a logistic
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -123,9 +124,10 @@ def _activate(z: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activation_gradient(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+def _activation_gradient(a: np.ndarray, kind: str) -> np.ndarray:
+    """d activation / d pre-activation, from the activation `a` alone."""
     if kind == "relu":
-        return z > 0.0  # subgradient 0 at the kink; the boolean multiplies as 0/1
+        return a > 0.0  # as z > 0, NaN included; 0 at the kink; multiplies as 0/1
     return a * (1.0 - a)
 
 
@@ -136,22 +138,6 @@ def _input_batch(net: Network, x: np.ndarray) -> np.ndarray:
             f"input batch must be (n, {net.spec.n_inputs}), got {x.shape}"
         )
     return x
-
-
-def forward_batch(net: Network, x: np.ndarray):
-    """(outputs, caches): outputs is (n, n_outputs); caches hold every layer's
-    pre-activation and activation for the backward pass."""
-    x = _input_batch(net, x)
-    a = x
-    pre, post = [], [x]
-    last = len(net.weights) - 1
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w
-        z += b
-        a = z if l == last else _activate(z, net.spec.activation, np.empty_like(z))
-        pre.append(z)
-        post.append(a)
-    return a, (pre, post)
 
 
 def layer_buffers(spec: NetworkSpec, rows: int) -> List[np.ndarray]:
@@ -192,26 +178,34 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward_batch(net: Network, x: np.ndarray, y: np.ndarray):
+def backward_batch(net: Network, x: np.ndarray, y: np.ndarray,
+                   buffers: Optional[List[np.ndarray]] = None,
+                   grads: Optional[List[np.ndarray]] = None):
     """(loss, weight grads, bias grads) for batch MSE.
 
-    d loss / d output = 2 (pred - target) / n, then the chain rule walks the
-    layers in reverse; activation gradients use the cached pre-activations.
+    The forward pass is `predict` into `buffers`; d loss / d output =
+    2 (pred - target) / n, then the chain rule walks the layers in reverse
+    over those buffers. The gradients are written into `grads`, arrays shaped
+    like `net.weights + net.biases`; either list is allocated when not given.
     """
-    y = np.asarray(y, dtype=np.float64)
-    out, (pre, post) = forward_batch(net, x)
-    n = out.shape[0]
-    yy = y.reshape(n, net.spec.n_outputs)
-    diff = out - yy
+    x = _input_batch(net, x)
+    if buffers is None:
+        buffers = layer_buffers(net.spec, x.shape[0])
+    if grads is None:
+        grads = [np.empty_like(p) for p in net.weights + net.biases]
+    predict(net, x, buffers)
+    out = buffers[-1]
+    diff = out - np.asarray(y, dtype=np.float64).reshape(out.shape)
     loss = float(np.mean(diff * diff))
 
-    grad_w = [None] * len(net.weights)
-    grad_b = [None] * len(net.biases)
+    n_layers = len(net.weights)
+    grad_w, grad_b = grads[:n_layers], grads[n_layers:]
     delta = 2.0 * diff / diff.size  # d loss / d z on the linear output layer
-    for l in range(len(net.weights) - 1, -1, -1):
-        grad_w[l] = post[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+    for l in range(n_layers - 1, -1, -1):
+        a = x if l == 0 else buffers[l - 1]  # input to layer l
+        np.matmul(a.T, delta, out=grad_w[l])
+        np.sum(delta, axis=0, out=grad_b[l])
         if l > 0:
             delta = delta @ net.weights[l].T
-            delta *= _activation_gradient(pre[l - 1], post[l], net.spec.activation)
+            delta *= _activation_gradient(a, net.spec.activation)
     return loss, grad_w, grad_b

@@ -290,7 +290,7 @@ def _check_truth(
         raise DomainError(
             f"truth series has {len(truth)} snapshots, horizon {horizon} needs {horizon + 1}"
         )
-    if abs(truth[0].time - initial.time) > time_tolerance(grid.dt):
+    if not abs(truth[0].time - initial.time) <= time_tolerance(grid.dt):  # a NaN time fails too
         raise DomainError(
             f"truth starts at t={truth[0].time}, initial state is at t={initial.time}"
         )

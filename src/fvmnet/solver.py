@@ -377,7 +377,7 @@ def check_consecutive(earlier: Snapshot, later: Snapshot, dt: float) -> None:
             f"snapshot pair shapes differ: {earlier.shape} vs {later.shape}"
         )
     gap = later.time - earlier.time
-    if abs(gap - dt) > time_tolerance(dt):
+    if not abs(gap - dt) <= time_tolerance(dt):  # a NaN time fails too
         raise DomainError(
             f"snapshot pair is not one step apart: gap {gap:.12g}, dt {dt:.12g}"
         )
@@ -433,9 +433,3 @@ def continuity_residual(
     )
     return float(np.sum(np.abs(term)))
 
-
-def volume_weighted_total(state: Snapshot, grid: GridSpec, name: str) -> float:
-    """Sum of volume * value for one variable (2*pi dropped as everywhere)."""
-    _check_shape(state, grid)
-    vol = grid.cell_volumes()
-    return float(np.sum(state.var(name) * vol[None, :]))

@@ -159,7 +159,8 @@ def train(
         raise DomainError("training and validation sets must be non-empty")
 
     # For the call, the parameters live in one flat vector that the optimizer
-    # updates in place; the network's arrays are views into it.
+    # updates in place; the network's arrays are views into it. Backprop
+    # writes each batch's gradients into views of a second flat vector.
     arrays = net.weights + net.biases
     shapes = [p.shape for p in arrays]
     n_layers = len(net.weights)
@@ -169,6 +170,10 @@ def train(
     grad = np.empty_like(flat)
     grad_views = _views(grad, shapes)
     best = flat.copy()
+    n = x.shape[0]
+    # Forward buffers for the full batch and for the short last batch, if any.
+    batch_sizes = {min(config.batch_size, n), n % config.batch_size} - {0}
+    batch_buffers = {rows: layer_buffers(net.spec, rows) for rows in batch_sizes}
     val_buffers = layer_buffers(net.spec, vx.shape[0])
     if config.optimizer == "adam":
         opt = _Adam(config.learning_rate, config.beta1, config.beta2, config.eps,
@@ -177,7 +182,6 @@ def train(
         opt = _Sgd(config.learning_rate, flat.size)
 
     rng = np.random.default_rng(config.seed)
-    n = x.shape[0]
     report = TrainReport()
     stall = 0
 
@@ -187,13 +191,13 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n, config.batch_size):
             rows = perm[lo : lo + config.batch_size]
-            loss, gw, gb = backward_batch(net, x[rows], y[rows])
+            loss, _, _ = backward_batch(
+                net, x[rows], y[rows], batch_buffers[rows.size], grad_views
+            )
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became non-finite at epoch {epoch}", epoch=epoch
                 )
-            for view, g in zip(grad_views, gw + gb):
-                view[...] = g
             opt.update(flat, grad)
             loss_sum += loss * rows.size
             seen += rows.size

@@ -7,7 +7,11 @@ stencil reads instead of whole-band slices, a full solver step instead
 of trained networks, and per-array optimizer updates instead of one flat
 in-place update. `forward` is the exception: the single-sample scalar entry
 to the package's `predict` that the loop and finite-difference oracles are
-compared against.
+compared against. `forward_batch` and `cached_backward` are the cached
+references: a forward pass that keeps every pre- and post-activation array
+in fresh allocations, and backprop over those caches with the rectifier mask
+taken from the pre-activations, against which `predict` and
+`backward_batch` are pinned bit for bit.
 """
 
 import math
@@ -17,8 +21,16 @@ import numpy as np
 
 from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition
 from fvmnet.errors import DomainError
-from fvmnet.network import Network, backward_batch, predict
+from fvmnet.network import Network, _activate, _input_batch, backward_batch, predict
 from fvmnet.solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot, check_consecutive, step
+
+
+def volume_weighted_total(state: Snapshot, grid: GridSpec, name: str) -> float:
+    """Sum of volume * value for one variable (2*pi dropped as everywhere)."""
+    if state.shape != (grid.m, grid.n):
+        raise DomainError(f"snapshot shape {state.shape} does not match grid {grid.m}x{grid.n}")
+    vol = grid.cell_volumes()
+    return float(np.sum(state.var(name) * vol[None, :]))
 
 
 def flame_cells(partition: DomainPartition, n: int) -> np.ndarray:
@@ -122,6 +134,49 @@ def forward(net: Network, x) -> float:
     if net.spec.n_outputs != 1:
         raise DomainError("scalar forward needs a single-output network")
     return float(predict(net, x[None, :])[0])
+
+
+def forward_batch(net: Network, x: np.ndarray):
+    """(outputs, caches): outputs is (n, n_outputs); caches hold every layer's
+    pre-activation and activation, each in its own array."""
+    x = _input_batch(net, x)
+    a = x
+    pre, post = [], [x]
+    last = len(net.weights) - 1
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w
+        z += b
+        a = z if l == last else _activate(z, net.spec.activation, np.empty_like(z))
+        pre.append(z)
+        post.append(a)
+    return a, (pre, post)
+
+
+def cached_backward(net: Network, x: np.ndarray, y: np.ndarray):
+    """(loss, weight grads, bias grads) for batch MSE over `forward_batch` caches.
+
+    The rectifier mask is read from the pre-activations (z > 0), the logistic
+    derivative from the activations; every gradient is a fresh array.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    out, (pre, post) = forward_batch(net, x)
+    n = out.shape[0]
+    diff = out - y.reshape(n, net.spec.n_outputs)
+    loss = float(np.mean(diff * diff))
+
+    grad_w = [None] * len(net.weights)
+    grad_b = [None] * len(net.biases)
+    delta = 2.0 * diff / diff.size
+    for l in range(len(net.weights) - 1, -1, -1):
+        grad_w[l] = post[l].T @ delta
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = delta @ net.weights[l].T
+            if net.spec.activation == "relu":
+                delta *= pre[l - 1] > 0.0
+            else:
+                delta *= post[l] * (1.0 - post[l])
+    return loss, grad_w, grad_b
 
 
 def loop_forward(net: Network, x) -> float:

@@ -23,7 +23,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import DerivativeOracle, finite_difference_check, forward, sample_components
+from oracles import (
+    DerivativeOracle,
+    finite_difference_check,
+    forward,
+    sample_components,
+    volume_weighted_total,
+)
 
 from fvmnet.cli import main
 from fvmnet.macnet import hybrid_error_audit, retrain_seed, run, validate_trace
@@ -44,7 +50,6 @@ from fvmnet.solver import (
     Snapshot,
     simulate,
     step,
-    volume_weighted_total,
 )
 
 EXPECTED_PARAM_COUNTS = {

@@ -158,6 +158,7 @@ def test_wrong_format_tag_is_rejected(tmp_path):
         (2, 0.5 * GRID.dt),  # goes backwards
         (3, 4 * GRID.dt),  # skips a step
         (1, GRID.dt * (1 + 1e-6)),  # off by more than the tolerance
+        (2, float("nan")),  # not a time at all
     ],
 )
 def test_snapshot_times_off_the_dt_grid_are_rejected(tmp_path, index, time_):
@@ -385,13 +386,20 @@ def test_report_csv_is_deterministic_and_timing_separate(tmp_path):
 
 
 def test_error_field_dump(tmp_path):
-    values = np.zeros((len(VARIABLES), 2, 2))
-    pred = Snapshot(values + 1.0, 0.0)
-    truth = Snapshot(values + 0.25, 0.0)
+    # Distinct errors per (variable, i, j) on a non-square grid, so a
+    # swapped axis or a transposed field shows.
+    m, n = 3, 2
+    rng = np.random.default_rng(8)
+    pred = Snapshot(rng.standard_normal((len(VARIABLES), m, n)), 0.0)
+    truth = Snapshot(rng.standard_normal((len(VARIABLES), m, n)), 0.0)
+    diff = np.abs(pred.values - truth.values)
+    assert np.unique(diff).size == diff.size
     path = write_error_field(str(tmp_path / "err.csv"), pred, truth)
     rows = read_csv(path, "i,j," + ",".join(f"{v}_abs_err" for v in VARIABLES))
-    assert len(rows) == 4
-    assert all(float(cell) == 0.75 for row in rows for cell in row[2:])
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(i, j) for i in range(m) for j in range(n)]
+    for row in rows:
+        i, j = int(row[0]), int(row[1])
+        assert [float(cell) for cell in row[2:]] == [diff[k, i, j] for k in range(len(VARIABLES))]
 
 
 # ----- traces and audits -----

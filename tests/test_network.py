@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import finite_difference_check, forward, loop_forward, sample_components
+from oracles import (
+    cached_backward,
+    finite_difference_check,
+    forward,
+    forward_batch,
+    loop_forward,
+    sample_components,
+)
 
 from fvmnet.errors import DomainError
 from fvmnet.network import (
@@ -13,7 +20,6 @@ from fvmnet.network import (
     Network,
     NetworkSpec,
     backward_batch,
-    forward_batch,
     init_network,
     layer_buffers,
     mse_loss,
@@ -32,6 +38,20 @@ EXPECTED_COUNTS = {
     "g": 139777,
     "h": 4609,
 }
+
+
+# Small networks and batches for the bit-equality properties: both
+# activations, no hidden layer, two outputs, one-row batches, tiny and
+# saturating input scales.
+SMALL_NETS = dict(
+    n_inputs=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+    n_outputs=st.integers(1, 2),
+    activation=st.sampled_from(["relu", "sigmoid"]),
+    rows=st.integers(1, 20),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 def test_param_counts_for_all_cases():
@@ -103,15 +123,7 @@ def test_forward_batch_shapes_and_scalar_agreement():
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    n_inputs=st.integers(1, 6),
-    hidden=st.lists(st.integers(1, 9), max_size=3).map(tuple),
-    n_outputs=st.integers(1, 2),
-    activation=st.sampled_from(["relu", "sigmoid"]),
-    rows=st.integers(1, 20),
-    scale=st.sampled_from([1e-3, 1.0, 50.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
+@given(**SMALL_NETS)
 @example(n_inputs=3, hidden=(), n_outputs=1, activation="relu", rows=1, scale=1.0,
          seed=0)
 @example(n_inputs=3, hidden=(), n_outputs=2, activation="relu", rows=4, scale=1.0,
@@ -143,6 +155,44 @@ def test_predict_is_bit_equal_to_forward_batch_on_band_sized_batches(case):
     for rows in (1, 1536):
         x = 2.0 * rng.standard_normal((rows, 30))
         assert np.array_equal(predict(net, x), forward_batch(net, x)[0][:, 0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(**SMALL_NETS)
+@example(n_inputs=3, hidden=(), n_outputs=1, activation="relu", rows=1, scale=1.0,
+         seed=0)
+@example(n_inputs=3, hidden=(), n_outputs=2, activation="sigmoid", rows=4, scale=1.0,
+         seed=1)
+@example(n_inputs=2, hidden=(5, 3), n_outputs=2, activation="sigmoid", rows=1,
+         scale=50.0, seed=2)
+def test_backward_batch_is_bit_equal_to_cached_backward(
+    n_inputs, hidden, n_outputs, activation, rows, scale, seed
+):
+    spec = NetworkSpec(n_inputs, hidden, n_outputs, activation)
+    rng = np.random.default_rng(seed)
+    net = init_network(spec, seed=seed)
+    for b in net.biases:
+        b[:] = rng.standard_normal(b.shape)
+    x = scale * rng.standard_normal((rows, n_inputs))
+    y = rng.standard_normal((rows, n_outputs))
+    expected = cached_backward(net, x, y)
+
+    def assert_bit_equal(result):
+        loss, gw, gb = result
+        assert loss == expected[0]
+        for got, want in zip(gw + gb, expected[1] + expected[2]):
+            assert np.array_equal(got, want)
+
+    assert_bit_equal(backward_batch(net, x, y))
+    # Buffers and gradient arrays holding another batch's values must not
+    # leak into the result, and the gradients land in the given arrays.
+    buffers = layer_buffers(spec, rows)
+    grads = [np.empty_like(p) for p in net.weights + net.biases]
+    other = scale * rng.standard_normal((rows, n_inputs))
+    backward_batch(net, other, rng.standard_normal((rows, n_outputs)), buffers, grads)
+    result = backward_batch(net, x, y, buffers, grads)
+    assert_bit_equal(result)
+    assert all(got is given for got, given in zip(result[1] + result[2], grads))
 
 
 def test_mse_matches_longhand():

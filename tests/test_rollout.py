@@ -339,9 +339,10 @@ def test_multi_step_validates_truth_coverage():
         multi_step(zero_bundle(), truth[0], 5, truth, PART, GRID, PARAMS, 1.0)
     with pytest.raises(DomainError):
         multi_step(zero_bundle(), truth[0], 0, truth, PART, GRID, PARAMS, 1.0)
-    shifted = Snapshot(truth[0].values.copy(), 99.0)
-    with pytest.raises(DomainError):
-        multi_step(zero_bundle(), shifted, 2, truth, PART, GRID, PARAMS, 1.0)
+    for time_ in (99.0, float("nan")):
+        shifted = Snapshot(truth[0].values.copy(), time_)
+        with pytest.raises(DomainError, match="truth starts at"):
+            multi_step(zero_bundle(), shifted, 2, truth, PART, GRID, PARAMS, 1.0)
 
 
 def test_constant_gradient_is_exact_on_linearly_evolving_truth():

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import volume_weighted_total
 
 from fvmnet.errors import BlowupError, DomainError, StabilityError
 from fvmnet.solver import (
@@ -24,7 +25,6 @@ from fvmnet.solver import (
     simulate,
     step,
     step_columns,
-    volume_weighted_total,
 )
 
 D0 = {"T": 0.0, "X_fuel": 0.0, "X_prod": 0.0, "X_ox": 0.0}
@@ -535,6 +535,9 @@ def test_residual_rejects_non_consecutive_pair():
     cur = make_snapshot(4, 3)
     cur.time = 0.005
     with pytest.raises(DomainError):
+        continuity_residual(cur, prev, grid, params)
+    cur.time = float("nan")
+    with pytest.raises(DomainError, match="not one step apart"):
         continuity_residual(cur, prev, grid, params)
 
 
