@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .errors import (
@@ -209,7 +210,7 @@ def _echo_config(cfg) -> str:
 def _load_series_checked(cfg, args, count):
     """The series at --manifest (default: the run's own), on the configured grid.
 
-    Only its first `count` snapshots are parsed and returned.
+    Only its first `count` snapshots are read and returned.
     """
     from .io import load_series
 
@@ -283,32 +284,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_cases(text: str) -> List[str]:
-    from .network import CASES
-
+def _parse_names(text: str, choices, what: str) -> List[str]:
+    """The comma-separated names in `text`; 'all' is every choice, 'none' none."""
     if text == "all":
-        return sorted(CASES)
-    if text == "none":
-        return []
-    labels = [part.strip() for part in text.split(",") if part.strip()]
-    for label in labels:
-        if label not in CASES:
-            raise ConfigurationError(
-                f"unknown network case {label!r}; choose from {sorted(CASES)}"
-            )
-    return labels
-
-
-def _parse_variants(text: str) -> List[str]:
-    if text == "all":
-        return list(VARIANTS)
+        return list(choices)
     if text == "none":
         return []
     names = [part.strip() for part in text.split(",") if part.strip()]
     for name in names:
-        if name not in VARIANTS:
+        if name not in choices:
             raise ConfigurationError(
-                f"unknown variant {name!r}; choose from {sorted(VARIANTS)}"
+                f"unknown {what} {name!r}; choose from {sorted(choices)}"
             )
     return names
 
@@ -328,8 +314,8 @@ def cmd_ablate(args) -> int:
             f"ablation scores the step after the training window; "
             f"series holds {len(series)} snapshots, needs {w + 2}"
         )
-    cases = _parse_cases(args.cases)
-    variants = _parse_variants(args.variants)
+    cases = _parse_names(args.cases, sorted(CASES), "network case")
+    variants = _parse_names(args.variants, VARIANTS, "variant")
     if not cases and not variants:
         raise ConfigurationError("nothing to ablate: both case and variant lists empty")
 
@@ -507,18 +493,30 @@ def cmd_macnet(args) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _reading(path: str):
+    """Turn an error raised while interpreting `path` into an ArtifactIOError naming it."""
+    try:
+        yield
+    except (IndexError, KeyError, TypeError, ValueError) as err:
+        raise ArtifactIOError(f"{path} is malformed: {type(err).__name__}: {err}") from None
+
+
+def _read_rows(path: str, header: str) -> List[List[str]]:
+    """The rows of a CSV that `report` reads; each such file holds at least one."""
+    from .io import read_csv
+
+    rows = read_csv(path, header)
+    if not rows:
+        raise ArtifactIOError(f"{path} has a header but no rows")
+    return rows
+
+
 def cmd_report(args) -> int:
     import numpy as np
 
     from .config import load_config
-    from .io import (
-        REPORT_HEADER,
-        atomic_writer,
-        load_series,
-        read_csv,
-        read_json,
-        write_csv,
-    )
+    from .io import REPORT_HEADER, atomic_writer, load_series, read_json, write_csv
     from .solver import IDX
 
     run_dir = args.out
@@ -547,18 +545,19 @@ def cmd_report(args) -> int:
         key = f"report_{mode}"
         if key not in found:
             continue
-        rows = read_csv(found[key], REPORT_HEADER)
-        by_step = {}
-        for row in rows:
-            rec = by_step.setdefault(int(row[0]), {"residual": float(row[5])})
-            rec[row[2]] = (float(row[3]), float(row[4]))
-        out_rows = []
-        for k in sorted(by_step):
-            rec = by_step[k]
-            all_max = max(v[0] for key2, v in rec.items() if key2 != "residual")
-            out_rows.append(
-                (k, rec["T"][0], rec["T"][1], all_max, rec["residual"])
-            )
+        rows = _read_rows(found[key], REPORT_HEADER)
+        with _reading(found[key]):
+            by_step = {}
+            for row in rows:
+                rec = by_step.setdefault(int(row[0]), {"residual": float(row[5])})
+                rec[row[2]] = (float(row[3]), float(row[4]))
+            out_rows = []
+            for k in sorted(by_step):
+                rec = by_step[k]
+                all_max = max(v[0] for key2, v in rec.items() if key2 != "residual")
+                out_rows.append(
+                    (k, rec["T"][0], rec["T"][1], all_max, rec["residual"])
+                )
         written.append(
             write_csv(
                 os.path.join(report_dir, f"error_vs_step_{mode}.csv"),
@@ -578,36 +577,38 @@ def cmd_report(args) -> int:
         lines.append("")
         lines.append("## Error growth fits")
         lines.append("")
-        for mode in sorted(fits):
-            fit = fits[mode]
-            lines.append(
-                f"- {mode}: linear RSS {fit['linear_rss']:.4e}, quadratic RSS "
-                f"{fit['quadratic_rss']:.4e} -> {fit['better']}"
-            )
+        with _reading(found["growth_fit"]):
+            for mode in sorted(fits):
+                fit = fits[mode]
+                lines.append(
+                    f"- {mode}: linear RSS {fit['linear_rss']:.4e}, quadratic RSS "
+                    f"{fit['quadratic_rss']:.4e} -> {fit['better']}"
+                )
 
     if "ablation" in found:
-        rows = read_csv(found["ablation"], ABLATION_HEADER)
-        case_rows = [row for row in rows if row[0] == "case"]
-        if case_rows:
-            written.append(
-                write_csv(
-                    os.path.join(report_dir, "case_bars.csv"),
-                    "name,param_count,epochs,max_rel_err_T,mean_rel_err_T",
-                    [
-                        (r[1], int(r[4]), int(r[5]), float(r[6]), float(r[7]))
-                        for r in case_rows
-                    ],
+        rows = _read_rows(found["ablation"], ABLATION_HEADER)
+        with _reading(found["ablation"]):
+            case_rows = [row for row in rows if row[0] == "case"]
+            if case_rows:
+                written.append(
+                    write_csv(
+                        os.path.join(report_dir, "case_bars.csv"),
+                        "name,param_count,epochs,max_rel_err_T,mean_rel_err_T",
+                        [
+                            (r[1], int(r[4]), int(r[5]), float(r[6]), float(r[7]))
+                            for r in case_rows
+                        ],
+                    )
                 )
-            )
-        ranked = sorted(rows, key=lambda r: float(r[6]))
-        lines.append("")
-        lines.append("## Ablation ranking (max T error, best first)")
-        lines.append("")
-        for r in ranked:
-            lines.append(
-                f"- {r[0]} {r[1]} ({r[2]}/{r[3]}, {r[4]} params): "
-                f"max {float(r[6]):.4e}, mean {float(r[7]):.4e}"
-            )
+            ranked = sorted(rows, key=lambda r: float(r[6]))
+            lines.append("")
+            lines.append("## Ablation ranking (max T error, best first)")
+            lines.append("")
+            for r in ranked:
+                lines.append(
+                    f"- {r[0]} {r[1]} ({r[2]}/{r[3]}, {r[4]} params): "
+                    f"max {float(r[6]):.4e}, mean {float(r[7]):.4e}"
+                )
 
     if "series" in found and "effective_config.json" in found:
         cfg = load_config(found["effective_config.json"])
@@ -644,12 +645,13 @@ def cmd_report(args) -> int:
         lines.append("")
         lines.append("## Training")
         lines.append("")
-        for v in sorted(payload):
-            rep = payload[v]
-            lines.append(
-                f"- {v}: best val loss {rep['best_val_loss']:.4e} at epoch "
-                f"{rep['best_epoch']} ({rep['epochs_run']} run)"
-            )
+        with _reading(found["train_reports"]):
+            for v in sorted(payload):
+                rep = payload[v]
+                lines.append(
+                    f"- {v}: best val loss {rep['best_val_loss']:.4e} at epoch "
+                    f"{rep['best_epoch']} ({rep['epochs_run']} run)"
+                )
 
     if "trace" in found:
         from .io import load_trace
@@ -662,17 +664,18 @@ def cmd_report(args) -> int:
             f"{len(loaded.retrains)} retrains, {len(loaded.fallbacks)} fallbacks"
         )
         if "macnet_timing" in found:
-            row = read_csv(found["macnet_timing"], MACNET_TIMING_HEADER)[0]
+            row = _read_rows(found["macnet_timing"], MACNET_TIMING_HEADER)[0]
             lines.append("")
-            lines.append(
-                f"- wall {float(row[0]):.2f}s (training {float(row[1]):.2f}s), "
-                f"pure solver {float(row[2]):.2f}s"
-            )
-            lines.append(
-                f"- per step: hybrid {float(row[3]):.2f} ms, solver "
-                f"{float(row[4]):.2f} ms, cost ratio {float(row[5]):.3f} "
-                f"(training {float(row[1]):.2f}s)"
-            )
+            with _reading(found["macnet_timing"]):
+                lines.append(
+                    f"- wall {float(row[0]):.2f}s (training {float(row[1]):.2f}s), "
+                    f"pure solver {float(row[2]):.2f}s"
+                )
+                lines.append(
+                    f"- per step: hybrid {float(row[3]):.2f} ms, solver "
+                    f"{float(row[4]):.2f} ms, cost ratio {float(row[5]):.3f} "
+                    f"(training {float(row[1]):.2f}s)"
+                )
 
     summary = os.path.join(report_dir, "summary.md")
     with atomic_writer(summary) as fh:

@@ -1,12 +1,13 @@
 """On-disk artifact formats: series, checkpoints, reports, traces.
 
-Every format round-trips bit-exactly: floats are written with repr (the
-shortest decimal string that parses back to the same double) inside JSON or
-CSV, keys are sorted, and newlines are pinned to "\n", so rerunning a seeded
-experiment reproduces each file byte for byte. Wall-clock measurements go to
+Every format round-trips bit-exactly: snapshots are stored as raw float64
+arrays, and elsewhere floats are written with repr (the shortest decimal
+string that parses back to the same double) inside JSON or CSV, keys are
+sorted, and newlines are pinned to "\n", so rerunning a seeded experiment
+reproduces each file byte for byte. Wall-clock measurements go to
 separate timing sidecars to keep the main artifacts deterministic.
 
-Every file is written through `atomic_writer`: the text goes to a temporary
+Every file is written through `atomic_writer`: the data goes to a temporary
 file beside the target, which replaces the target only once complete, so an
 interrupted write never leaves a partial file under the final name. A save
 of several files first removes the directory's old manifest and writes the
@@ -14,11 +15,11 @@ new one last: the series manifest lists the snapshots, and the bundle
 manifest holds the sha256 of the standardizer and each checkpoint, so a
 bundle saved only in part, or mixed from two saves, is refused on load.
 
-A series is read as much as its reader uses: `load_series(manifest, count)`
-checks the whole manifest (every record, time gap and listed file) but parses
-only the first `count` snapshot CSVs, so each command parses just the
-snapshots it works on, each a row at a time. A snapshot is written one axial
-column per call.
+A series is one `.npy` file per snapshot (written by `np.save`, read back by
+`np.load` with pickles refused) plus its manifest. It is read as much as its
+reader uses: `load_series(manifest, count)` checks the whole manifest (every
+record, time gap and listed file) but loads only the first `count`
+snapshots, so each command reads just the snapshots it works on.
 
 The grid and physical-parameter records of the series manifest, the
 checkpoint `spec` and its four cell-layout keys (`input_mode`, `output_mode`,
@@ -29,9 +30,9 @@ fallback entries are their dataclass's fields, written by
 `dataclasses.asdict` and read back by `_record`. Adding a field to one of
 those dataclasses therefore changes the file format and needs its format tag
 bumped. A malformed file (a missing or unknown key, a value of the wrong type,
-or one the record's own checks refuse; in a snapshot CSV, a row with the
-wrong fields or label) raises ArtifactIOError naming the file, which the CLI
-reports with exit code 4.
+or one the record's own checks refuse; a snapshot file that is not the
+`.npy` of a C-order little-endian float64 (6, m, n) array) raises
+ArtifactIOError naming the file, which the CLI reports with exit code 4.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import IO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from typing import get_type_hints
 
 import numpy as np
@@ -54,8 +55,9 @@ from .rollout import RolloutReport, SurrogateBundle
 from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, time_tolerance
 from .training import TrainConfig, TrainReport, config_digest
 
-SERIES_FORMAT = "fvmnet-series-1"
-SNAPSHOT_HEADER = "i,j," + ",".join(VARIABLES)
+SERIES_FORMAT = "fvmnet-series-2"
+# Every snapshot file holds a C-order array of this dtype, whatever the host.
+SNAPSHOT_DTYPE = np.dtype("<f8")
 CHECKPOINT_FORMAT = "fvmnet-checkpoint-1"
 STANDARDIZER_FORMAT = "fvmnet-standardizer-1"
 STANDARDIZER_FILE = "standardizer.json"
@@ -71,19 +73,16 @@ TRACE_FIELDS = (
 MODE_FIELDS = tuple(f.name for f in fields(CellLayout))
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 @contextmanager
-def atomic_writer(path: str) -> Iterator[TextIO]:
-    """Text handle on `<path>.tmp` (\\n newlines), renamed onto `path` on success.
+def atomic_writer(path: str, mode: str = "w") -> Iterator[IO]:
+    """Handle on `<path>.tmp`, renamed onto `path` on success.
 
-    On any exception the temporary file is removed and `path` is untouched.
+    `mode` is "w" for text (\\n newlines) or "wb" for bytes. On any exception
+    the temporary file is removed and `path` is untouched.
     """
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="\n") as fh:
+        with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -190,15 +189,15 @@ def write_csv(path: str, header: str, rows: Sequence[Sequence]) -> str:
         for row in rows:
             fh.write(
                 ",".join(
-                    _fmt(v) if isinstance(v, float) else str(v) for v in row
+                    repr(float(v)) if isinstance(v, float) else str(v) for v in row
                 )
                 + "\n"
             )
     return path
 
 
-def _csv_rows(path: str, header: str) -> Iterator[List[str]]:
-    """The fields of each non-blank line after `header`, read one line at a time."""
+def read_csv(path: str, header: str) -> List[List[str]]:
+    """The fields of each non-blank line after `header`."""
     try:
         fh = open(path)
     except FileNotFoundError:
@@ -207,13 +206,7 @@ def _csv_rows(path: str, header: str) -> Iterator[List[str]]:
         first = fh.readline().rstrip("\n")
         if first != header:
             raise ArtifactIOError(f"{path} header is {first!r}, expected {header!r}")
-        for line in fh:
-            if line.strip():
-                yield line.rstrip("\n").split(",")
-
-
-def read_csv(path: str, header: str) -> List[List[str]]:
-    return list(_csv_rows(path, header))
+        return [line.rstrip("\n").split(",") for line in fh if line.strip()]
 
 
 # ----- snapshot series -----
@@ -226,7 +219,11 @@ def save_series(
     params: PhysicalParams,
     extra: Optional[Mapping] = None,
 ) -> str:
-    """Write one CSV per snapshot, then manifest.json; returns the manifest path."""
+    """Write one `.npy` file per snapshot, then manifest.json; returns the manifest path.
+
+    Each `snap_<k>.npy` holds the snapshot's values as a C-order
+    little-endian float64 (6, m, n) array; the manifest holds the times.
+    """
     if not series:
         raise DomainError("cannot save an empty series")
     os.makedirs(out_dir, exist_ok=True)
@@ -239,17 +236,10 @@ def save_series(
             raise DomainError(
                 f"snapshot {idx} has shape {snap.shape}, grid is ({grid.m}, {grid.n})"
             )
-        name = f"snap_{idx:06d}.csv"
-        with atomic_writer(os.path.join(out_dir, name)) as fh:
-            fh.write(SNAPSHOT_HEADER + "\n")
-            # One write per axial column i: its n cells, one row each.
-            for i in range(grid.m):
-                fh.write(
-                    "".join(
-                        f"{i},{j}," + ",".join(_fmt(v) for v in cell) + "\n"
-                        for j, cell in enumerate(snap.values[:, i, :].T.tolist())
-                    )
-                )
+        name = f"snap_{idx:06d}.npy"
+        with atomic_writer(os.path.join(out_dir, name), "wb") as fh:
+            values = np.ascontiguousarray(snap.values, dtype=SNAPSHOT_DTYPE)
+            np.save(fh, values, allow_pickle=False)
         entries.append({"file": name, "time": snap.time})
     manifest = {
         "format": SERIES_FORMAT,
@@ -263,31 +253,31 @@ def save_series(
     return dump_json(manifest_path, manifest)
 
 
-def _load_snapshot_csv(path: str, m: int, n: int, time_: float) -> Snapshot:
-    """Parse one snapshot CSV row by row, holding no more than its values."""
-    cells, width = m * n, 2 + len(VARIABLES)
-    table = np.empty((cells, len(VARIABLES)), dtype=np.float64)
-    rows = 0
-    for idx, row in enumerate(_csv_rows(path, SNAPSHOT_HEADER)):
-        rows += 1
-        if idx >= cells:
-            continue  # only counted, for the error below
-        i, j = divmod(idx, n)
-        try:
-            if len(row) != width:
-                raise ValueError(f"{len(row)} fields, expected {width}")
-            label = (int(row[0]), int(row[1]))
-            table[idx] = list(map(float, row[2:]))
-        except ValueError as err:
-            raise ArtifactIOError(f"{path} row {idx} is malformed: {err}") from None
-        if label != (i, j):
-            raise ArtifactIOError(
-                f"{path} row {idx} labels cell ({row[0]}, {row[1]}), "
-                f"expected ({i}, {j})"
-            )
-    if rows != cells:
-        raise ArtifactIOError(f"{path} has {rows} cells, grid needs {cells}")
-    values = np.ascontiguousarray(table.T).reshape(len(VARIABLES), m, n)
+def _load_snapshot(path: str, m: int, n: int, time_: float) -> Snapshot:
+    """Read one snapshot file, refusing anything `save_series` would not write."""
+    try:
+        with open(path, "rb") as fh:
+            values = np.load(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    # Truncated, empty, non-.npy or pickled files raise ValueError or EOFError;
+    # a corrupt header can claim an array too large to allocate.
+    except (ValueError, EOFError, MemoryError) as err:
+        raise ArtifactIOError(f"{path} is not a readable .npy array: {err}") from None
+    if not isinstance(values, np.ndarray):
+        raise ArtifactIOError(f"{path} is an .npz archive, not an .npy array")
+    expected = (len(VARIABLES), m, n)
+    if (
+        values.dtype != SNAPSHOT_DTYPE
+        or values.shape != expected
+        or not values.flags.c_contiguous
+    ):
+        order = "C" if values.flags.c_contiguous else "Fortran"
+        raise ArtifactIOError(
+            f"{path} holds a {order}-order {values.dtype.str} array of shape "
+            f"{values.shape}, expected a C-order <f8 array of shape {expected}"
+        )
+    if trailing:
+        raise ArtifactIOError(f"{path} has bytes after its array")
     return Snapshot(values, time_)
 
 
@@ -298,7 +288,7 @@ def load_series(
 
     The manifest is checked whole, whatever `count`: its format, variables,
     grid and params records, every time gap, and that every listed snapshot
-    file exists. Only the snapshots returned are parsed, so a series shorter
+    file exists. Only the snapshots returned are read, so a series shorter
     than `count` comes back whole.
     """
     if not os.path.exists(manifest_path):
@@ -334,7 +324,7 @@ def load_series(
         if not os.path.isfile(path):
             raise ArtifactIOError(f"file not found: {path}")
     series = [
-        _load_snapshot_csv(path, grid.m, grid.n, time_)
+        _load_snapshot(path, grid.m, grid.n, time_)
         for path, time_ in zip(paths[:count], times)
     ]
     return series, grid, params

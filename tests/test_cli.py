@@ -11,15 +11,16 @@ import pytest
 
 import fvmnet.io
 import fvmnet.rollout
-from fvmnet.cli import main
+from fvmnet.cli import ABLATION_HEADER, MACNET_TIMING_HEADER, main
 from fvmnet.io import (
     REPORT_HEADER,
     load_bundle,
     load_series,
     load_trace,
     read_csv,
+    write_trace,
 )
-from fvmnet.macnet import validate_trace
+from fvmnet.macnet import MacnetTrace, Phase, validate_trace
 from fvmnet.solver import VARIABLES
 
 SMALL = {
@@ -179,6 +180,11 @@ def test_ablate_rejects_unknown_case(generated, capsys):
         run_cli("ablate", "--config", config_path, "--out", out, "--cases", "z") == 2
     )
     assert "unknown network case" in capsys.readouterr().err
+    assert (
+        run_cli("ablate", "--config", config_path, "--out", out, "--variants", "a,bogus")
+        == 2
+    )
+    assert "unknown variant 'a'" in capsys.readouterr().err
 
 
 def test_ablate_rejects_empty_selection(generated, capsys):
@@ -369,13 +375,13 @@ def test_report_histogram_bins_sum_to_sample_count(trained):
 def test_each_command_parses_only_the_snapshots_it_uses(trained, monkeypatch):
     config_path, out = trained
     parsed = []
-    original = fvmnet.io._load_snapshot_csv
+    original = fvmnet.io._load_snapshot
 
     def counted(path, *args):
         parsed.append(os.path.basename(path))
         return original(path, *args)
 
-    monkeypatch.setattr(fvmnet.io, "_load_snapshot_csv", counted)
+    monkeypatch.setattr(fvmnet.io, "_load_snapshot", counted)
     w, horizon = 2, SMALL["rollout"]["horizon"]
     uses = [
         ("train", [], w + 1),
@@ -387,7 +393,7 @@ def test_each_command_parses_only_the_snapshots_it_uses(trained, monkeypatch):
         parsed.clear()
         argv = [command, "--config", config_path, "--out", out, *flags]
         assert run_cli(*argv, "--set", f"dataset.train_window={w}") == 0
-        assert parsed == [f"snap_{k:06d}.csv" for k in range(count)], command
+        assert parsed == [f"snap_{k:06d}.npy" for k in range(count)], command
 
 
 def test_report_empty_directory_exit_code(tmp_path, capsys):
@@ -395,6 +401,57 @@ def test_report_empty_directory_exit_code(tmp_path, capsys):
     empty.mkdir()
     assert run_cli("report", "--out", str(empty)) == 4
     assert "no artifacts" in capsys.readouterr().err
+
+
+# A well-formed copy of each small artifact `report` reads, by path in the run.
+REPORT_INPUTS = {
+    "report_multi.csv": REPORT_HEADER + "\n1,multi,T,0.5,0.25,1.5\n",
+    "ablation.csv": ABLATION_HEADER + "\ncase,a,tier,derivative,31,4,0.5,0.25\n",
+    "growth_fit.json": json.dumps(
+        {"multi": {"linear_rss": 1.0, "quadratic_rss": 0.5, "better": "quadratic"}}
+    ),
+    "model/train_reports.json": json.dumps(
+        {"T": {"best_val_loss": 0.5, "best_epoch": 3, "epochs_run": 4}}
+    ),
+    "macnet/macnet_timing.csv": MACNET_TIMING_HEADER + "\n9.5,3.25,2.0,1.5,2.5,0.6\n",
+}
+# (artifact, malformed text)
+MALFORMED_REPORT_INPUTS = {
+    "report-header-only": ("report_multi.csv", REPORT_HEADER + "\n"),
+    "report-non-numeric": ("report_multi.csv", REPORT_HEADER + "\n1,multi,T,abc,0.25,1.5\n"),
+    "ablation-header-only": ("ablation.csv", ABLATION_HEADER + "\n"),
+    "ablation-non-numeric": (
+        "ablation.csv", ABLATION_HEADER + "\ncase,a,tier,derivative,31,4,abc,0.25\n"
+    ),
+    "growth-fit-missing-key": (
+        "growth_fit.json", json.dumps({"multi": {"linear_rss": 1.0, "better": "linear"}})
+    ),
+    "train-reports-missing-key": (
+        "model/train_reports.json", json.dumps({"T": {"best_val_loss": 0.5, "epochs_run": 4}})
+    ),
+    "macnet-timing-header-only": ("macnet/macnet_timing.csv", MACNET_TIMING_HEADER + "\n"),
+    "macnet-timing-non-numeric": (
+        "macnet/macnet_timing.csv", MACNET_TIMING_HEADER + "\n9.5,3.25,2.0,abc,2.5,0.6\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORT_INPUTS))
+def test_report_malformed_input_exits_4_naming_the_file(tmp_path, capsys, case):
+    rel, text = MALFORMED_REPORT_INPUTS[case]
+    run = tmp_path / "run"
+    (run / "model").mkdir(parents=True)
+    # report reads macnet_timing.csv only beside a trace.
+    trace = MacnetTrace(horizon=2, cfd_window=2, tolerance=5.0, max_ml_steps=1)
+    trace.phases.append(Phase("CFD", 0, 2, ended_by="horizon"))
+    write_trace(str(run / "macnet"), trace)
+    path = run / rel
+    path.write_text(REPORT_INPUTS[rel])
+    assert run_cli("report", "--out", str(run)) == 0
+    path.write_text(text)
+    capsys.readouterr()
+    assert run_cli("report", "--out", str(run)) == 4
+    assert f"{path} " in capsys.readouterr().err
 
 
 # ----- global flags -----

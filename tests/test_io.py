@@ -3,7 +3,9 @@
 import hashlib
 import json
 import os
+import pickle
 from dataclasses import replace
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -70,6 +72,8 @@ def read_bytes(path):
 
 def test_series_round_trip_is_bit_exact(tmp_path):
     series = small_series()
+    # A Fortran-ordered array is still stored in the C order the loader expects.
+    series[1] = Snapshot(np.asfortranarray(series[1].values), series[1].time)
     manifest = save_series(str(tmp_path), series, GRID, PARAMS, extra={"note": "x"})
     loaded, grid, params = load_series(manifest)
     assert grid == GRID
@@ -96,26 +100,29 @@ def test_interrupted_series_write_leaves_no_partial_file_and_no_manifest(
 ):
     series = small_series()
     save_series(str(tmp_path), series, GRID, PARAMS)  # an earlier, complete save
-    per_snapshot = GRID.m * GRID.n * len(VARIABLES)
-    calls = []
-    real_fmt = fvmnet.io._fmt
+    earlier = read_bytes(tmp_path / "snap_000001.npy")
+    later = [Snapshot(snap.values + 1.0, snap.time) for snap in series]
+    real_save, calls = np.save, []
 
-    def failing_fmt(x):
-        calls.append(x)
-        if len(calls) > per_snapshot + per_snapshot // 2:  # midway through snapshot 1
+    def failing_save(fh, values, **kwargs):
+        calls.append(values)
+        if len(calls) == 2:  # midway through snapshot 1
+            buf = BytesIO()
+            real_save(buf, values, **kwargs)
+            fh.write(buf.getvalue()[: len(buf.getvalue()) // 2])
             raise OSError("disk full")
-        return real_fmt(x)
+        real_save(fh, values, **kwargs)
 
-    monkeypatch.setattr(fvmnet.io, "_fmt", failing_fmt)
+    monkeypatch.setattr(fvmnet.io.np, "save", failing_save)
     with pytest.raises(OSError, match="disk full"):
-        save_series(str(tmp_path), series, GRID, PARAMS)
+        save_series(str(tmp_path), later, GRID, PARAMS)
     # Snapshot 0 was rewritten whole, snapshot 1 still holds the earlier save,
-    # and no manifest vouches for the mix.
+    # no temporary file is left, and no manifest vouches for the mix.
     assert sorted(os.listdir(tmp_path)) == [
-        f"snap_{k:06d}.csv" for k in range(len(series))
+        f"snap_{k:06d}.npy" for k in range(len(series))
     ]
-    loaded = read_csv(str(tmp_path / "snap_000001.csv"), "i,j," + ",".join(VARIABLES))
-    assert len(loaded) == GRID.m * GRID.n
+    assert read_bytes(tmp_path / "snap_000001.npy") == earlier
+    assert np.array_equal(np.load(tmp_path / "snap_000000.npy"), later[0].values)
 
 
 def test_interrupted_json_write_leaves_no_file(tmp_path):
@@ -127,16 +134,6 @@ def test_interrupted_json_write_leaves_no_file(tmp_path):
 
 def test_missing_manifest_is_reported(tmp_path):
     with pytest.raises(ArtifactIOError, match="manifest not found"):
-        load_series(str(tmp_path / "manifest.json"))
-
-
-def test_wrong_snapshot_header_is_rejected(tmp_path):
-    series = small_series(1)
-    save_series(str(tmp_path), series, GRID, PARAMS)
-    snap = tmp_path / "snap_000000.csv"
-    body = snap.read_text().splitlines()
-    snap.write_text("\n".join(["bad,header"] + body[1:]) + "\n")
-    with pytest.raises(ArtifactIOError, match="header"):
         load_series(str(tmp_path / "manifest.json"))
 
 
@@ -193,35 +190,59 @@ def test_manifest_is_checked_beyond_the_parsed_prefix(tmp_path):
     with pytest.raises(ArtifactIOError, match="snapshot 3"):
         load_series(manifest, 1)
     save_series(str(tmp_path), small_series(), GRID, PARAMS)
-    os.remove(tmp_path / "snap_000003.csv")
-    with pytest.raises(ArtifactIOError, match="snap_000003.csv"):
+    os.remove(tmp_path / "snap_000003.npy")
+    with pytest.raises(ArtifactIOError, match="snap_000003.npy"):
         load_series(manifest, 1)
 
 
-# (data row, fields -> replacement rows, expected message) for snapshot 0 of
-# the 12 x 4 grid: row 5 is cell (1, 1), row 47 the last.
-MALFORMED_ROWS = {
-    "non-numeric-value": (5, lambda f: [f[:4] + ["abc"] + f[5:]], "row 5 is malformed"),
-    "short-row": (5, lambda f: [f[:-1]], "row 5 is malformed: 7 fields, expected 8"),
-    "long-row": (5, lambda f: [f + ["0.0"]], "row 5 is malformed: 9 fields, expected 8"),
-    "non-integer-label": (5, lambda f: [["1.5"] + f[1:]], "row 5 is malformed"),
-    "wrong-label": (5, lambda f: [["0", "0"] + f[2:]], r"row 5 labels cell \(0, 0\)"),
-    "dropped-row": (5, lambda f: [], r"row 5 labels cell \(1, 2\), expected \(1, 1\)"),
-    "dropped-last-row": (47, lambda f: [], "has 47 cells, grid needs 48"),
-    "extra-last-row": (47, lambda f: [f, f], "has 49 cells, grid needs 48"),
+def npy_bytes(values, **kwargs):
+    buf = BytesIO()
+    np.save(buf, values, **kwargs)
+    return buf.getvalue()
+
+
+def npz_bytes(values):
+    buf = BytesIO()
+    np.savez(buf, values=values)
+    return buf.getvalue()
+
+
+# (file bytes made from the valid file's bytes and values, expected message)
+# for snapshot 0 of the 12 x 4 grid: each is a file that `np.save` of a
+# C-order float64 (6, 12, 4) array would not write.
+UNREADABLE = "is not a readable .npy array"
+CORRUPT_SNAPSHOTS = {
+    "empty": (lambda good, v: b"", UNREADABLE),
+    "truncated-header": (lambda good, v: good[:40], UNREADABLE),
+    "truncated-data": (lambda good, v: good[:-8], UNREADABLE),
+    "csv-text": (lambda good, v: b"i,j,v_x\n0,0,0.3\n", UNREADABLE),
+    "pickle": (lambda good, v: pickle.dumps(v), UNREADABLE),
+    "object-array": (lambda good, v: npy_bytes(v.astype(object), allow_pickle=True), UNREADABLE),
+    "huge-header-shape": (  # same header length: the padding gives way
+        lambda good, v: good.replace(b"(6, 12, 4), }" + b" " * 14, b"(6, 12000000, 400000000), }"),
+        UNREADABLE + ": Unable to allocate",
+    ),
+    "npz-archive": (lambda good, v: npz_bytes(v), "is an .npz archive"),
+    "float32": (lambda good, v: npy_bytes(v.astype(np.float32)), "C-order <f4 array"),
+    "big-endian": (lambda good, v: npy_bytes(v.astype(">f8")), "C-order >f8 array"),
+    "wrong-shape": (
+        lambda good, v: npy_bytes(v.reshape(6, 4, 12)), r"array of shape \(6, 4, 12\)"
+    ),
+    "fortran-order": (lambda good, v: npy_bytes(np.asfortranarray(v)), "Fortran-order <f8"),
+    "trailing-bytes": (lambda good, v: good + b"\0", "has bytes after its array"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
-def test_malformed_snapshot_rows_exit_4_naming_the_file(tmp_path, capsys, case):
-    row, edit, message = MALFORMED_ROWS[case]
-    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
-    snap = tmp_path / "series" / "snap_000000.csv"
-    lines = snap.read_text().splitlines()  # line 0 is the header
-    lines[row + 1 : row + 2] = [",".join(f) for f in edit(lines[row + 1].split(","))]
-    snap.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ArtifactIOError, match=message):
+@pytest.mark.parametrize("case", sorted(CORRUPT_SNAPSHOTS))
+def test_corrupt_snapshot_exits_4_naming_the_file(tmp_path, capsys, case):
+    corrupt, message = CORRUPT_SNAPSHOTS[case]
+    series = small_series(1)
+    manifest = save_series(str(tmp_path / "series"), series, GRID, PARAMS)
+    snap = tmp_path / "series" / "snap_000000.npy"
+    snap.write_bytes(corrupt(snap.read_bytes(), series[0].values))
+    with pytest.raises(ArtifactIOError, match=message) as err:
         load_series(manifest)
+    assert str(snap) in str(err.value)
     assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "run")]) == 4
     assert f"{snap} " in capsys.readouterr().err
 
@@ -540,7 +561,7 @@ def test_record_formats_are_pinned(tmp_path):
     manifest = save_series(str(tmp_path / "series"), [snapshot], GRID, PARAMS)
     assert open(manifest).read() == json_text(
         {
-            "format": "fvmnet-series-1",
+            "format": "fvmnet-series-2",
             "grid": {"dr": 0.01, "dt": 0.002, "dx": 0.01, "m": 12, "n": 4},
             "params": {
                 "activation_energy": 0.0,
@@ -556,7 +577,7 @@ def test_record_formats_are_pinned(tmp_path):
                 "reference_pressure": 101325.0,
                 "wall_temperature": 310.0,
             },
-            "snapshots": [{"file": "snap_000000.csv", "time": 0.0}],
+            "snapshots": [{"file": "snap_000000.npy", "time": 0.0}],
             "variables": ["v_x", "v_r", "T", "X_fuel", "X_prod", "X_ox"],
         }
     )
