@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation mode (default all)",
     )
     p.add_argument("--manifest", metavar="PATH", help="series manifest to test on")
-    p.add_argument("--model", metavar="DIR", help="checkpoint directory")
+    p.add_argument("--model", metavar="DIR", help="model directory holding bundle.json")
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser(
@@ -267,7 +267,7 @@ def cmd_train(args) -> int:
         series[:need], grid, cfg.partition, cfg.recipe, seed=cfg.seed
     )
     model_dir = os.path.join(cfg.out, "model")
-    paths = save_bundle(model_dir, bundle, cfg.seed, cfg.recipe.train)
+    bundle_file = save_bundle(model_dir, bundle, cfg.seed, cfg.recipe.train)
     save_train_reports(model_dir, reports)
     _echo_config(cfg)
     log.info("train: %d parameters per network", param_count(cfg.recipe.spec))
@@ -279,8 +279,7 @@ def cmd_train(args) -> int:
             rep.best_epoch,
             rep.epochs_run,
         )
-    for path in paths:
-        print(path)
+    print(bundle_file)
     return EXIT_OK
 
 
@@ -611,7 +610,13 @@ def cmd_report(args) -> int:
                 )
 
     if "series" in found and "effective_config.json" in found:
-        cfg = load_config(found["effective_config.json"])
+        try:
+            cfg = load_config(found["effective_config.json"])
+        except (ConfigurationError, DomainError) as err:
+            # The run's own config is an artifact here, not user input.
+            raise ArtifactIOError(
+                f"{found['effective_config.json']} is malformed: {err}"
+            ) from None
         window, grid, _ = load_series(found["series"], cfg.train_window + 1)
         layout = cfg.recipe.layout
         targets = np.concatenate(

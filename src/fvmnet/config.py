@@ -10,7 +10,7 @@ edit the tree before validation, so a bad flag fails the same way a bad file
 does. Each section's resolved leaves are the keyword arguments of the object
 it builds. The `dataset` leaves other than `train_window` and
 `split_fraction` make one `CellLayout`, the tier-input/derivative-output
-choice that the recipe, the trained bundle and every checkpoint then carry
+choice that the recipe, the trained bundle and its saved file then carry
 whole; the layout, split fraction, network and training settings make one
 `SurrogateRecipe`, which the train, ablate and macnet commands share.
 """

@@ -7,8 +7,8 @@ a five-point tier per variable (center, axial neighbors, radial neighbors) or
 the bare cell-center values, and targets are the forward-difference time
 derivative (x_next - x) / dt or the raw next-step value. The layout is built
 once from the `dataset` config leaves, checked once on construction, carried
-whole by the recipe and the trained bundle, and written as four keys into
-every checkpoint.
+whole by the recipe and the trained bundle, and written once into the saved
+bundle.
 
 Samples are harvested only from the middle band of the channel; the inlet and
 outlet strips stay on the solver's books, which also guarantees every sampled
@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .solver import IDX, N_VARS, VARIABLES, GridSpec, Snapshot, check_consecutive
+from .solver import N_VARS, GridSpec, Snapshot, check_consecutive
 
 INPUT_MODES = ("tier", "center")
 OUTPUT_MODES = ("derivative", "absolute")
@@ -218,9 +218,6 @@ class Standardizer:
             raise DomainError(f"standardizer width {self.width}, input width {x.shape[-1]}")
         return (x - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
 
 def fit_standardizer(inputs: np.ndarray) -> Standardizer:
     """Population statistics of the given rows (training rows only, by contract)."""
@@ -247,7 +244,10 @@ def target_scale(targets: np.ndarray) -> Tuple[float, float]:
 
 @dataclass
 class DatasetSplit:
-    """Shuffled train/validation rows for one designated variable."""
+    """Shuffled train/validation rows: each row's inputs and its six targets.
+
+    Target column `IDX[v]` belongs to variable `v`.
+    """
 
     train_inputs: np.ndarray
     train_targets: np.ndarray
@@ -277,17 +277,17 @@ def build_datasets(
     layout: CellLayout = CellLayout(),
     split_fraction: float = 0.8,
     seed: int = 0,
-) -> dict:
-    """One DatasetSplit per variable, sharing inputs and shuffle.
+) -> DatasetSplit:
+    """One shuffled split of the window's samples, with a target column per variable.
 
     Every consecutive pair in the window yields one sample per middle-band
-    cell. All variables see identical input rows in identical shuffled order,
-    so an input standardizer fitted on any one train split serves them all.
+    cell. All variables share the input rows and their shuffled order, so
+    one input standardizer fitted on the train rows serves them all.
     """
     if not 0.0 < split_fraction < 1.0:
         raise DomainError(f"split_fraction must be in (0, 1), got {split_fraction}")
 
-    inputs, target_cols = _harvest(series, grid, partition, layout)
+    inputs, targets = _harvest(series, grid, partition, layout)
     total = inputs.shape[0]
     perm = np.random.default_rng(seed).permutation(total)
     n_train = int(round(split_fraction * total))
@@ -296,15 +296,9 @@ def build_datasets(
             f"split {split_fraction} leaves an empty side for {total} samples"
         )
     tr, va = perm[:n_train], perm[n_train:]
-    train_inputs, val_inputs = inputs[tr], inputs[va]
-
-    out = {}
-    for v in VARIABLES:
-        col = target_cols[:, IDX[v]]
-        out[v] = DatasetSplit(
-            train_inputs=train_inputs,
-            train_targets=col[tr],
-            val_inputs=val_inputs,
-            val_targets=col[va],
-        )
-    return out
+    return DatasetSplit(
+        train_inputs=inputs[tr],
+        train_targets=targets[tr],
+        val_inputs=inputs[va],
+        val_targets=targets[va],
+    )

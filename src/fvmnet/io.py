@@ -1,4 +1,4 @@
-"""On-disk artifact formats: series, checkpoints, reports, traces.
+"""On-disk artifact formats: series, trained bundles, reports, traces.
 
 Every format round-trips bit-exactly: snapshots are stored as raw float64
 arrays, and elsewhere floats are written with repr (the shortest decimal
@@ -9,11 +9,11 @@ separate timing sidecars to keep the main artifacts deterministic.
 
 Every file is written through `atomic_writer`: the data goes to a temporary
 file beside the target, which replaces the target only once complete, so an
-interrupted write never leaves a partial file under the final name. A save
-of several files first removes the directory's old manifest and writes the
-new one last: the series manifest lists the snapshots, and the bundle
-manifest holds the sha256 of the standardizer and each checkpoint, so a
-bundle saved only in part, or mixed from two saves, is refused on load.
+interrupted write never leaves a partial file under the final name. A
+trained bundle is one such file, `bundle.json`: its standardizer, cell
+layout and six networks are replaced together or not at all. A series is
+several files, so its save first removes the old manifest and writes the new
+one last, listing the snapshots.
 
 A series is one `.npy` file per snapshot (written by `np.save`, read back by
 `np.load` with pickles refused) plus its manifest. It is read as much as its
@@ -22,22 +22,20 @@ record, time gap and listed file) but loads only the first `count`
 snapshots, so each command reads just the snapshots it works on.
 
 The grid and physical-parameter records of the series manifest, the
-checkpoint `spec` and its four cell-layout keys (`input_mode`, `output_mode`,
-`wall_policy`, `wall_values`: the bundle's one `CellLayout`, which every
-checkpoint repeats and sibling checkpoints must agree on), each
-`train_reports.json` entry and the trace header and its phase, retrain and
-fallback entries are their dataclass's fields, written by
+bundle's `layout` (its one `CellLayout`), `standardizer` and each network's
+`spec`, each `train_reports.json` entry and the trace header and its phase,
+retrain and fallback entries are their dataclass's fields, written by
 `dataclasses.asdict` and read back by `_record`. Adding a field to one of
 those dataclasses therefore changes the file format and needs its format tag
 bumped. A malformed file (a missing or unknown key, a value of the wrong type,
-or one the record's own checks refuse; a snapshot file that is not the
-`.npy` of a C-order little-endian float64 (6, m, n) array) raises
-ArtifactIOError naming the file, which the CLI reports with exit code 4.
+or one the record's own checks refuse; a bundle without exactly one network
+per variable; a snapshot file that is not the `.npy` of a C-order
+little-endian float64 (6, m, n) array) raises ArtifactIOError naming the
+file, which the CLI reports with exit code 4.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -58,19 +56,14 @@ from .training import TrainConfig, TrainReport, config_digest
 SERIES_FORMAT = "fvmnet-series-2"
 # Every snapshot file holds a C-order array of this dtype, whatever the host.
 SNAPSHOT_DTYPE = np.dtype("<f8")
-CHECKPOINT_FORMAT = "fvmnet-checkpoint-1"
-STANDARDIZER_FORMAT = "fvmnet-standardizer-1"
-STANDARDIZER_FILE = "standardizer.json"
-BUNDLE_FORMAT = "fvmnet-bundle-1"
-BUNDLE_MANIFEST = "manifest.json"
+BUNDLE_FORMAT = "fvmnet-bundle-2"
+BUNDLE_FILE = "bundle.json"
 TRACE_FORMAT = "fvmnet-trace-1"
 # The MacnetTrace fields trace.json holds; the wall-clock ones stay out.
 TRACE_FIELDS = (
     "horizon", "cfd_window", "tolerance", "max_ml_steps",
     "phases", "retrains", "fallbacks",
 )
-# The CellLayout fields every checkpoint repeats; siblings must agree on them.
-MODE_FIELDS = tuple(f.name for f in fields(CellLayout))
 
 
 @contextmanager
@@ -100,28 +93,22 @@ def _remove_stale(path: str) -> None:
         pass
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def dump_json(path: str, payload, digests: Optional[Dict[str, str]] = None) -> str:
+def dump_json(path: str, payload) -> str:
     """Write JSON deterministically: sorted keys, 2-space indent, one trailing \\n.
 
-    With `digests`, also record the sha256 of the written text under the
-    file's base name.
+    The text is streamed to the file, never built whole; a numpy array in
+    `payload` is written as the nested list of its values.
     """
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with atomic_writer(path) as fh:
-        fh.write(text)
-    if digests is not None:
-        digests[os.path.basename(path)] = _sha256(text)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        fh.write("\n")
     return path
 
 
-def read_json(path: str):
+def read_json(path: str, object_hook=None):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except FileNotFoundError:
         raise ArtifactIOError(f"file not found: {path}") from None
     except json.JSONDecodeError as err:
@@ -330,11 +317,7 @@ def load_series(
     return series, grid, params
 
 
-# ----- standardizer and network checkpoints -----
-
-
-def checkpoint_path(out_dir: str, variable: str) -> str:
-    return os.path.join(out_dir, f"checkpoint_{variable}.json")
+# ----- trained surrogate bundle -----
 
 
 def save_bundle(
@@ -342,66 +325,48 @@ def save_bundle(
     bundle: SurrogateBundle,
     seed: int,
     train_config: TrainConfig,
-) -> List[str]:
-    """Write standardizer.json, one checkpoint per variable, then manifest.json.
+) -> str:
+    """Write the whole bundle as one bundle.json; returns its path.
 
-    Returns the paths written. The manifest goes last and names the sha256 of
-    every other file; an earlier one is removed first, since it would vouch
-    for files this save overwrites.
+    The weight and bias arrays go to `dump_json` as they are, so only one
+    matrix at a time is turned into Python floats.
     """
     os.makedirs(out_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, BUNDLE_MANIFEST)
-    _remove_stale(manifest_path)
-    digests: Dict[str, str] = {}
-    paths = [
-        dump_json(
-            os.path.join(out_dir, STANDARDIZER_FILE),
-            {"format": STANDARDIZER_FORMAT, **bundle.standardizer.to_dict()},
-            digests,
-        )
-    ]
-    digest = config_digest(train_config)
+    networks = {}
     for v in VARIABLES:
         net = bundle.networks[v]
-        mean, std = bundle.target_scales[v]
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "variable": v,
+        networks[v] = {
             "spec": asdict(net.spec),
             "param_count": param_count(net.spec),
-            "seed": int(seed),
-            "train_config_digest": digest,
-            "standardizer_file": STANDARDIZER_FILE,
-            "target_scale": [mean, std],
-            **asdict(bundle.layout),
-            "weights": [w.tolist() for w in net.weights],
-            "biases": [b.tolist() for b in net.biases],
+            "target_scale": list(bundle.target_scales[v]),
+            "weights": net.weights,
+            "biases": net.biases,
         }
-        paths.append(dump_json(checkpoint_path(out_dir, v), payload, digests))
-    paths.append(
-        dump_json(manifest_path, {"format": BUNDLE_FORMAT, "files": digests})
-    )
-    return paths
+    payload = {
+        "format": BUNDLE_FORMAT,
+        "seed": int(seed),
+        "train_config_digest": config_digest(train_config),
+        "layout": asdict(bundle.layout),
+        "standardizer": asdict(bundle.standardizer),
+        "networks": networks,
+    }
+    return dump_json(os.path.join(out_dir, BUNDLE_FILE), payload)
 
 
-def _read_verified(path: str, digests: Mapping[str, str]):
-    """Parse one bundle file after checking its text against the manifest."""
-    name = os.path.basename(path)
-    if name not in digests:
-        raise ArtifactIOError(f"bundle manifest does not list {path}")
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ArtifactIOError(f"file not found: {path}") from None
-    if _sha256(text) != digests[name]:
-        raise ArtifactIOError(
-            f"{path} does not match the sha256 in the bundle manifest"
-        )
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ArtifactIOError(f"corrupt JSON in {path}: {err}") from None
+def _network_arrays(obj: dict) -> dict:
+    """`json` object hook: a network entry's weights and biases as float64 arrays.
+
+    Converting each entry as soon as it is parsed keeps only one network's
+    Python floats alive at a time. A list that does not convert is left as
+    parsed, for `_arrays` to refuse naming the file.
+    """
+    for key in ("weights", "biases"):
+        if isinstance(obj.get(key), list):
+            try:
+                obj[key] = [np.asarray(a, dtype=np.float64) for a in obj[key]]
+            except (TypeError, ValueError):
+                pass
+    return obj
 
 
 def _arrays(payload, key: str, path: str) -> List[np.ndarray]:
@@ -412,47 +377,36 @@ def _arrays(payload, key: str, path: str) -> List[np.ndarray]:
 
 
 def load_bundle(out_dir: str) -> SurrogateBundle:
-    manifest_path = os.path.join(out_dir, BUNDLE_MANIFEST)
-    if not os.path.exists(manifest_path):
-        raise ArtifactIOError(f"bundle manifest not found: {manifest_path}")
-    manifest = read_json(manifest_path)
-    _expect_format(manifest, BUNDLE_FORMAT, manifest_path)
-    digests = _get(manifest, "files", manifest_path, dict)
-    path = os.path.join(out_dir, STANDARDIZER_FILE)
-    payload = _read_verified(path, digests)
-    _expect_format(payload, STANDARDIZER_FORMAT, path)
-    del payload["format"]
-    standardizer = _record(Standardizer, payload, path)
+    """The bundle `save_bundle` wrote to `out_dir`, with exactly one network per variable."""
+    path = os.path.join(out_dir, BUNDLE_FILE)
+    payload = read_json(path, _network_arrays)
+    _expect_format(payload, BUNDLE_FORMAT, path)
+    layout = _record(CellLayout, _get(payload, "layout", path), path)
+    standardizer = _record(Standardizer, _get(payload, "standardizer", path), path)
+    entries = _get(payload, "networks", path, dict)
+    if sorted(entries) != sorted(VARIABLES):
+        raise ArtifactIOError(
+            f"{path} holds networks for {sorted(entries)}, expected {sorted(VARIABLES)}"
+        )
     networks: Dict[str, Network] = {}
     scales: Dict[str, Tuple[float, float]] = {}
-    layouts: List[CellLayout] = []
     for v in VARIABLES:
-        path = checkpoint_path(out_dir, v)
-        payload = _read_verified(path, digests)
-        _expect_format(payload, CHECKPOINT_FORMAT, path)
-        stored = _get(payload, "variable", path)
-        if stored != v:
-            raise ArtifactIOError(f"{path} stores variable {stored!r}, expected {v!r}")
-        spec = _record(NetworkSpec, _get(payload, "spec", path), path)
-        weights, biases = _arrays(payload, "weights", path), _arrays(payload, "biases", path)
+        entry, where = entries[v], f"{path} network {v!r}"
+        spec = _record(NetworkSpec, _get(entry, "spec", where), where)
+        weights, biases = _arrays(entry, "weights", where), _arrays(entry, "biases", where)
         sizes = spec.layer_sizes()
         if [w.shape for w in weights] != sizes or [b.shape for b in biases] != [
             (fan_out,) for _, fan_out in sizes
         ]:
-            raise ArtifactIOError(f"{path} holds weights that do not fit its spec")
+            raise ArtifactIOError(f"{where} holds weights that do not fit its spec")
         networks[v] = Network(spec=spec, weights=weights, biases=biases)
-        scale = _get(payload, "target_scale", path, list)
+        scale = _get(entry, "target_scale", where, list)
         if len(scale) != 2 or not all(isinstance(s, (int, float)) for s in scale):
-            raise ArtifactIOError(f"{path} target_scale is not two numbers: {scale!r}")
+            raise ArtifactIOError(f"{where} target_scale is not two numbers: {scale!r}")
         scales[v] = (float(scale[0]), float(scale[1]))
-        layouts.append(
-            _record(CellLayout, {k: _get(payload, k, path) for k in MODE_FIELDS}, path)
-        )
-        if layouts[-1] != layouts[0]:
-            raise ArtifactIOError(f"{path} disagrees with its sibling checkpoints on the layout")
     record = dict(networks=networks, standardizer=standardizer, target_scales=scales,
-                  layout=layouts[0])
-    return _record(SurrogateBundle, record, out_dir)
+                  layout=layout)
+    return _record(SurrogateBundle, record, path)
 
 
 def save_train_reports(out_dir: str, reports: Mapping[str, TrainReport]) -> str:

@@ -4,7 +4,7 @@ A SurrogateRecipe names how a bundle is trained (network spec, training
 settings, the `CellLayout` of tier or center inputs, derivative or absolute
 targets and wall handling, and the split fraction) and checks that the spec
 fits the layout's width; `train_bundle` turns a snapshot window and a recipe
-into a SurrogateBundle, which carries the same layout to its checkpoints.
+into a SurrogateBundle, which carries the same layout into its saved file.
 The bundle advances the middle band of the domain one Euler step at a time
 while the reference solver keeps advancing the inlet and outlet strips.
 Three evaluation modes compare the result against a stored truth series:
@@ -504,7 +504,7 @@ def train_bundle(
         if warm_from.layout != recipe.layout:
             raise DomainError("warm start requires a matching cell layout")
 
-    splits = build_datasets(
+    data = build_datasets(
         series,
         grid,
         partition,
@@ -512,17 +512,17 @@ def train_bundle(
         recipe.split_fraction,
         derived_seed(seed, "split"),
     )
-    shared = splits[VARIABLES[0]]
-    standardizer = fit_standardizer(shared.train_inputs)
-    z_train = standardizer.apply(shared.train_inputs)
-    z_val = standardizer.apply(shared.val_inputs)
+    standardizer = fit_standardizer(data.train_inputs)
+    z_train = standardizer.apply(data.train_inputs)
+    z_val = standardizer.apply(data.val_inputs)
 
     networks: Dict[str, Network] = {}
     reports: Dict[str, TrainReport] = {}
     scales: Dict[str, Tuple[float, float]] = {}
     for v in VARIABLES:
-        split = splits[v]
-        mean, std = target_scale(split.train_targets)
+        train_targets = data.train_targets[:, IDX[v]]
+        val_targets = data.val_targets[:, IDX[v]]
+        mean, std = target_scale(train_targets)
         if warm_from is not None:
             net = warm_from.networks[v].copy()
         else:
@@ -531,9 +531,9 @@ def train_bundle(
         net, report = train(
             net,
             z_train,
-            (split.train_targets - mean) / std,
+            (train_targets - mean) / std,
             z_val,
-            (split.val_targets - mean) / std,
+            (val_targets - mean) / std,
             config,
         )
         networks[v] = net

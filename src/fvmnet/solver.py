@@ -27,7 +27,7 @@ from .errors import BlowupError, DomainError, StabilityError
 
 log = logging.getLogger(__name__)
 
-# Variable order is fixed everywhere: snapshots, tier vectors, checkpoints.
+# Variable order is fixed everywhere: snapshots, tier vectors, saved bundles.
 VARIABLES: Tuple[str, ...] = ("v_x", "v_r", "T", "X_fuel", "X_prod", "X_ox")
 IDX = {name: k for k, name in enumerate(VARIABLES)}
 N_VARS = len(VARIABLES)

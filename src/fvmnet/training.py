@@ -236,5 +236,5 @@ def derived_seed(base: int, *parts) -> int:
 
 
 def config_digest(config: TrainConfig) -> str:
-    """Short stable digest of the hyperparameters, for checkpoint headers."""
+    """Short stable digest of the hyperparameters, for saved bundles."""
     return hashlib.sha256(repr(replace(config)).encode()).hexdigest()[:12]

@@ -18,10 +18,11 @@ from fvmnet.io import (
     load_series,
     load_trace,
     read_csv,
+    save_series,
     write_trace,
 )
 from fvmnet.macnet import MacnetTrace, Phase, validate_trace
-from fvmnet.solver import VARIABLES
+from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot
 
 SMALL = {
     "grid": {"m": 24, "n": 8, "dx": 0.001, "dr": 0.001, "dt": 0.001},
@@ -109,13 +110,9 @@ def test_generate_burn_in_advances_time(generated):
 def test_train_writes_checkpoints_and_reports(trained, capsys):
     _, out = trained
     model = os.path.join(out, "model")
-    names = sorted(os.listdir(model))
-    assert "standardizer.json" in names
-    assert "train_reports.json" in names
-    for v in VARIABLES:
-        assert f"checkpoint_{v}.json" in names
-    payload = json.loads(read_bytes(os.path.join(model, "checkpoint_T.json")))
-    assert payload["param_count"] == 10369
+    assert sorted(os.listdir(model)) == ["bundle.json", "train_reports.json"]
+    payload = json.loads(read_bytes(os.path.join(model, "bundle.json")))
+    assert payload["networks"]["T"]["param_count"] == 10369
     bundle = load_bundle(model)
     assert bundle.networks["T"].spec.hidden == (64, 64, 64)
 
@@ -414,6 +411,7 @@ REPORT_INPUTS = {
         {"T": {"best_val_loss": 0.5, "best_epoch": 3, "epochs_run": 4}}
     ),
     "macnet/macnet_timing.csv": MACNET_TIMING_HEADER + "\n9.5,3.25,2.0,1.5,2.5,0.6\n",
+    "effective_config.json": json.dumps({"grid": SMALL["grid"], "partition": SMALL["partition"]}),
 }
 # (artifact, malformed text)
 MALFORMED_REPORT_INPUTS = {
@@ -433,6 +431,11 @@ MALFORMED_REPORT_INPUTS = {
     "macnet-timing-non-numeric": (
         "macnet/macnet_timing.csv", MACNET_TIMING_HEADER + "\n9.5,3.25,2.0,abc,2.5,0.6\n"
     ),
+    "config-truncated": ("effective_config.json", '{"grid": '),
+    "config-string-grid-size": ("effective_config.json", json.dumps({"grid": {"m": "96"}})),
+    "config-partition-off-grid": (
+        "effective_config.json", json.dumps({"grid": SMALL["grid"], "partition": {"m_star": 12}})
+    ),
 }
 
 
@@ -441,10 +444,15 @@ def test_report_malformed_input_exits_4_naming_the_file(tmp_path, capsys, case):
     rel, text = MALFORMED_REPORT_INPUTS[case]
     run = tmp_path / "run"
     (run / "model").mkdir(parents=True)
-    # report reads macnet_timing.csv only beside a trace.
+    # report reads macnet_timing.csv only beside a trace, and
+    # effective_config.json only beside a series.
     trace = MacnetTrace(horizon=2, cfd_window=2, tolerance=5.0, max_ml_steps=1)
     trace.phases.append(Phase("CFD", 0, 2, ended_by="horizon"))
     write_trace(str(run / "macnet"), trace)
+    grid = GridSpec(**SMALL["grid"])
+    series = [Snapshot(np.zeros((len(VARIABLES), grid.m, grid.n)), k * grid.dt) for k in range(2)]
+    params = PhysicalParams(diffusivity={v: 1e-4 for v in VARIABLES[2:]})
+    save_series(str(run / "series"), series, grid, params)
     path = run / rel
     path.write_text(REPORT_INPUTS[rel])
     assert run_cli("report", "--out", str(run)) == 0

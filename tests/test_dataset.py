@@ -1,7 +1,7 @@
 """Dataset extraction tests: stencil layout, targets, standardizer, splits."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -288,7 +288,7 @@ def test_standardizer_width_and_serialization():
     s = fit_standardizer(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(DomainError):
         s.apply(np.zeros((4, 3)))
-    clone = Standardizer(**s.to_dict())
+    clone = Standardizer(**asdict(s))
     np.testing.assert_array_equal(clone.mean, s.mean)
     np.testing.assert_array_equal(clone.std, s.std)
 
@@ -306,7 +306,7 @@ def series_fixture(pairs=1, m=12, n=5, dt=0.001, seed=30):
 def test_sample_count_matches_band_times_pairs():
     series, grid = series_fixture(pairs=3, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    ds = build_datasets(series, grid, part, seed=1)["T"]
+    ds = build_datasets(series, grid, part, seed=1)
     n_total = ds.train_inputs.shape[0] + ds.val_inputs.shape[0]
     assert n_total == 3 * (part.m - 2 * part.m_star) * 5
 
@@ -314,7 +314,7 @@ def test_sample_count_matches_band_times_pairs():
 def test_desk_scale_sample_count():
     series, grid = series_fixture(pairs=1, m=96, n=24)
     part = DomainPartition(m=96, m_star=16)
-    ds = build_datasets(series, grid, part, seed=1)["T"]
+    ds = build_datasets(series, grid, part, seed=1)
     assert ds.train_inputs.shape[0] + ds.val_inputs.shape[0] == 1536
     assert ds.train_inputs.shape == (round(0.8 * 1536), 30)
     assert ds.val_inputs.shape[0] == 1536 - round(0.8 * 1536)
@@ -323,7 +323,7 @@ def test_desk_scale_sample_count():
 def test_split_preserves_the_sample_multiset():
     series, grid = series_fixture(pairs=2, m=10, n=4)
     part = DomainPartition(m=10, m_star=2)
-    ds = build_datasets(series, grid, part, seed=7)["X_fuel"]
+    ds = build_datasets(series, grid, part, seed=7)
     joined = np.concatenate(
         [
             np.column_stack([ds.train_inputs, ds.train_targets]),
@@ -333,10 +333,7 @@ def test_split_preserves_the_sample_multiset():
     layout = CellLayout()
     raw_inputs = np.concatenate([layout.inputs(s, part) for s in series[:-1]], axis=0)
     raw_targets = np.concatenate(
-        [
-            layout.targets(a, b, part, grid.dt)[:, IDX["X_fuel"]]
-            for a, b in zip(series[:-1], series[1:])
-        ]
+        [layout.targets(a, b, part, grid.dt) for a, b in zip(series[:-1], series[1:])]
     )
     raw = np.column_stack([raw_inputs, raw_targets])
     key = lambda m: m[np.lexsort(m.T[::-1])]
@@ -346,9 +343,9 @@ def test_split_preserves_the_sample_multiset():
 def test_split_is_seed_deterministic_and_seed_sensitive():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    a = build_datasets(series, grid, part, seed=3)["T"]
-    b = build_datasets(series, grid, part, seed=3)["T"]
-    c = build_datasets(series, grid, part, seed=4)["T"]
+    a = build_datasets(series, grid, part, seed=3)
+    b = build_datasets(series, grid, part, seed=3)
+    c = build_datasets(series, grid, part, seed=4)
     np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
     np.testing.assert_array_equal(a.train_targets, b.train_targets)
     assert not np.array_equal(a.train_inputs, c.train_inputs)
@@ -357,19 +354,21 @@ def test_split_is_seed_deterministic_and_seed_sensitive():
 def test_variables_share_inputs_and_shuffle():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    splits = build_datasets(series, grid, part, seed=5)
-    np.testing.assert_array_equal(splits["T"].train_inputs, splits["X_ox"].train_inputs)
-    assert not np.array_equal(splits["T"].train_targets, splits["X_ox"].train_targets)
+    ds = build_datasets(series, grid, part, seed=5)
+    # One row of inputs per sample, with one target column per variable.
+    assert ds.train_targets.shape == (ds.train_inputs.shape[0], N_VARS)
+    assert ds.val_targets.shape == (ds.val_inputs.shape[0], N_VARS)
+    assert not np.array_equal(ds.train_targets[:, IDX["T"]], ds.train_targets[:, IDX["X_ox"]])
 
 
 def test_center_mode_and_absolute_mode():
     series, grid = series_fixture(pairs=1, m=12, n=5)
     part = DomainPartition(m=12, m_star=3)
-    ds = build_datasets(series, grid, part, CellLayout("center", "absolute"), seed=2)["T"]
+    ds = build_datasets(series, grid, part, CellLayout("center", "absolute"), seed=2)
     assert ds.train_inputs.shape[1] == N_VARS
     # Absolute targets are next-step values; all train targets must appear in
     # the next snapshot's temperature plane.
-    assert set(np.round(ds.train_targets, 12)).issubset(
+    assert set(np.round(ds.train_targets[:, IDX["T"]], 12)).issubset(
         set(np.round(series[1].values[IDX["T"]].ravel(), 12))
     )
 

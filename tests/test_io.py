@@ -1,11 +1,10 @@
 """Round-trip and determinism checks for the on-disk artifact formats."""
 
-import hashlib
 import json
 import os
 import pickle
 from dataclasses import replace
-from io import BytesIO
+from io import BytesIO, StringIO
 
 import numpy as np
 import pytest
@@ -39,10 +38,10 @@ from fvmnet.macnet import (
     RetrainEvent,
     validate_trace,
 )
-from fvmnet.network import NetworkSpec, init_network
+from fvmnet.network import Network, NetworkSpec, init_network
 from fvmnet.rollout import RolloutReport, StepRecord, SurrogateBundle
 from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
-from fvmnet.training import TrainConfig, TrainReport
+from fvmnet.training import TrainConfig, TrainReport, config_digest
 
 GRID = GridSpec(m=12, n=4, dx=0.01, dr=0.01, dt=0.002)
 PARAMS = PhysicalParams(
@@ -306,56 +305,42 @@ def test_bundle_rewrite_is_byte_identical(tmp_path):
 def test_checkpoint_records_config_digest_and_count(tmp_path):
     bundle = make_bundle()
     save_bundle(str(tmp_path), bundle, seed=7, train_config=TrainConfig())
-    payload = json.loads(open(tmp_path / "checkpoint_T.json").read())
-    assert payload["param_count"] == TIER_WIDTH * 5 + 5 + 5 + 1
+    assert sorted(os.listdir(tmp_path)) == ["bundle.json"]
+    payload = read_json(str(tmp_path / "bundle.json"))
+    assert payload["networks"]["T"]["param_count"] == TIER_WIDTH * 5 + 5 + 5 + 1
     assert len(payload["train_config_digest"]) == 12
-    assert payload["standardizer_file"] == "standardizer.json"
     assert payload["seed"] == 7
 
 
 def test_missing_checkpoint_is_reported(tmp_path):
     bundle = make_bundle()
     save_bundle(str(tmp_path), bundle, seed=0, train_config=TrainConfig())
-    os.remove(tmp_path / "checkpoint_T.json")
-    with pytest.raises(ArtifactIOError, match="not found"):
+    os.remove(tmp_path / "bundle.json")
+    with pytest.raises(ArtifactIOError, match="file not found: .*bundle.json"):
         load_bundle(str(tmp_path))
 
 
-def test_interrupted_bundle_save_leaves_a_bundle_that_will_not_load(tmp_path, monkeypatch):
+def test_interrupted_bundle_save_leaves_the_earlier_bundle(tmp_path, monkeypatch):
     save_bundle(str(tmp_path), make_bundle(), seed=1, train_config=TrainConfig())
-    calls = []
-    real_dump = fvmnet.io.dump_json
+    earlier = read_bytes(tmp_path / "bundle.json")
+    real_dump = json.dump
 
-    def failing_dump(*args, **kwargs):
-        calls.append(args[0])
-        if len(calls) == 4:  # standardizer and two checkpoints are rewritten
-            raise OSError("disk full")
-        return real_dump(*args, **kwargs)
+    def failing_dump(payload, fh, **kwargs):  # writes half the text, then fails
+        buf = StringIO()
+        real_dump(payload, buf, **kwargs)
+        fh.write(buf.getvalue()[: len(buf.getvalue()) // 2])
+        raise OSError("disk full")
 
-    monkeypatch.setattr(fvmnet.io, "dump_json", failing_dump)
+    monkeypatch.setattr(fvmnet.io.json, "dump", failing_dump)
     with pytest.raises(OSError, match="disk full"):
-        save_bundle(str(tmp_path), make_bundle(), seed=0, train_config=TrainConfig())
+        save_bundle(str(tmp_path), make_bundle(1), seed=0, train_config=TrainConfig())
     monkeypatch.undo()
-    seeds = [read_json(str(tmp_path / f"checkpoint_{v}.json"))["seed"] for v in VARIABLES]
-    assert seeds == [0, 0, 1, 1, 1, 1]
-    with pytest.raises(ArtifactIOError, match="manifest not found"):
-        load_bundle(str(tmp_path))
-
-
-def test_bundle_files_must_match_the_manifest(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    save_bundle(str(a), make_bundle(), seed=1, train_config=TrainConfig())
-    save_bundle(str(b), make_bundle(), seed=0, train_config=TrainConfig())
-    manifest = read_json(str(a / "manifest.json"))
-    assert manifest["format"] == "fvmnet-bundle-1"
-    assert sorted(manifest["files"]) == sorted(
-        ["standardizer.json"] + [f"checkpoint_{v}.json" for v in VARIABLES]
-    )
-    load_bundle(str(a))
-    # A checkpoint from another save is whole, but not the one the manifest names.
-    (a / "checkpoint_X_ox.json").write_bytes((b / "checkpoint_X_ox.json").read_bytes())
-    with pytest.raises(ArtifactIOError, match="sha256"):
-        load_bundle(str(a))
+    # No temporary file is left, and the earlier save still loads whole.
+    assert sorted(os.listdir(tmp_path)) == ["bundle.json"]
+    assert read_bytes(tmp_path / "bundle.json") == earlier
+    assert read_json(str(tmp_path / "bundle.json"))["seed"] == 1
+    back = load_bundle(str(tmp_path))
+    assert np.array_equal(back.networks["T"].weights[0], make_bundle().networks["T"].weights[0])
 
 
 def test_train_reports_file_lists_losses(tmp_path):
@@ -627,6 +612,43 @@ def test_record_formats_are_pinned(tmp_path):
         }
     )
 
+    layout = CellLayout("center", "absolute", "wall_value", range(6))
+    spec = NetworkSpec(len(VARIABLES), (), 1)  # a linear map: 6 weights, 1 bias
+    bundle = SurrogateBundle(
+        networks={
+            v: Network(spec, [np.full((6, 1), 0.5 * k)], [np.array([k + 0.25])])
+            for k, v in enumerate(VARIABLES)
+        },
+        standardizer=Standardizer(mean=np.arange(6.0), std=np.full(6, 2.0)),
+        target_scales={v: (0.125 * k, 1.5) for k, v in enumerate(VARIABLES)},
+        layout=layout,
+    )
+    path = save_bundle(str(tmp_path / "model"), bundle, seed=3, train_config=TrainConfig())
+    assert open(path).read() == json_text(
+        {
+            "format": "fvmnet-bundle-2",
+            "layout": {
+                "input_mode": "center",
+                "output_mode": "absolute",
+                "wall_policy": "wall_value",
+                "wall_values": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+            },
+            "networks": {
+                v: {
+                    "biases": [[k + 0.25]],
+                    "param_count": 7,
+                    "spec": {"activation": "relu", "hidden": [], "n_inputs": 6, "n_outputs": 1},
+                    "target_scale": [0.125 * k, 1.5],
+                    "weights": [[[0.5 * k]] * 6],
+                }
+                for k, v in enumerate(VARIABLES)
+            },
+            "seed": 3,
+            "standardizer": {"mean": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "std": [2.0] * 6},
+            "train_config_digest": config_digest(TrainConfig()),
+        }
+    )
+
     report = TrainReport(
         train_losses=[1.0, 0.5], val_losses=[1.25, 0.75], best_epoch=1,
         stopped_epoch=1, best_val_loss=0.75, param_snapshot_id="ab" * 6,
@@ -656,14 +678,23 @@ MALFORMED = {
     "trace-missing-key": ("trace", lambda p: p.pop("horizon")),
     "trace-unknown-key": ("trace", lambda p: p["phases"][1].update(bogus=1)),
     "trace-missing-event-key": ("trace", lambda p: p["retrains"][0].pop("denominator")),
-    "checkpoint-missing-key": ("checkpoint", lambda p: p["spec"].pop("activation")),
-    "checkpoint-unknown-key": ("checkpoint", lambda p: p["spec"].update(dropout=0.5)),
-    "checkpoint-missing-scale": ("checkpoint", lambda p: p.pop("target_scale")),
-    "checkpoint-string-width": ("checkpoint", lambda p: p["spec"].update(n_inputs="30")),
-    "checkpoint-weights-off-spec": ("checkpoint", lambda p: p["weights"][0].pop()),
-    # A valid layout that its sibling checkpoints do not share.
-    "checkpoint-sibling-layout": (
-        "checkpoint", lambda p: p.update(wall_policy="wall_value", wall_values=[0.0] * 6)
+    "checkpoint-missing-key": (
+        "checkpoint", lambda p: p["networks"]["T"]["spec"].pop("activation")
+    ),
+    "checkpoint-unknown-key": (
+        "checkpoint", lambda p: p["networks"]["T"]["spec"].update(dropout=0.5)
+    ),
+    "checkpoint-missing-scale": ("checkpoint", lambda p: p["networks"]["T"].pop("target_scale")),
+    "checkpoint-string-width": (
+        "checkpoint", lambda p: p["networks"]["T"]["spec"].update(n_inputs="30")
+    ),
+    "checkpoint-weights-off-spec": ("checkpoint", lambda p: p["networks"]["T"]["weights"][0].pop()),
+    "checkpoint-string-weight": (
+        "checkpoint", lambda p: p["networks"]["T"]["weights"][1][0].__setitem__(0, "x")
+    ),
+    "checkpoint-missing-network": ("checkpoint", lambda p: p["networks"].pop("X_ox")),
+    "checkpoint-extra-network": (
+        "checkpoint", lambda p: p["networks"].update(rho=p["networks"]["T"])
     ),
 }
 
@@ -682,21 +713,14 @@ def test_malformed_artifact_exits_4_naming_the_file(tmp_path, capsys, case):
     else:
         model = str(tmp_path / "model")
         save_bundle(model, make_bundle(), seed=0, train_config=TrainConfig())
-        target = os.path.join(model, "checkpoint_T.json")
+        target = os.path.join(model, "bundle.json")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"grid": vars(GRID), "partition": {"m_star": 3}}))
         argv = ["rollout", "--config", str(config), "--manifest", manifest,
                 "--model", model, "--out", run]
     payload = read_json(target)
     breakage(payload)
-    text = json_text(payload)
     with open(target, "w") as fh:
-        fh.write(text)
-    if artifact == "checkpoint":  # keep the bundle manifest vouching for the edit
-        bundle_manifest = read_json(os.path.join(model, "manifest.json"))
-        bundle_manifest["files"]["checkpoint_T.json"] = hashlib.sha256(
-            text.encode()
-        ).hexdigest()
-        dump_json(os.path.join(model, "manifest.json"), bundle_manifest)
+        fh.write(json_text(payload))
     assert main(argv) == 4
     assert target in capsys.readouterr().err
