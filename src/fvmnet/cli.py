@@ -17,13 +17,7 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .errors import (
-    ArtifactIOError,
-    ConfigurationError,
-    DomainError,
-    NumericalError,
-    StabilityError,
-)
+from .errors import ArtifactIOError, ConfigurationError, NumericalError
 
 log = logging.getLogger("fvmnet.cli")
 
@@ -223,19 +217,26 @@ def _load_series_checked(cfg, args, count):
     return series, grid, params
 
 
+def _burned_in_state(cfg):
+    """The configured initial snapshot advanced `cfg.burn_in` solver steps."""
+    from .solver import step
+
+    state = cfg.initial_snapshot()
+    for _ in range(cfg.burn_in):
+        state = step(state, cfg.grid, cfg.params)
+    return state
+
+
 # ----- commands -----
 
 
 def cmd_generate(args) -> int:
     from .io import save_series
-    from .solver import simulate, step
+    from .solver import simulate
 
     cfg = _load_cfg(args)
     _echo_config(cfg)
-    state = cfg.initial_snapshot()
-    for _ in range(cfg.burn_in):
-        state = step(state, cfg.grid, cfg.params)
-    series = simulate(state, cfg.grid, cfg.params, cfg.generate_horizon)
+    series = simulate(_burned_in_state(cfg), cfg.grid, cfg.params, cfg.generate_horizon)
     manifest = save_series(
         os.path.join(cfg.out, "series"),
         series,
@@ -446,15 +447,13 @@ def cmd_macnet(args) -> int:
 
     from .io import write_audit, write_csv, write_trace
     from .macnet import hybrid_error_audit, run, step_costs, validate_trace
-    from .solver import simulate, step
+    from .solver import simulate
 
     if args.tolerance is not None:
         args.overrides = list(args.overrides) + [f"macnet.tolerance={args.tolerance}"]
     cfg = _load_cfg(args)
     _echo_config(cfg)
-    state = cfg.initial_snapshot()
-    for _ in range(cfg.burn_in):
-        state = step(state, cfg.grid, cfg.params)
+    state = _burned_in_state(cfg)
 
     t0 = time.perf_counter()
     truth = simulate(state, cfg.grid, cfg.params, cfg.macnet.horizon)
@@ -612,7 +611,7 @@ def cmd_report(args) -> int:
     if "series" in found and "effective_config.json" in found:
         try:
             cfg = load_config(found["effective_config.json"])
-        except (ConfigurationError, DomainError) as err:
+        except ConfigurationError as err:
             # The run's own config is an artifact here, not user input.
             raise ArtifactIOError(
                 f"{found['effective_config.json']} is malformed: {err}"
@@ -710,7 +709,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, StabilityError) as err:
+    except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as err:

@@ -241,7 +241,7 @@ def save_series(
 
 
 def _load_snapshot(path: str, m: int, n: int, time_: float) -> Snapshot:
-    """Read one snapshot file, refusing anything `save_series` would not write."""
+    """Read one snapshot file, refusing all but a finite array as `save_series` writes it."""
     try:
         with open(path, "rb") as fh:
             values = np.load(fh, allow_pickle=False)
@@ -265,6 +265,9 @@ def _load_snapshot(path: str, m: int, n: int, time_: float) -> Snapshot:
         )
     if trailing:
         raise ArtifactIOError(f"{path} has bytes after its array")
+    if not np.isfinite(values).all():
+        k, i, j = np.argwhere(~np.isfinite(values))[0]
+        raise ArtifactIOError(f"{path} holds a non-finite {VARIABLES[k]} at cell ({i}, {j})")
     return Snapshot(values, time_)
 
 

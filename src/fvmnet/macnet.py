@@ -19,8 +19,8 @@ from .dataset import DomainPartition
 from .errors import DomainError, MacnetAbortError, TrainingDivergedError
 from .rollout import (
     SurrogateRecipe,
+    band_errors,
     predict_step,
-    relative_error,
     residual_denominator,
     scaled_residual,
     train_bundle,
@@ -410,10 +410,7 @@ def hybrid_error_audit(
     for phase in trace.phases:
         for k in range(phase.start + 1, phase.end + 1):
             mode_at[k] = phase.mode
-    rows = []
-    for k in range(1, len(series)):
-        maxes, means = {}, {}
-        for v in VARIABLES:
-            maxes[v], means[v] = relative_error(series[k], truth[k], v, partition)
-        rows.append(AuditRow(step=k, mode=mode_at[k], max_errors=maxes, mean_errors=means))
-    return rows
+    return [
+        AuditRow(k, mode_at[k], *band_errors(series[k], truth[k], partition))
+        for k in range(1, len(series))
+    ]

@@ -9,14 +9,18 @@ The bundle advances the middle band of the domain one Euler step at a time
 while the reference solver keeps advancing the inlet and outlet strips.
 Three evaluation modes compare the result against a stored truth series:
 teacher-forced single-step, autoregressive multi-step, and a frozen
-constant-gradient baseline.
+constant-gradient baseline. One step-and-score loop serves all three; a mode
+only supplies how step k advances. Step k starts from truth[k - 1] in
+single-step mode and from the mode's previous state otherwise, and its
+scaled residual pairs the new state with that start. `band_errors` scores a
+state against truth for every variable, here and in the MACnet audit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -296,30 +300,51 @@ def _check_truth(
         )
 
 
-def _record(
-    k: int,
-    pred: Snapshot,
-    prev: Snapshot,
-    truth_k: Snapshot,
+def band_errors(
+    pred: Snapshot, truth: Snapshot, partition: DomainPartition
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """(max_errors, mean_errors) by variable: `relative_error` of every variable."""
+    maxes, means = {}, {}
+    for v in VARIABLES:
+        maxes[v], means[v] = relative_error(pred, truth, v, partition)
+    return maxes, means
+
+
+def _rollout(
+    mode: str,
+    advance: Callable[[int, Snapshot], Tuple[Snapshot, float, float]],
+    initial: Snapshot,
+    horizon: int,
+    truth: Sequence[Snapshot],
     partition: DomainPartition,
     grid: GridSpec,
     params: PhysicalParams,
     denominator: float,
-    ml_ms: float,
-    cfd_ms: float,
-) -> StepRecord:
-    maxes, means = {}, {}
-    for v in VARIABLES:
-        maxes[v], means[v] = relative_error(pred, truth_k, v, partition)
-    res = scaled_residual(pred, prev, grid, params, denominator)
-    return StepRecord(
-        step=k,
-        max_errors=maxes,
-        mean_errors=means,
-        scaled_residual=res,
-        ml_ms=ml_ms,
-        cfd_ms=cfd_ms,
-    )
+) -> RolloutReport:
+    """The step-and-score loop every mode runs.
+
+    Step k calls `advance(k, start)` for (state_k, ml_ms, cfd_ms), where
+    `start` is truth[k - 1] in single mode and the previous state (initially
+    `initial`) otherwise; its residual pairs state_k with `start`.
+    """
+    _check_truth(truth, initial, horizon, grid)
+    records, states = [], []
+    state = initial
+    for k in range(1, horizon + 1):
+        start = truth[k - 1] if mode == "single" else state
+        try:
+            state, ml_ms, cfd_ms = advance(k, start)
+        except BlowupError as err:
+            raise BlowupError(
+                f"{mode}-step rollout failed at step {k}: {err}",
+                variable=err.variable,
+                cell=err.cell,
+            ) from err
+        maxes, means = band_errors(state, truth[k], partition)
+        res = scaled_residual(state, start, grid, params, denominator)
+        records.append(StepRecord(k, maxes, means, res, ml_ms, cfd_ms))
+        states.append(state)
+    return RolloutReport(mode=mode, steps=records, states=states)
 
 
 def multi_step(
@@ -333,27 +358,11 @@ def multi_step(
     denominator: float,
 ) -> RolloutReport:
     """Autoregressive rollout: each step consumes the previous predicted state."""
-    _check_truth(truth, initial, horizon, grid)
-    records, states = [], []
-    state = initial
-    for k in range(1, horizon + 1):
-        try:
-            advanced, ml_ms, cfd_ms = timed_predict_step(
-                bundle, state, partition, grid, params
-            )
-        except BlowupError as err:
-            raise BlowupError(
-                f"multi-step rollout failed at step {k}: {err}",
-                variable=err.variable,
-                cell=err.cell,
-            ) from err
-        records.append(
-            _record(k, advanced, state, truth[k], partition, grid, params,
-                    denominator, ml_ms, cfd_ms)
-        )
-        states.append(advanced)
-        state = advanced
-    return RolloutReport(mode="multi", steps=records, states=states)
+    return _rollout(
+        "multi",
+        lambda k, start: timed_predict_step(bundle, start, partition, grid, params),
+        initial, horizon, truth, partition, grid, params, denominator,
+    )
 
 
 def single_step(
@@ -368,25 +377,11 @@ def single_step(
     """Teacher-forced rollout: every step restarts from the true snapshot."""
     if horizon is None:
         horizon = len(truth) - 1
-    _check_truth(truth, truth[0], horizon, grid)
-    records, states = [], []
-    for k in range(1, horizon + 1):
-        try:
-            advanced, ml_ms, cfd_ms = timed_predict_step(
-                bundle, truth[k - 1], partition, grid, params
-            )
-        except BlowupError as err:
-            raise BlowupError(
-                f"single-step rollout failed at step {k}: {err}",
-                variable=err.variable,
-                cell=err.cell,
-            ) from err
-        records.append(
-            _record(k, advanced, truth[k - 1], truth[k], partition, grid, params,
-                    denominator, ml_ms, cfd_ms)
-        )
-        states.append(advanced)
-    return RolloutReport(mode="single", steps=records, states=states)
+    return _rollout(
+        "single",
+        lambda k, start: timed_predict_step(bundle, start, partition, grid, params),
+        truth[0], horizon, truth, partition, grid, params, denominator,
+    )
 
 
 def window_gradient(first: Snapshot, second: Snapshot, grid: GridSpec) -> np.ndarray:
@@ -411,28 +406,24 @@ def constant_gradient(
     middle band, so the strips serve the residual diagnostic alone.
     """
     _check_state(initial, grid, partition)
-    _check_truth(truth, initial, horizon, grid)
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != initial.values.shape:
         raise DomainError(
             f"gradient shape {gradient.shape} does not match state {initial.values.shape}"
         )
     lo, hi = partition.flame
-    records, states = [], []
-    prev = initial
-    for k in range(1, horizon + 1):
+
+    def advance(k: int, start: Snapshot) -> Tuple[Snapshot, float, float]:
         t0 = time.perf_counter()
         values = initial.values.copy()
         values[:, lo:hi, :] += (k * grid.dt) * gradient[:, lo:hi, :]
         ml_ms = (time.perf_counter() - t0) * 1e3
-        state = Snapshot(values, initial.time + k * grid.dt)
-        records.append(
-            _record(k, state, prev, truth[k], partition, grid, params,
-                    denominator, ml_ms, 0.0)
-        )
-        states.append(state)
-        prev = state
-    return RolloutReport(mode="constant-gradient", steps=records, states=states)
+        return Snapshot(values, initial.time + k * grid.dt), ml_ms, 0.0
+
+    return _rollout(
+        "constant-gradient", advance,
+        initial, horizon, truth, partition, grid, params, denominator,
+    )
 
 
 def growth_fit_rss(errors: Sequence[float]) -> Tuple[float, float]:

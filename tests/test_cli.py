@@ -241,6 +241,19 @@ def test_rollout_runs_each_hybrid_step_once(trained, monkeypatch):
     assert len(calls) == 2 * SMALL["rollout"]["horizon"]
 
 
+def test_rollout_refuses_a_nonfinite_snapshot(trained, capsys):
+    config_path, out = trained
+    snap = os.path.join(out, "series", "snap_000005.npy")
+    values = np.load(snap)
+    values[VARIABLES.index("T"), 10, 3] = np.nan
+    np.save(snap, values)
+    for mode in ("multi", "single"):
+        code = run_cli("rollout", "--config", config_path, "--out", out, "--mode", mode)
+        assert code == 4
+        assert f"{snap} holds a non-finite T at cell (10, 3)" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, f"report_{mode}.csv"))
+
+
 def test_rollout_without_model_exit_code(generated, capsys):
     config_path, out = generated
     assert run_cli("rollout", "--config", config_path, "--out", out) == 4

@@ -206,6 +206,13 @@ def npz_bytes(values):
     return buf.getvalue()
 
 
+def npy_with(values, variable, value):
+    """.npy bytes of `values` with cell (3, 1) of `variable` set to `value`."""
+    values = values.copy()
+    values[VARIABLES.index(variable), 3, 1] = value
+    return npy_bytes(values)
+
+
 # (file bytes made from the valid file's bytes and values, expected message)
 # for snapshot 0 of the 12 x 4 grid: each is a file that `np.save` of a
 # C-order float64 (6, 12, 4) array would not write.
@@ -229,6 +236,13 @@ CORRUPT_SNAPSHOTS = {
     ),
     "fortran-order": (lambda good, v: npy_bytes(np.asfortranarray(v)), "Fortran-order <f8"),
     "trailing-bytes": (lambda good, v: good + b"\0", "has bytes after its array"),
+    "nan-value": (
+        lambda good, v: npy_with(v, "T", np.nan), r"holds a non-finite T at cell \(3, 1\)"
+    ),
+    "inf-value": (
+        lambda good, v: npy_with(v, "X_prod", -np.inf),
+        r"holds a non-finite X_prod at cell \(3, 1\)",
+    ),
 }
 
 

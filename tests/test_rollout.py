@@ -118,21 +118,27 @@ def test_velocities_pass_through_a_zero_bundle_step():
     assert np.array_equal(out.var("v_r"), state.var("v_r"))
 
 
+class NanBundle:
+    """A bundle stand-in whose T output is NaN at band row 5."""
+
+    layout = CellLayout()
+
+    def cell_outputs(self, state, partition, grid, params):
+        lo, hi = partition.flame
+        out = np.zeros(((hi - lo) * grid.n, 6))
+        out[5, IDX["T"]] = np.nan
+        return out
+
+
+# Row 5 of the i-major band is cell (m_star + 5 // n, 5 % n).
+NAN_CELL = (4 + 5 // GRID.n, 5 % GRID.n)
+
+
 def test_nonfinite_network_output_names_cell_and_variable():
-    class NanBundle:
-        layout = CellLayout()
-
-        def cell_outputs(self, state, partition, grid, params):
-            lo, hi = partition.flame
-            out = np.zeros(((hi - lo) * grid.n, 6))
-            out[5, IDX["T"]] = np.nan
-            return out
-
     with pytest.raises(BlowupError) as err:
         predict_step(NanBundle(), blob_state(), PART, GRID, PARAMS)
     assert err.value.variable == "T"
-    # Row 5 of the i-major band is cell (m_star + 5 // n, 5 % n).
-    assert err.value.cell == (4 + 5 // GRID.n, 5 % GRID.n)
+    assert err.value.cell == NAN_CELL
 
 
 def test_cell_outputs_share_no_stale_values_between_calls():
@@ -306,6 +312,43 @@ def test_multi_and_single_agree_at_step_one():
     assert multi.steps[0].max_errors == single.steps[0].max_errors
     assert multi.steps[0].mean_errors == single.steps[0].mean_errors
     assert multi.steps[0].scaled_residual == single.steps[0].scaled_residual
+
+
+def test_every_step_residual_pairs_the_new_state_with_its_start():
+    truth = simulate(blob_state(), GRID, PARAMS, 4)
+    bundle = zero_bundle()
+    denom = denom_for(truth)
+    gradient = window_gradient(truth[0], truth[1], GRID)
+    reports = (
+        multi_step(bundle, truth[0], 4, truth, PART, GRID, PARAMS, denom),
+        single_step(bundle, truth, PART, GRID, PARAMS, denom),
+        constant_gradient(truth[0], gradient, 4, truth, PART, GRID, PARAMS, denom),
+    )
+    for report in reports:
+        for k in range(2, 5):
+            state, previous = report.states[k - 1], report.states[k - 2]
+            start, other = (
+                (truth[k - 1], previous) if report.mode == "single"
+                else (previous, truth[k - 1])
+            )
+            residual = report.steps[k - 1].scaled_residual
+            assert residual == scaled_residual(state, start, GRID, PARAMS, denom)
+            # The other pairing gives another value, so the check above can fail.
+            assert residual != scaled_residual(state, other, GRID, PARAMS, denom)
+
+
+@pytest.mark.parametrize("mode", ["multi", "single"])
+def test_rollout_blowup_names_mode_step_variable_and_cell(mode):
+    truth = simulate(blob_state(), GRID, PARAMS, 2)
+    denom = denom_for(truth)
+    with pytest.raises(BlowupError) as err:
+        if mode == "multi":
+            multi_step(NanBundle(), truth[0], 2, truth, PART, GRID, PARAMS, denom)
+        else:
+            single_step(NanBundle(), truth, PART, GRID, PARAMS, denom)
+    assert str(err.value).startswith(f"{mode}-step rollout failed at step 1: non-finite T")
+    assert err.value.variable == "T"
+    assert err.value.cell == NAN_CELL
 
 
 def test_reports_keep_the_predicted_states():
