@@ -80,6 +80,12 @@ def _apply_thread_cap(argv: List[str]) -> None:
             )
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .config import DEFAULTS
 
@@ -88,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, metavar="N", help="override the run seed")
     common.add_argument("--out", metavar="DIR", help="override the output directory")
     common.add_argument(
-        "--threads", type=int, metavar="N", help="cap numerical worker threads"
+        "--threads", type=_thread_count, metavar="N", help="cap numerical worker threads"
     )
     common.add_argument(
         "--set",
@@ -156,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluation mode (default all)",
     )
     p.add_argument("--manifest", metavar="PATH", help="series manifest to test on")
-    p.add_argument("--model", metavar="DIR", help="model directory holding bundle.json")
+    p.add_argument("--model", metavar="DIR", help="model directory holding bundle.npz")
     p.set_defaults(func=cmd_rollout)
 
     p = sub.add_parser(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -42,16 +43,16 @@ def _as_int(path: str, v) -> int:
 
 
 def _as_float(path: str, v) -> float:
-    if isinstance(v, bool):
-        raise ConfigurationError(f"config field {path} must be a number, got {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
+    """`v` as a float. NaN is refused: it would pass every range check."""
+    number = math.nan
+    if isinstance(v, (int, float, str)) and not isinstance(v, bool):
         try:
-            return float(v)
+            number = float(v)
         except ValueError:
             pass
-    raise ConfigurationError(f"config field {path} must be a number, got {v!r}")
+    if math.isnan(number):
+        raise ConfigurationError(f"config field {path} must be a number, got {v!r}")
+    return number
 
 
 def _as_str(path: str, v) -> str:

@@ -1,16 +1,16 @@
 """On-disk artifact formats: series, trained bundles, reports, traces.
 
-Every format round-trips bit-exactly: snapshots are stored as raw float64
-arrays, and elsewhere floats are written with repr (the shortest decimal
-string that parses back to the same double) inside JSON or CSV, keys are
-sorted, and newlines are pinned to "\n", so rerunning a seeded experiment
+Every format round-trips bit-exactly: arrays are stored as raw float64,
+and elsewhere floats are written with repr (the shortest decimal string
+that parses back to the same double) inside JSON or CSV, keys are sorted,
+and newlines are pinned to "\n", so rerunning a seeded experiment
 reproduces each file byte for byte. Wall-clock measurements go to
 separate timing sidecars to keep the main artifacts deterministic.
 
 Every file is written through `atomic_writer`: the data goes to a temporary
 file beside the target, which replaces the target only once complete, so an
 interrupted write never leaves a partial file under the final name. A
-trained bundle is one such file, `bundle.json`: its standardizer, cell
+trained bundle is one such file, `bundle.npz`: its standardizer, cell
 layout and six networks are replaced together or not at all. A series is
 several files, so its save first removes the old manifest and writes the new
 one last, listing the snapshots.
@@ -22,22 +22,24 @@ record, time gap and listed file) but loads only the first `count`
 snapshots, so each command reads just the snapshots it works on.
 
 The grid and physical-parameter records of the series manifest, the
-bundle's `layout` (its one `CellLayout`), `standardizer` and each network's
-`spec`, each `train_reports.json` entry and the trace header and its phase,
-retrain and fallback entries are their dataclass's fields, written by
+bundle's `layout` (its one `CellLayout`) and each network's `spec`, each
+`train_reports.json` entry and the trace header and its phase, retrain and
+fallback entries are their dataclass's fields, written by
 `dataclasses.asdict` and read back by `_record`. Adding a field to one of
 those dataclasses therefore changes the file format and needs its format tag
 bumped. A malformed file (a missing or unknown key, a value of the wrong type,
 or one the record's own checks refuse; a bundle without exactly one network
-per variable; a snapshot file that is not the `.npy` of a C-order
-little-endian float64 (6, m, n) array) raises ArtifactIOError naming the
-file, which the CLI reports with exit code 4.
+per variable; a snapshot file or bundle member that is not a finite C-order
+little-endian float64 array of the expected shape) raises ArtifactIOError
+naming the file, which the CLI reports with exit code 4.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tokenize
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from typing import IO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -54,16 +56,26 @@ from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, time_toleranc
 from .training import TrainConfig, TrainReport, config_digest
 
 SERIES_FORMAT = "fvmnet-series-2"
-# Every snapshot file holds a C-order array of this dtype, whatever the host.
-SNAPSHOT_DTYPE = np.dtype("<f8")
-BUNDLE_FORMAT = "fvmnet-bundle-2"
-BUNDLE_FILE = "bundle.json"
+# Every stored array is C-order with this dtype, whatever the host.
+ARRAY_DTYPE = np.dtype("<f8")
+BUNDLE_FORMAT = "fvmnet-bundle-3"
+BUNDLE_FILE = "bundle.npz"
 TRACE_FORMAT = "fvmnet-trace-1"
+# What np.load raises on an empty, truncated, pickled or non-numpy file; a
+# corrupt header can claim a huge array or fail to tokenize.
+_UNREADABLE = (ValueError, EOFError, MemoryError, tokenize.TokenError)
 # The MacnetTrace fields trace.json holds; the wall-clock ones stay out.
 TRACE_FIELDS = (
     "horizon", "cfd_window", "tolerance", "max_ml_steps",
     "phases", "retrains", "fallbacks",
 )
+
+
+def _remove_if_present(path: str) -> None:
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
 
 
 @contextmanager
@@ -79,36 +91,22 @@ def atomic_writer(path: str, mode: str = "w") -> Iterator[IO]:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
+        _remove_if_present(tmp)
         raise
 
 
-def _remove_stale(path: str) -> None:
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
-
-
 def dump_json(path: str, payload) -> str:
-    """Write JSON deterministically: sorted keys, 2-space indent, one trailing \\n.
-
-    The text is streamed to the file, never built whole; a numpy array in
-    `payload` is written as the nested list of its values.
-    """
+    """Write JSON deterministically: sorted keys, 2-space indent, one trailing \\n."""
     with atomic_writer(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=np.ndarray.tolist)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
-def read_json(path: str, object_hook=None):
+def read_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh, object_hook=object_hook)
+            return json.load(fh)
     except FileNotFoundError:
         raise ArtifactIOError(f"file not found: {path}") from None
     except json.JSONDecodeError as err:
@@ -216,7 +214,7 @@ def save_series(
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     # A manifest from an earlier save would name snapshots being overwritten.
-    _remove_stale(manifest_path)
+    _remove_if_present(manifest_path)
     entries = []
     for idx, snap in enumerate(series):
         if snap.shape != (grid.m, grid.n):
@@ -225,7 +223,7 @@ def save_series(
             )
         name = f"snap_{idx:06d}.npy"
         with atomic_writer(os.path.join(out_dir, name), "wb") as fh:
-            values = np.ascontiguousarray(snap.values, dtype=SNAPSHOT_DTYPE)
+            values = np.ascontiguousarray(snap.values, dtype=ARRAY_DTYPE)
             np.save(fh, values, allow_pickle=False)
         entries.append({"file": name, "time": snap.time})
     manifest = {
@@ -240,34 +238,35 @@ def save_series(
     return dump_json(manifest_path, manifest)
 
 
+def _check_array(values: np.ndarray, shape: Tuple[int, ...], where: str,
+                 name=lambda index: f"value at {index}") -> np.ndarray:
+    """`values` if a finite C-order <f8 array of `shape`, else ArtifactIOError at `where`."""
+    if values.dtype != ARRAY_DTYPE or values.shape != shape or not values.flags.c_contiguous:
+        order = "C" if values.flags.c_contiguous else "Fortran"
+        raise ArtifactIOError(
+            f"{where} holds a {order}-order {values.dtype.str} array of shape "
+            f"{values.shape}, expected a C-order <f8 array of shape {shape}"
+        )
+    if not np.isfinite(values).all():
+        index = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise ArtifactIOError(f"{where} holds a non-finite {name(index)}")
+    return values
+
+
 def _load_snapshot(path: str, m: int, n: int, time_: float) -> Snapshot:
     """Read one snapshot file, refusing all but a finite array as `save_series` writes it."""
     try:
         with open(path, "rb") as fh:
             values = np.load(fh, allow_pickle=False)
             trailing = fh.read(1)
-    # Truncated, empty, non-.npy or pickled files raise ValueError or EOFError;
-    # a corrupt header can claim an array too large to allocate.
-    except (ValueError, EOFError, MemoryError) as err:
+    except _UNREADABLE as err:
         raise ArtifactIOError(f"{path} is not a readable .npy array: {err}") from None
     if not isinstance(values, np.ndarray):
         raise ArtifactIOError(f"{path} is an .npz archive, not an .npy array")
-    expected = (len(VARIABLES), m, n)
-    if (
-        values.dtype != SNAPSHOT_DTYPE
-        or values.shape != expected
-        or not values.flags.c_contiguous
-    ):
-        order = "C" if values.flags.c_contiguous else "Fortran"
-        raise ArtifactIOError(
-            f"{path} holds a {order}-order {values.dtype.str} array of shape "
-            f"{values.shape}, expected a C-order <f8 array of shape {expected}"
-        )
     if trailing:
         raise ArtifactIOError(f"{path} has bytes after its array")
-    if not np.isfinite(values).all():
-        k, i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ArtifactIOError(f"{path} holds a non-finite {VARIABLES[k]} at cell ({i}, {j})")
+    _check_array(values, (len(VARIABLES), m, n), path,
+                 lambda index: f"{VARIABLES[index[0]]} at cell {index[1:]}")
     return Snapshot(values, time_)
 
 
@@ -329,64 +328,73 @@ def save_bundle(
     seed: int,
     train_config: TrainConfig,
 ) -> str:
-    """Write the whole bundle as one bundle.json; returns its path.
+    """Write the whole bundle as one bundle.npz archive; returns its path.
 
-    The weight and bias arrays go to `dump_json` as they are, so only one
-    matrix at a time is turned into Python floats.
+    The archive holds one `.npy` member per array: the standardizer's `mean`
+    and `std`, and `<var>.w<l>` and `<var>.b<l>` for layer l of each network.
+    Its `meta` member is the JSON text of the rest: the format tag, seed,
+    training-config digest, cell layout, and each network's spec, parameter
+    count and target scale.
     """
     os.makedirs(out_dir, exist_ok=True)
-    networks = {}
-    for v in VARIABLES:
-        net = bundle.networks[v]
-        networks[v] = {
-            "spec": asdict(net.spec),
-            "param_count": param_count(net.spec),
-            "target_scale": list(bundle.target_scales[v]),
-            "weights": net.weights,
-            "biases": net.biases,
-        }
-    payload = {
+    nets = bundle.networks
+    meta = {
         "format": BUNDLE_FORMAT,
         "seed": int(seed),
         "train_config_digest": config_digest(train_config),
         "layout": asdict(bundle.layout),
-        "standardizer": asdict(bundle.standardizer),
-        "networks": networks,
+        "networks": {
+            v: {"spec": asdict(nets[v].spec), "param_count": param_count(nets[v].spec),
+                "target_scale": list(bundle.target_scales[v])}
+            for v in VARIABLES
+        },
     }
-    return dump_json(os.path.join(out_dir, BUNDLE_FILE), payload)
-
-
-def _network_arrays(obj: dict) -> dict:
-    """`json` object hook: a network entry's weights and biases as float64 arrays.
-
-    Converting each entry as soon as it is parsed keeps only one network's
-    Python floats alive at a time. A list that does not convert is left as
-    parsed, for `_arrays` to refuse naming the file.
-    """
-    for key in ("weights", "biases"):
-        if isinstance(obj.get(key), list):
-            try:
-                obj[key] = [np.asarray(a, dtype=np.float64) for a in obj[key]]
-            except (TypeError, ValueError):
-                pass
-    return obj
-
-
-def _arrays(payload, key: str, path: str) -> List[np.ndarray]:
-    try:
-        return [np.asarray(a, dtype=np.float64) for a in _get(payload, key, path, list)]
-    except (TypeError, ValueError):
-        raise ArtifactIOError(f"{path} has a malformed {key!r} field") from None
+    arrays = {"mean": bundle.standardizer.mean, "std": bundle.standardizer.std}
+    for v in VARIABLES:
+        for k, (w, b) in enumerate(zip(nets[v].weights, nets[v].biases)):
+            arrays[f"{v}.w{k}"], arrays[f"{v}.b{k}"] = w, b
+    path = os.path.join(out_dir, BUNDLE_FILE)
+    with atomic_writer(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(meta, sort_keys=True), **{
+            name: np.ascontiguousarray(a, dtype=ARRAY_DTYPE) for name, a in arrays.items()
+        })
+    return path
 
 
 def load_bundle(out_dir: str) -> SurrogateBundle:
-    """The bundle `save_bundle` wrote to `out_dir`, with exactly one network per variable."""
+    """The bundle `save_bundle` wrote to `out_dir`, with exactly one network per variable.
+
+    Each array member must be a finite C-order <f8 array of the shape that
+    `meta` implies, and the archive may hold no other member.
+    """
     path = os.path.join(out_dir, BUNDLE_FILE)
-    payload = read_json(path, _network_arrays)
-    _expect_format(payload, BUNDLE_FORMAT, path)
-    layout = _record(CellLayout, _get(payload, "layout", path), path)
-    standardizer = _record(Standardizer, _get(payload, "standardizer", path), path)
-    entries = _get(payload, "networks", path, dict)
+    try:
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.ndarray):
+                raise ArtifactIOError(f"{path} is an .npy array, not an .npz archive")
+            members = {name: archive[name] for name in archive.files}
+    except FileNotFoundError:
+        raise ArtifactIOError(f"file not found: {path}") from None
+    # A corrupt archive also fails in zipfile: bad CRCs, offsets or methods.
+    except (*_UNREADABLE, zipfile.BadZipFile, NotImplementedError, OSError) as err:
+        raise ArtifactIOError(f"{path} is not a readable .npz archive: {err}") from None
+
+    def member(name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        values = members.pop(name, None)
+        if not isinstance(values, np.ndarray):
+            raise ArtifactIOError(f"{path} has no {name!r} array member")
+        return _check_array(values, shape, f"{path} member {name!r}")
+
+    try:  # a missing `meta` reads as empty text
+        meta = json.loads(str(members.pop("meta", "")))
+    except ValueError as err:
+        raise ArtifactIOError(f"{path} has no readable 'meta' JSON text: {err}") from None
+    _expect_format(meta, BUNDLE_FORMAT, path)
+    layout = _record(CellLayout, _get(meta, "layout", path), path)
+    width = (layout.width,)
+    standardizer = _record(Standardizer, {k: member(k, width) for k in ("mean", "std")}, path)
+    entries = _get(meta, "networks", path, dict)
     if sorted(entries) != sorted(VARIABLES):
         raise ArtifactIOError(
             f"{path} holds networks for {sorted(entries)}, expected {sorted(VARIABLES)}"
@@ -396,17 +404,16 @@ def load_bundle(out_dir: str) -> SurrogateBundle:
     for v in VARIABLES:
         entry, where = entries[v], f"{path} network {v!r}"
         spec = _record(NetworkSpec, _get(entry, "spec", where), where)
-        weights, biases = _arrays(entry, "weights", where), _arrays(entry, "biases", where)
-        sizes = spec.layer_sizes()
-        if [w.shape for w in weights] != sizes or [b.shape for b in biases] != [
-            (fan_out,) for _, fan_out in sizes
-        ]:
-            raise ArtifactIOError(f"{where} holds weights that do not fit its spec")
-        networks[v] = Network(spec=spec, weights=weights, biases=biases)
+        sizes = list(enumerate(spec.layer_sizes()))
+        weights = [member(f"{v}.w{k}", size) for k, size in sizes]
+        biases = [member(f"{v}.b{k}", size[1:]) for k, size in sizes]
+        networks[v] = Network(spec, weights, biases)
         scale = _get(entry, "target_scale", where, list)
         if len(scale) != 2 or not all(isinstance(s, (int, float)) for s in scale):
             raise ArtifactIOError(f"{where} target_scale is not two numbers: {scale!r}")
         scales[v] = (float(scale[0]), float(scale[1]))
+    if members:
+        raise ArtifactIOError(f"{path} has unexpected members {sorted(members)}")
     record = dict(networks=networks, standardizer=standardizer, target_scales=scales,
                   layout=layout)
     return _record(SurrogateBundle, record, path)
@@ -425,17 +432,11 @@ REPORT_HEADER = "step,mode,variable,max_rel_err,mean_rel_err,scaled_residual"
 TIMING_HEADER = "step,ml_ms,cfd_ms"
 
 
-def report_paths(out_dir: str, mode: str) -> Tuple[str, str]:
-    return (
-        os.path.join(out_dir, f"report_{mode}.csv"),
-        os.path.join(out_dir, f"timing_{mode}.csv"),
-    )
-
-
 def write_rollout_report(out_dir: str, report: RolloutReport) -> Tuple[str, str]:
     """Write the deterministic report CSV and its wall-clock sidecar."""
     os.makedirs(out_dir, exist_ok=True)
-    report_file, timing_file = report_paths(out_dir, report.mode)
+    report_file = os.path.join(out_dir, f"report_{report.mode}.csv")
+    timing_file = os.path.join(out_dir, f"timing_{report.mode}.csv")
     rows = []
     for rec in report.steps:
         for v in VARIABLES:

@@ -13,7 +13,7 @@ several networks of one spec over the same rows can allocate once and share
 which hold the post-activations, writing each gradient into caller-given
 arrays (in training, views of the optimizer's flat gradient vector).
 
-The named size cases a-h are the benchmark ladder used by the sweep command:
+The named size cases a-h are the ladder that `ablate --cases` trains:
 widths from one 64-wide layer up to three 256-wide layers, plus a logistic
 variant and a tapered variant, all with 30 inputs and one output.
 """

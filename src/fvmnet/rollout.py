@@ -41,6 +41,7 @@ from .solver import (
     GridSpec,
     PhysicalParams,
     Snapshot,
+    _check_finite,
     check_consecutive,
     continuity_residual,
     step_columns,
@@ -128,19 +129,6 @@ class SurrogateBundle:
         return out
 
 
-def _require_finite(values: np.ndarray, time_: float) -> None:
-    if np.isfinite(values).all():
-        return
-    bad = np.argwhere(~np.isfinite(values))[0]
-    k, i, j = int(bad[0]), int(bad[1]), int(bad[2])
-    raise BlowupError(
-        f"non-finite {VARIABLES[k]} at cell ({i}, {j}) "
-        f"after surrogate step to t={time_:.6g}",
-        variable=VARIABLES[k],
-        cell=(i, j),
-    )
-
-
 def timed_predict_step(
     bundle,
     state: Snapshot,
@@ -165,7 +153,7 @@ def timed_predict_step(
 
     values = advanced.values
     values[:, lo:hi, :] = band
-    _require_finite(values, advanced.time)
+    _check_finite(values, advanced.time, [partition.flame], "surrogate step")
     return Snapshot(values, advanced.time), ml_ms, cfd_ms
 
 

@@ -304,7 +304,7 @@ def _clamp_species(out, grid: GridSpec, columns: Sequence[Tuple[int, int]], time
         log.debug("clamped species mass %.3e at t=%.6g", clamped, time)
 
 
-def _check_finite(out, time: float, columns: Sequence[Tuple[int, int]]) -> None:
+def _check_finite(out, time: float, columns: Sequence[Tuple[int, int]], what="step") -> None:
     for lo, hi in columns:
         block = out[:, lo:hi, :]
         if np.isfinite(block).all():
@@ -312,7 +312,7 @@ def _check_finite(out, time: float, columns: Sequence[Tuple[int, int]]) -> None:
         bad = np.argwhere(~np.isfinite(block))[0]
         k, i, j = int(bad[0]), int(bad[1]) + lo, int(bad[2])
         raise BlowupError(
-            f"non-finite {VARIABLES[k]} at cell ({i}, {j}) after step to t={time:.6g}",
+            f"non-finite {VARIABLES[k]} at cell ({i}, {j}) after {what} to t={time:.6g}",
             variable=VARIABLES[k],
             cell=(i, j),
         )

@@ -38,8 +38,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.learning_rate <= 0.0:
-            raise DomainError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise DomainError(f"eps must be finite and > 0, got {self.eps}")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
         if self.max_epochs < 1:

@@ -110,9 +110,10 @@ def test_generate_burn_in_advances_time(generated):
 def test_train_writes_checkpoints_and_reports(trained, capsys):
     _, out = trained
     model = os.path.join(out, "model")
-    assert sorted(os.listdir(model)) == ["bundle.json", "train_reports.json"]
-    payload = json.loads(read_bytes(os.path.join(model, "bundle.json")))
-    assert payload["networks"]["T"]["param_count"] == 10369
+    assert sorted(os.listdir(model)) == ["bundle.npz", "train_reports.json"]
+    with np.load(os.path.join(model, "bundle.npz")) as archive:
+        meta = json.loads(str(archive["meta"]))
+    assert meta["networks"]["T"]["param_count"] == 10369
     bundle = load_bundle(model)
     assert bundle.networks["T"].spec.hidden == (64, 64, 64)
 
@@ -487,6 +488,16 @@ def test_dump_defaults_round_trips(capsys):
 
 def test_no_command_is_a_usage_error(capsys):
     assert run_cli() == 2
+
+
+@pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads=-3"]])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "refused"
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("generate", "--out", str(out), *flag)
+    assert exit_.value.code == 2
+    assert "--threads: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_cap_warns_when_numpy_is_already_loaded(

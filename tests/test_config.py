@@ -147,6 +147,22 @@ def test_range_checks():
     ):
         with pytest.raises(ConfigurationError, match=f"{section}.{key} must be at least 1"):
             resolve_config_from({section: {key: 0}})
+    # NaN fails every range check it meets, so it is refused as "not a number".
+    for override in (
+        "initial.vx_max=nan", "physical.heat_release=NaN", "train.learning_rate=nan",
+        "train.eps=nan", "physical.diffusivity.T=nan",
+    ):
+        tree = default_tree()
+        apply_override(tree, override)
+        path = override.split("=")[0]
+        with pytest.raises(ConfigurationError, match=f"{path} must be a number, got"):
+            resolve_config(tree)
+    for value in (float("inf"), 0.0):
+        with pytest.raises(ConfigurationError, match="learning_rate must be finite and > 0"):
+            resolve_config_from({"train": {"learning_rate": value}})
+    for value in (-1, 0.0, float("inf")):
+        with pytest.raises(ConfigurationError, match="eps must be finite and > 0"):
+            resolve_config_from({"train": {"eps": value}})
 
 
 def test_overrides_parse_json_then_fall_back_to_strings():

@@ -4,7 +4,7 @@ import json
 import os
 import pickle
 from dataclasses import replace
-from io import BytesIO, StringIO
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -221,6 +221,7 @@ CORRUPT_SNAPSHOTS = {
     "empty": (lambda good, v: b"", UNREADABLE),
     "truncated-header": (lambda good, v: good[:40], UNREADABLE),
     "truncated-data": (lambda good, v: good[:-8], UNREADABLE),
+    "unclosed-header": (lambda good, v: good.replace(b"}", b" ", 1), UNREADABLE),
     "csv-text": (lambda good, v: b"i,j,v_x\n0,0,0.3\n", UNREADABLE),
     "pickle": (lambda good, v: pickle.dumps(v), UNREADABLE),
     "object-array": (lambda good, v: npy_bytes(v.astype(object), allow_pickle=True), UNREADABLE),
@@ -316,45 +317,153 @@ def test_bundle_rewrite_is_byte_identical(tmp_path):
         assert read_bytes(a / name) == read_bytes(b / name), name
 
 
+def archive_members(path):
+    """Every member of the .npz archive at `path`, by name."""
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
 def test_checkpoint_records_config_digest_and_count(tmp_path):
     bundle = make_bundle()
     save_bundle(str(tmp_path), bundle, seed=7, train_config=TrainConfig())
-    assert sorted(os.listdir(tmp_path)) == ["bundle.json"]
-    payload = read_json(str(tmp_path / "bundle.json"))
-    assert payload["networks"]["T"]["param_count"] == TIER_WIDTH * 5 + 5 + 5 + 1
-    assert len(payload["train_config_digest"]) == 12
-    assert payload["seed"] == 7
+    assert sorted(os.listdir(tmp_path)) == ["bundle.npz"]
+    meta = json.loads(str(archive_members(tmp_path / "bundle.npz")["meta"]))
+    assert meta["networks"]["T"]["param_count"] == TIER_WIDTH * 5 + 5 + 5 + 1
+    assert len(meta["train_config_digest"]) == 12
+    assert meta["seed"] == 7
 
 
 def test_missing_checkpoint_is_reported(tmp_path):
     bundle = make_bundle()
     save_bundle(str(tmp_path), bundle, seed=0, train_config=TrainConfig())
-    os.remove(tmp_path / "bundle.json")
-    with pytest.raises(ArtifactIOError, match="file not found: .*bundle.json"):
+    os.remove(tmp_path / "bundle.npz")
+    with pytest.raises(ArtifactIOError, match="file not found: .*bundle.npz"):
         load_bundle(str(tmp_path))
 
 
 def test_interrupted_bundle_save_leaves_the_earlier_bundle(tmp_path, monkeypatch):
     save_bundle(str(tmp_path), make_bundle(), seed=1, train_config=TrainConfig())
-    earlier = read_bytes(tmp_path / "bundle.json")
-    real_dump = json.dump
+    earlier = read_bytes(tmp_path / "bundle.npz")
+    real_savez = np.savez
 
-    def failing_dump(payload, fh, **kwargs):  # writes half the text, then fails
-        buf = StringIO()
-        real_dump(payload, buf, **kwargs)
+    def failing_savez(fh, **members):  # writes half the archive, then fails
+        buf = BytesIO()
+        real_savez(buf, **members)
         fh.write(buf.getvalue()[: len(buf.getvalue()) // 2])
         raise OSError("disk full")
 
-    monkeypatch.setattr(fvmnet.io.json, "dump", failing_dump)
+    monkeypatch.setattr(fvmnet.io.np, "savez", failing_savez)
     with pytest.raises(OSError, match="disk full"):
         save_bundle(str(tmp_path), make_bundle(1), seed=0, train_config=TrainConfig())
     monkeypatch.undo()
     # No temporary file is left, and the earlier save still loads whole.
-    assert sorted(os.listdir(tmp_path)) == ["bundle.json"]
-    assert read_bytes(tmp_path / "bundle.json") == earlier
-    assert read_json(str(tmp_path / "bundle.json"))["seed"] == 1
+    assert sorted(os.listdir(tmp_path)) == ["bundle.npz"]
+    assert read_bytes(tmp_path / "bundle.npz") == earlier
+    assert json.loads(str(archive_members(tmp_path / "bundle.npz")["meta"]))["seed"] == 1
     back = load_bundle(str(tmp_path))
     assert np.array_equal(back.networks["T"].weights[0], make_bundle().networks["T"].weights[0])
+
+
+def edited(edit):
+    """A corruption that rewrites the archive after `edit` changes its members
+    in place; `edit` sees the `meta` member as the JSON object it holds."""
+
+    def corrupt(good):
+        with np.load(BytesIO(good)) as archive:
+            members = {name: archive[name] for name in archive.files}
+        members["meta"] = json.loads(str(members["meta"]))
+        edit(members)
+        if isinstance(members.get("meta"), dict):
+            members["meta"] = json.dumps(members["meta"], sort_keys=True)
+        buf = BytesIO()
+        np.savez(buf, **members)
+        return buf.getvalue()
+
+    return corrupt
+
+
+def with_entry(name, index, value):
+    """An edit setting entry `index` of member `name` to `value`."""
+
+    def edit(members):
+        members[name] = members[name].copy()
+        members[name][index] = value
+
+    return edit
+
+
+def flip_middle_byte(good):
+    mid = len(good) // 2
+    return good[:mid] + bytes([good[mid] ^ 0xFF]) + good[mid + 1 :]
+
+
+def unknown_compression(good):
+    """The first central-directory entry's compression method set to 99."""
+    at = good.index(b"PK\x01\x02") + 10
+    return good[:at] + (99).to_bytes(2, "little") + good[at + 2 :]
+
+
+def rollout_argv(tmp_path, manifest, model):
+    """A rollout of `model` on the small series at `manifest`."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": vars(GRID), "partition": {"m_star": 3}}))
+    return ["rollout", "--config", str(config), "--manifest", manifest,
+            "--model", model, "--out", str(tmp_path / "run")]
+
+
+# (file bytes made from the valid archive's bytes, expected message) for the
+# bundle of `make_bundle`: each is a file that `save_bundle` would not write.
+UNREADABLE_NPZ = "is not a readable .npz archive"
+CORRUPT_BUNDLES = {
+    "empty": (lambda good: b"", UNREADABLE_NPZ),
+    "truncated": (lambda good: good[: len(good) // 2], UNREADABLE_NPZ + ": File is not a zip"),
+    "flipped-byte": (flip_middle_byte, UNREADABLE_NPZ + ": Bad CRC-32"),
+    "unknown-compression": (unknown_compression, UNREADABLE_NPZ + ": .*compression method"),
+    "plain-npy": (lambda good: npy_bytes(np.zeros(3)), "is an .npy array, not an .npz archive"),
+    "old-json-text": (lambda good: b'{"format": "fvmnet-bundle-2"}\n', UNREADABLE_NPZ),
+    "meta-missing": (edited(lambda m: m.pop("meta")), "has no readable 'meta' JSON text"),
+    "meta-not-json": (
+        edited(lambda m: m.update(meta="{format")), "has no readable 'meta' JSON text"
+    ),
+    "missing-member": (edited(lambda m: m.pop("T.b1")), "has no 'T.b1' array member"),
+    "extra-member": (
+        edited(lambda m: m.update({"T.w2": np.zeros((1, 1))})),
+        r"has unexpected members \['T.w2'\]",
+    ),
+    "float32-member": (
+        edited(lambda m: m.update({"std": m["std"].astype(np.float32)})),
+        "member 'std' holds a C-order <f4 array",
+    ),
+    "fortran-order-member": (
+        edited(lambda m: m.update({"T.w0": np.asfortranarray(m["T.w0"])})),
+        "member 'T.w0' holds a Fortran-order <f8 array",
+    ),
+    "wrong-shape-member": (
+        edited(lambda m: m.update({"X_ox.w0": m["X_ox.w0"].reshape(5, TIER_WIDTH)})),
+        r"member 'X_ox.w0' holds a C-order <f8 array of shape \(5, 30\), expected .* \(30, 5\)",
+    ),
+    "nan-weight": (
+        edited(with_entry("T.w0", (2, 4), np.nan)),
+        r"member 'T.w0' holds a non-finite value at \(2, 4\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_BUNDLES))
+def test_corrupt_bundle_exits_4_naming_the_file(tmp_path, capsys, case):
+    corrupt, message = CORRUPT_BUNDLES[case]
+    model = str(tmp_path / "model")
+    path = save_bundle(model, make_bundle(), seed=0, train_config=TrainConfig())
+    with open(path, "rb") as fh:
+        good = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(corrupt(good))
+    with pytest.raises(ArtifactIOError, match=message) as err:
+        load_bundle(model)
+    assert str(err.value).startswith(f"{path} ")
+    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
+    assert main(rollout_argv(tmp_path, manifest, model)) == 4
+    assert f"{path} " in capsys.readouterr().err
 
 
 def test_train_reports_file_lists_losses(tmp_path):
@@ -638,9 +747,13 @@ def test_record_formats_are_pinned(tmp_path):
         layout=layout,
     )
     path = save_bundle(str(tmp_path / "model"), bundle, seed=3, train_config=TrainConfig())
-    assert open(path).read() == json_text(
+    # The archive bytes are numpy's zip writer's to choose; its members are pinned.
+    members = archive_members(path)
+    meta = members.pop("meta")
+    assert (meta.dtype.kind, meta.shape) == ("U", ())
+    assert str(meta) == json.dumps(
         {
-            "format": "fvmnet-bundle-2",
+            "format": "fvmnet-bundle-3",
             "layout": {
                 "input_mode": "center",
                 "output_mode": "absolute",
@@ -649,19 +762,24 @@ def test_record_formats_are_pinned(tmp_path):
             },
             "networks": {
                 v: {
-                    "biases": [[k + 0.25]],
                     "param_count": 7,
                     "spec": {"activation": "relu", "hidden": [], "n_inputs": 6, "n_outputs": 1},
                     "target_scale": [0.125 * k, 1.5],
-                    "weights": [[[0.5 * k]] * 6],
                 }
                 for k, v in enumerate(VARIABLES)
             },
             "seed": 3,
-            "standardizer": {"mean": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "std": [2.0] * 6},
             "train_config_digest": config_digest(TrainConfig()),
-        }
+        },
+        sort_keys=True,
     )
+    arrays = {"mean": np.arange(6.0), "std": np.full(6, 2.0)}
+    for k, v in enumerate(VARIABLES):
+        arrays[f"{v}.w0"], arrays[f"{v}.b0"] = np.full((6, 1), 0.5 * k), np.array([k + 0.25])
+    assert list(members) == list(arrays)  # archive order: mean, std, then layer by layer
+    for name, values in arrays.items():
+        assert (members[name].dtype.str, members[name].shape) == ("<f8", values.shape), name
+        assert np.array_equal(members[name], values), name
 
     report = TrainReport(
         train_losses=[1.0, 0.5], val_losses=[1.25, 0.75], best_epoch=1,
@@ -683,7 +801,8 @@ def test_record_formats_are_pinned(tmp_path):
     )
 
 
-# (artifact, breakage): each edits one parsed file in place.
+# (artifact, breakage): each edits one parsed file in place. A checkpoint
+# breakage edits the bundle archive's members, its `meta` parsed (see `edited`).
 MALFORMED = {
     "series-missing-key": ("series", lambda p: p["params"].pop("molar_mass")),
     "series-unknown-key": ("series", lambda p: p["grid"].update(spacing=0.01)),
@@ -693,22 +812,29 @@ MALFORMED = {
     "trace-unknown-key": ("trace", lambda p: p["phases"][1].update(bogus=1)),
     "trace-missing-event-key": ("trace", lambda p: p["retrains"][0].pop("denominator")),
     "checkpoint-missing-key": (
-        "checkpoint", lambda p: p["networks"]["T"]["spec"].pop("activation")
+        "checkpoint", lambda m: m["meta"]["networks"]["T"]["spec"].pop("activation")
     ),
     "checkpoint-unknown-key": (
-        "checkpoint", lambda p: p["networks"]["T"]["spec"].update(dropout=0.5)
+        "checkpoint", lambda m: m["meta"]["networks"]["T"]["spec"].update(dropout=0.5)
     ),
-    "checkpoint-missing-scale": ("checkpoint", lambda p: p["networks"]["T"].pop("target_scale")),
+    "checkpoint-missing-scale": (
+        "checkpoint", lambda m: m["meta"]["networks"]["T"].pop("target_scale")
+    ),
     "checkpoint-string-width": (
-        "checkpoint", lambda p: p["networks"]["T"]["spec"].update(n_inputs="30")
+        "checkpoint", lambda m: m["meta"]["networks"]["T"]["spec"].update(n_inputs="30")
     ),
-    "checkpoint-weights-off-spec": ("checkpoint", lambda p: p["networks"]["T"]["weights"][0].pop()),
+    "checkpoint-weights-off-spec": (  # the stored (30, 5) and (5, 1) layers fit (6,)
+        "checkpoint", lambda m: m["meta"]["networks"]["T"]["spec"].update(hidden=[6])
+    ),
     "checkpoint-string-weight": (
-        "checkpoint", lambda p: p["networks"]["T"]["weights"][1][0].__setitem__(0, "x")
+        "checkpoint", lambda m: m.update({"T.w1": m["T.w1"].astype(str)})
     ),
-    "checkpoint-missing-network": ("checkpoint", lambda p: p["networks"].pop("X_ox")),
+    "checkpoint-missing-network": (
+        "checkpoint", lambda m: m["meta"]["networks"].pop("X_ox")
+    ),
     "checkpoint-extra-network": (
-        "checkpoint", lambda p: p["networks"].update(rho=p["networks"]["T"])
+        "checkpoint",
+        lambda m: m["meta"]["networks"].update(rho=m["meta"]["networks"]["T"]),
     ),
 }
 
@@ -717,24 +843,25 @@ MALFORMED = {
 def test_malformed_artifact_exits_4_naming_the_file(tmp_path, capsys, case):
     artifact, breakage = MALFORMED[case]
     manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
-    run = str(tmp_path / "run")
     if artifact == "series":
         target = manifest
-        argv = ["train", "--manifest", manifest, "--out", run]
+        argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "run")]
     elif artifact == "trace":
         target = write_trace(str(tmp_path / "macnet"), make_trace())[0]
         argv = ["report", "--out", str(tmp_path)]
     else:
         model = str(tmp_path / "model")
-        save_bundle(model, make_bundle(), seed=0, train_config=TrainConfig())
-        target = os.path.join(model, "bundle.json")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"grid": vars(GRID), "partition": {"m_star": 3}}))
-        argv = ["rollout", "--config", str(config), "--manifest", manifest,
-                "--model", model, "--out", run]
-    payload = read_json(target)
-    breakage(payload)
-    with open(target, "w") as fh:
-        fh.write(json_text(payload))
+        target = save_bundle(model, make_bundle(), seed=0, train_config=TrainConfig())
+        argv = rollout_argv(tmp_path, manifest, model)
+    if artifact == "checkpoint":
+        with open(target, "rb") as fh:
+            broken = edited(breakage)(fh.read())
+        with open(target, "wb") as fh:
+            fh.write(broken)
+    else:
+        payload = read_json(target)
+        breakage(payload)
+        with open(target, "w") as fh:
+            fh.write(json_text(payload))
     assert main(argv) == 4
     assert target in capsys.readouterr().err
