@@ -8,7 +8,8 @@ the bare cell-center values, and targets are the forward-difference time
 derivative (x_next - x) / dt or the raw next-step value. The layout is built
 once from the `dataset` config leaves, checked once on construction, carried
 whole by the recipe and the trained bundle, and written once into the saved
-bundle.
+bundle. It maps in both directions: snapshots to input rows and targets for
+training, and network output rows back to the next band for a hybrid step.
 
 Samples are harvested only from the middle band of the channel; the inlet and
 outlet strips stay on the solver's books, which also guarantees every sampled
@@ -169,13 +170,20 @@ class CellLayout:
         """(cells, vars) targets for one consecutive pair, rows as in `inputs`."""
         check_consecutive(snap_t, snap_next, dt)
         lo, hi = partition.flame
-        n = snap_t.shape[1]
         block = snap_next.values[:, lo:hi, :]
         if self.output_mode == "derivative":
             block = (block - snap_t.values[:, lo:hi, :]) / dt
-        return np.ascontiguousarray(
-            block.transpose(1, 2, 0).reshape((hi - lo) * n, N_VARS)
-        )
+        return np.ascontiguousarray(block.transpose(1, 2, 0).reshape(-1, N_VARS))
+
+    def next_band(
+        self, state: Snapshot, rows: np.ndarray, partition: DomainPartition, dt: float
+    ) -> np.ndarray:
+        """(vars, band, n) next-step band from (cells, vars) rows: `targets` inverted."""
+        lo, hi = partition.flame
+        band = rows.reshape(hi - lo, state.shape[1], N_VARS).transpose(2, 0, 1)
+        if self.output_mode == "derivative":
+            band = state.values[:, lo:hi, :] + dt * band
+        return band
 
 
 # ----- standardization -----

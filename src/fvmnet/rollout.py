@@ -6,7 +6,9 @@ targets and wall handling, and the split fraction) and checks that the spec
 fits the layout's width; `train_bundle` turns a snapshot window and a recipe
 into a SurrogateBundle, which carries the same layout into its saved file.
 The bundle advances the middle band of the domain one Euler step at a time
-while the reference solver keeps advancing the inlet and outlet strips.
+while the reference solver keeps advancing the inlet and outlet strips; the
+layout turns the network rows into the new band, and the band then ends the
+step in the solver's own `finish_columns`, like the strips.
 Three evaluation modes compare the result against a stored truth series:
 teacher-forced single-step, autoregressive multi-step, and a frozen
 constant-gradient baseline. One step-and-score loop serves all three; a mode
@@ -32,7 +34,7 @@ from .dataset import (
     fit_standardizer,
     target_scale,
 )
-from .errors import BlowupError, ConfigurationError, DomainError
+from .errors import BlowupError, ConfigurationError, DomainError, NumericalError, StabilityError
 from .network import Network, NetworkSpec, init_network, layer_buffers, predict
 from .solver import (
     IDX,
@@ -41,9 +43,9 @@ from .solver import (
     GridSpec,
     PhysicalParams,
     Snapshot,
-    _check_finite,
     check_consecutive,
     continuity_residual,
+    finish_columns,
     step_columns,
     time_tolerance,
 )
@@ -142,9 +144,7 @@ def timed_predict_step(
 
     t0 = time.perf_counter()
     outputs = bundle.cell_outputs(state, partition, grid, params)
-    band = outputs.reshape(hi - lo, grid.n, N_VARS).transpose(2, 0, 1)
-    if bundle.layout.output_mode == "derivative":
-        band = state.values[:, lo:hi, :] + grid.dt * band
+    band = bundle.layout.next_band(state, outputs, partition, grid.dt)
     ml_ms = (time.perf_counter() - t0) * 1e3
 
     t1 = time.perf_counter()
@@ -153,7 +153,7 @@ def timed_predict_step(
 
     values = advanced.values
     values[:, lo:hi, :] = band
-    _check_finite(values, advanced.time, [partition.flame], "surrogate step")
+    finish_columns(values, grid, [partition.flame], advanced.time, "surrogate step")
     return Snapshot(values, advanced.time), ml_ms, cfd_ms
 
 
@@ -167,7 +167,9 @@ def predict_step(
     """One hybrid step: networks advance the middle band, solver the strips.
 
     Strip fluxes that touch the band read its time-t values, exactly as a
-    whole-grid solver step would.
+    whole-grid solver step would. The band's species are clamped into [0, 1]
+    and its values checked finite the way a solver band is. The velocities
+    are still predicted, not copied from the prescribed fields.
     """
     advanced, _, _ = timed_predict_step(bundle, state, partition, grid, params)
     return advanced
@@ -328,6 +330,10 @@ def _rollout(
                 variable=err.variable,
                 cell=err.cell,
             ) from err
+        except StabilityError as err:
+            if mode == "single" or k == 1:
+                raise  # stepping a stored truth state: a configuration error
+            raise NumericalError(f"{mode}-step rollout failed at step {k}: {err}") from err
         maxes, means = band_errors(state, truth[k], partition)
         res = scaled_residual(state, start, grid, params, denominator)
         records.append(StepRecord(k, maxes, means, res, ml_ms, cfd_ms))

@@ -8,6 +8,10 @@ diffusion, advanced with explicit Euler. The axis sits on the inner face of
 the first radial cell ring, so that face has zero area and the symmetry
 condition costs nothing.
 
+One step contract holds for every new state, from the solver or from the
+surrogate's flame band: it leaves `finish_columns`, which refuses any
+non-finite value and clips species into [0, 1].
+
 The flux kernel walks cells in plain Python. That is deliberate: this solver
 is the ground-truth reference, written for line-by-line auditability rather
 than throughput, and every update reads only time-t values (Jacobi update,
@@ -287,35 +291,32 @@ def _advance_slab(values, out, grid: GridSpec, params: PhysicalParams, i_lo: int
         out[IPROD][sl] += drate
 
 
-def _clamp_species(out, grid: GridSpec, columns: Sequence[Tuple[int, int]], time: float):
-    """Clip species on the given column slabs into [0, 1]; log clamped mass."""
+def finish_columns(
+    values, grid: GridSpec, columns: Sequence[Tuple[int, int]], time: float, what="step"
+) -> None:
+    """Refuse non-finite values on the slabs, then clip species into [0, 1], in place.
+
+    Checking first stops the clip hiding an infinite species; clamped mass is debug-logged.
+    """
     vol = grid.cell_volumes()
+    rows = [IDX[name] for name in SPECIES]
     clamped = 0.0
-    for name in SPECIES:
-        k = IDX[name]
-        for lo, hi in columns:
-            block = out[k][lo:hi]
-            clipped = np.clip(block, 0.0, 1.0)
-            delta = np.abs(block - clipped)
-            if delta.any():
-                clamped += float(np.sum(delta * vol[None, :]))
-                out[k][lo:hi] = clipped
+    for lo, hi in columns:
+        finite = np.isfinite(values[:, lo:hi])
+        if not finite.all():
+            bad = np.argwhere(~finite)[0]
+            k, i, j = int(bad[0]), int(bad[1]) + lo, int(bad[2])
+            raise BlowupError(
+                f"non-finite {VARIABLES[k]} at cell ({i}, {j}) after {what} to t={time:.6g}",
+                variable=VARIABLES[k],
+                cell=(i, j),
+            )
+        species = values[rows, lo:hi]
+        clipped = np.clip(species, 0.0, 1.0)
+        clamped += float(np.sum(np.abs(species - clipped) * vol))
+        values[rows, lo:hi] = clipped
     if clamped > 0.0:
         log.debug("clamped species mass %.3e at t=%.6g", clamped, time)
-
-
-def _check_finite(out, time: float, columns: Sequence[Tuple[int, int]], what="step") -> None:
-    for lo, hi in columns:
-        block = out[:, lo:hi, :]
-        if np.isfinite(block).all():
-            continue
-        bad = np.argwhere(~np.isfinite(block))[0]
-        k, i, j = int(bad[0]), int(bad[1]) + lo, int(bad[2])
-        raise BlowupError(
-            f"non-finite {VARIABLES[k]} at cell ({i}, {j}) after {what} to t={time:.6g}",
-            variable=VARIABLES[k],
-            cell=(i, j),
-        )
 
 
 def step_columns(
@@ -341,8 +342,7 @@ def step_columns(
     for lo, hi in columns:
         _advance_slab(values, out, grid, params, lo, hi)
     new_time = state.time + grid.dt
-    _clamp_species(out, grid, columns, new_time)
-    _check_finite(out, new_time, columns)
+    finish_columns(out, grid, columns, new_time)
     return Snapshot(out, new_time)
 
 

@@ -301,9 +301,9 @@ def test_macnet_writes_valid_trace_and_audit(config_path, tmp_path):
     assert ratio == pytest.approx(hybrid_ms / solver_ms)
     assert solver_ms == pytest.approx(1e3 * float(timing[0][2]) / trace.horizon)
     assert run_cli("report", "--out", out) == 0
-    summary = open(os.path.join(out, "report", "summary.md")).read()
-    assert f"cost ratio {ratio:.3f}" in summary
-    assert "speedup" not in summary
+    timing_summary = open(os.path.join(out, "report", "timing_summary.md")).read()
+    assert f"cost ratio {ratio:.3f}" in timing_summary
+    assert "speedup" not in timing_summary
 
 
 def test_macnet_infinite_tolerance_retrains_once(config_path, tmp_path):
@@ -474,6 +474,25 @@ def test_report_malformed_input_exits_4_naming_the_file(tmp_path, capsys, case):
     capsys.readouterr()
     assert run_cli("report", "--out", str(run)) == 4
     assert f"{path} " in capsys.readouterr().err
+
+
+def test_report_summary_is_byte_stable_when_only_timings_change(tmp_path):
+    run = tmp_path / "run"
+    (run / "model").mkdir(parents=True)
+    trace = MacnetTrace(horizon=2, cfd_window=2, tolerance=5.0, max_ml_steps=1)
+    trace.phases.append(Phase("CFD", 0, 2, ended_by="horizon"))
+    write_trace(str(run / "macnet"), trace)
+    for rel, text in REPORT_INPUTS.items():
+        (run / rel).write_text(text)
+    summaries = []
+    for row in ("9.5,3.25,2.0,1.5,2.5,0.6", "19.25,12.5,4.0,3.5,1.5,2.333"):
+        (run / "macnet" / "macnet_timing.csv").write_text(MACNET_TIMING_HEADER + f"\n{row}\n")
+        assert run_cli("report", "--out", str(run)) == 0
+        summaries.append(read_bytes(run / "report" / "summary.md"))
+        timing_summary = (run / "report" / "timing_summary.md").read_text()
+        assert f"cost ratio {float(row.split(',')[-1]):.3f}" in timing_summary
+    assert b"MACnet: 0 ML / 2 CFD steps" in summaries[0]
+    assert summaries[0] == summaries[1]
 
 
 # ----- global flags -----

@@ -256,6 +256,25 @@ def test_target_matrix_modes():
         CellLayout().targets(a, b, part, 0.002)
 
 
+@pytest.mark.parametrize("input_mode", ["tier", "center"])
+@pytest.mark.parametrize("output_mode", ["absolute", "derivative"])
+def test_next_band_inverts_targets(input_mode, output_mode):
+    rng = np.random.default_rng(9)
+    dt = 0.001
+    # Values in [1, 2] keep the derivative round trip's relative error near eps.
+    a = Snapshot(rng.uniform(1.0, 2.0, (N_VARS, 11, 3)), 0.0)
+    b = Snapshot(rng.uniform(1.0, 2.0, (N_VARS, 11, 3)), dt)
+    part = DomainPartition(m=11, m_star=3)
+    layout = CellLayout(input_mode=input_mode, output_mode=output_mode)
+    band = layout.next_band(a, layout.targets(a, b, part, dt), part, dt)
+    expected = b.values[:, 3:8, :]
+    assert band.shape == expected.shape
+    if output_mode == "absolute":
+        assert np.array_equal(band, expected)
+    else:
+        np.testing.assert_allclose(band, expected, rtol=1e-12, atol=0.0)
+
+
 # ----- standardizer -----
 
 

@@ -4,11 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import DerivativeOracle
 
 from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition, Standardizer
-from fvmnet.errors import BlowupError, ConfigurationError, DomainError
+from fvmnet.errors import (
+    BlowupError,
+    ConfigurationError,
+    DomainError,
+    NumericalError,
+    StabilityError,
+)
 from fvmnet.network import NetworkSpec, init_network, predict
 from fvmnet.rollout import (
     RolloutReport,
@@ -138,6 +147,59 @@ def test_nonfinite_network_output_names_cell_and_variable():
     with pytest.raises(BlowupError) as err:
         predict_step(NanBundle(), blob_state(), PART, GRID, PARAMS)
     assert err.value.variable == "T"
+    assert err.value.cell == NAN_CELL
+
+
+class FixedBundle:
+    """A bundle stand-in that returns the same (band cells, 6) outputs every call."""
+
+    layout = CellLayout()
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def cell_outputs(self, state, partition, grid, params):
+        return self.outputs.copy()
+
+
+BAND_ROWS = (PART.flame[1] - PART.flame[0]) * GRID.n
+
+
+def planes(count, low, high):
+    return arrays(np.float64, (count, GRID.m, GRID.n), elements=st.floats(low, high))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    velocities=planes(2, -2.5, 2.5),  # advective CFL at most 0.5
+    temperature=planes(1, -1e6, 1e6),
+    species=planes(3, 0.0, 1.0),
+    transported=arrays(np.float64, (BAND_ROWS, 4), elements=st.floats(-1e6, 1e6)),
+)
+def test_hybrid_step_keeps_the_solver_state_invariants(
+    velocities, temperature, species, transported
+):
+    state = Snapshot(np.concatenate([velocities, temperature, species]), 0.0)
+    outputs = np.zeros((BAND_ROWS, len(VARIABLES)))
+    outputs[:, IDX["T"] :] = transported  # zero velocity derivatives: no CFL breach
+    bundle = FixedBundle(outputs)
+    out = predict_step(bundle, state, PART, GRID, PARAMS)
+    lo, hi = PART.flame
+    band_species = out.values[IDX["X_fuel"] :, lo:hi, :]
+    assert band_species.min() >= 0.0 and band_species.max() <= 1.0
+    strips = step_columns(state, GRID, PARAMS, [PART.inlet, PART.outlet])
+    for a, b in (PART.inlet, PART.outlet):
+        assert np.array_equal(out.values[:, a:b, :], strips.values[:, a:b, :])
+    band = bundle.layout.next_band(state, outputs, PART, GRID.dt)
+    assert np.array_equal(out.var("T")[lo:hi, :], band[IDX["T"]])
+
+
+def test_infinite_band_species_is_refused_not_clipped():
+    outputs = np.zeros((BAND_ROWS, len(VARIABLES)))
+    outputs[5, IDX["X_fuel"]] = np.inf
+    with pytest.raises(BlowupError, match="after surrogate step") as err:
+        predict_step(FixedBundle(outputs), blob_state(), PART, GRID, PARAMS)
+    assert err.value.variable == "X_fuel"
     assert err.value.cell == NAN_CELL
 
 
@@ -349,6 +411,33 @@ def test_rollout_blowup_names_mode_step_variable_and_cell(mode):
     assert str(err.value).startswith(f"{mode}-step rollout failed at step 1: non-finite T")
     assert err.value.variable == "T"
     assert err.value.cell == NAN_CELL
+
+
+class VelocityKickBundle:
+    """A bundle stand-in whose v_x derivative lifts the band velocity by 4 per step."""
+
+    layout = CellLayout()
+
+    def cell_outputs(self, state, partition, grid, params):
+        out = np.zeros((BAND_ROWS, len(VARIABLES)))
+        out[:, IDX["v_x"]] = 4.0 / grid.dt
+        return out
+
+
+def test_multi_step_past_the_cfl_limit_is_a_numerical_failure():
+    truth = simulate(blob_state(), GRID, PARAMS, 2)
+    # Step 1 starts from truth and passes; its band v_x of 4.4 gives CFL 0.88.
+    with pytest.raises(NumericalError) as err:
+        multi_step(VelocityKickBundle(), truth[0], 2, truth, PART, GRID, PARAMS, denom_for(truth))
+    assert not isinstance(err.value, ConfigurationError)
+    assert str(err.value).startswith(
+        "multi-step rollout failed at step 2: explicit step unstable: advective CFL 0.88"
+    )
+    # A stored state past the limit stays a configuration error.
+    fast = blob_state(vx=3.0)
+    truth = [fast, Snapshot(fast.values, GRID.dt)]
+    with pytest.raises(StabilityError):
+        multi_step(zero_bundle(), fast, 1, truth, PART, GRID, PARAMS, 1.0)
 
 
 def test_reports_keep_the_predicted_states():
