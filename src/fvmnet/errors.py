@@ -33,7 +33,7 @@ class NumericalError(FvmnetError):
 
 
 class BlowupError(NumericalError):
-    """A solver step produced a non-finite value; names the first bad cell."""
+    """A step produced a non-finite value or T <= 0; names the first bad cell."""
 
     def __init__(self, message: str, variable: str, cell: tuple):
         super().__init__(message)

@@ -168,8 +168,8 @@ def predict_step(
 
     Strip fluxes that touch the band read its time-t values, exactly as a
     whole-grid solver step would. The band's species are clamped into [0, 1]
-    and its values checked finite the way a solver band is. The velocities
-    are still predicted, not copied from the prescribed fields.
+    and its values checked finite, with T > 0, the way a solver band is. The
+    velocities are still predicted, not copied from the prescribed fields.
     """
     advanced, _, _ = timed_predict_step(bundle, state, partition, grid, params)
     return advanced

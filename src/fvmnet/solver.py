@@ -10,12 +10,14 @@ condition costs nothing.
 
 One step contract holds for every new state, from the solver or from the
 surrogate's flame band: it leaves `finish_columns`, which refuses any
-non-finite value and clips species into [0, 1].
+non-finite value and any T <= 0 (the ideal-gas density needs T > 0) and clips
+species into [0, 1].
 
-The flux kernel walks cells in plain Python. That is deliberate: this solver
-is the ground-truth reference, written for line-by-line auditability rather
-than throughput, and every update reads only time-t values (Jacobi update,
-no in-step sweeping).
+The flux kernel is whole-array numpy. `face_fluxes` is its one flux
+evaluation per step; each column slab differences those face fluxes, and
+every update reads only time-t values (Jacobi update, no in-step sweeping).
+The per-cell loop in `tests/oracles.py` is the reference it matches bit for
+bit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ N_VARS = len(VARIABLES)
 IVX, IVR, IT, IFUEL, IPROD, IOX = (IDX[v] for v in VARIABLES)
 TRANSPORTED: Tuple[str, ...] = ("T", "X_fuel", "X_prod", "X_ox")
 SPECIES: Tuple[str, ...] = ("X_fuel", "X_prod", "X_ox")
+
+_SCALAR_ROWS = [IDX[name] for name in TRANSPORTED]
 
 CFL_LIMIT = 0.5
 DIFFUSION_LIMIT = 0.25
@@ -204,87 +208,70 @@ def _check_shape(state: Snapshot, grid: GridSpec) -> None:
         )
 
 
-def _advance_slab(values, out, grid: GridSpec, params: PhysicalParams, i_lo: int, i_hi: int):
-    """Flux-update transported scalars on columns [i_lo, i_hi) into out.
+def face_fluxes(values, grid: GridSpec, params: PhysicalParams):
+    """East and north face fluxes of every transported scalar, from time-t values.
 
-    out must start as a copy of values; velocity planes and untouched columns
-    pass through. Every read is from time-t values.
+    Returns (east, north), each (len(TRANSPORTED), m, n) in TRANSPORTED order:
+    east[k, i, j] leaves cell (i, j) through its +x face and north[k, i, j]
+    through its outer radial face. West and south fluxes are these shifted by
+    one cell; the axis face has zero area and a closed inlet face carries none.
+    Interior faces upwind on the averaged face velocity and add central
+    diffusion; the outlet is a zero-gradient ghost (closed: no flux), the wall
+    adiabatic or, for T, held at wall_temperature through a half-cell ghost.
     """
     m, n = grid.m, grid.n
-    dx, dr, dt = grid.dx, grid.dr, grid.dt
-    inflow = params.axial_bc == "inflow_outflow"
-    wall_t = params.wall_temperature
-
+    dx, dr = grid.dx, grid.dr
+    phi = values[_SCALAR_ROWS]
+    dcoef = np.array([float(params.diffusivity[name]) for name in TRANSPORTED])[:, None, None]
     vx = values[IVX]
     vr = values[IVR]
-    # Face-normal velocities by arithmetic average of the adjacent centers.
-    vx_e = np.empty((m, n))
-    vx_e[: m - 1] = 0.5 * (vx[: m - 1] + vx[1:])
-    vx_e[m - 1] = vx[m - 1]  # zero-gradient ghost
-    vr_n = np.zeros((m, n))
-    vr_n[:, : n - 1] = 0.5 * (vr[:, : n - 1] + vr[:, 1:])
-
     r_c = grid.radial_centers()
     area_e = r_c * dr                       # axial faces (east and west alike)
     area_n = np.arange(1, n + 1) * dr * dx  # outer radial face of ring j
-    area_s = np.arange(0, n) * dr * dx      # inner radial face; zero on the axis
-    vol = r_c * dr * dx
 
-    for name in TRANSPORTED:
-        k = IDX[name]
-        phi = values[k]
-        new = out[k]
-        dcoef = float(params.diffusivity[name])
-        dirichlet_wall = name == "T" and wall_t is not None
-        for i in range(i_lo, i_hi):
-            if inflow and i == 0:
-                continue  # inlet column held at its current values
-            last = i == m - 1
-            for j in range(n):
-                c = phi[i, j]
-                # East face, positive flux leaves the cell in +x.
-                if last:
-                    fe = vx_e[i, j] * c * area_e[j] if inflow else 0.0
-                else:
-                    v = vx_e[i, j]
-                    up = c if v >= 0.0 else phi[i + 1, j]
-                    fe = (v * up - dcoef * (phi[i + 1, j] - c) / dx) * area_e[j]
-                # West face.
-                if i == 0:
-                    fw = 0.0  # closed end (inflow mode never updates i=0)
-                else:
-                    v = vx_e[i - 1, j]
-                    up = phi[i - 1, j] if v >= 0.0 else c
-                    fw = (v * up - dcoef * (c - phi[i - 1, j]) / dx) * area_e[j]
-                # Outer radial face.
-                if j == n - 1:
-                    if dirichlet_wall:
-                        # Half-cell ghost holds the wall face at wall_t.
-                        fn = -dcoef * (wall_t - c) / (0.5 * dr) * area_n[j]
-                    else:
-                        fn = 0.0  # impermeable adiabatic wall
-                else:
-                    v = vr_n[i, j]
-                    up = c if v >= 0.0 else phi[i, j + 1]
-                    fn = (v * up - dcoef * (phi[i, j + 1] - c) / dr) * area_n[j]
-                # Inner radial face; the axis face has zero area.
-                if j == 0:
-                    fs = 0.0
-                else:
-                    v = vr_n[i, j - 1]
-                    up = phi[i, j - 1] if v >= 0.0 else c
-                    fs = (v * up - dcoef * (c - phi[i, j - 1]) / dr) * area_s[j]
-                new[i, j] = c - dt * (fe - fw + fn - fs) / vol[j]
+    # Face-normal velocities by arithmetic average of the adjacent centers.
+    east = np.empty_like(phi)
+    v = 0.5 * (vx[: m - 1] + vx[1:])
+    lo, hi = phi[:, : m - 1], phi[:, 1:]
+    up = np.where(v >= 0.0, lo, hi)
+    east[:, : m - 1] = (v * up - dcoef * (hi - lo) / dx) * area_e
+    if params.axial_bc == "inflow_outflow":
+        east[:, m - 1] = vx[m - 1] * phi[:, m - 1] * area_e  # zero-gradient ghost
+    else:
+        east[:, m - 1] = 0.0
+
+    north = np.empty_like(phi)
+    v = 0.5 * (vr[:, : n - 1] + vr[:, 1:])
+    lo, hi = phi[:, :, : n - 1], phi[:, :, 1:]
+    up = np.where(v >= 0.0, lo, hi)
+    north[:, :, : n - 1] = (v * up - dcoef * (hi - lo) / dr) * area_n[: n - 1]
+    north[:, :, n - 1] = 0.0  # impermeable adiabatic wall
+    wall_t = params.wall_temperature
+    if wall_t is not None:
+        k = TRANSPORTED.index("T")
+        d = float(params.diffusivity["T"])
+        north[k, :, n - 1] = -d * (wall_t - phi[k, :, n - 1]) / (0.5 * dr) * area_n[n - 1]
+    return east, north
+
+
+def _advance_slab(values, out, net, grid: GridSpec, params: PhysicalParams, i_lo: int, i_hi: int):
+    """Difference the net face outflow into out on columns [i_lo, i_hi), then add the source.
+
+    out must start as a copy of values; velocity planes and untouched columns
+    pass through. Every read is from time-t values, so overlapping slabs agree.
+    """
+    if params.axial_bc == "inflow_outflow":
+        i_lo = max(i_lo, 1)  # inlet column held at its current values
+    if i_lo >= i_hi:
+        return
+    sl = slice(i_lo, i_hi)
+    out[_SCALAR_ROWS, sl] = values[_SCALAR_ROWS, sl] - grid.dt * net[:, sl] / grid.cell_volumes()
 
     # Single-step Arrhenius source from time-t values, applied to every
     # flux-updated column (the held inlet column gets none).
-    lo = i_lo
-    if inflow and lo == 0:
-        lo = 1
-    if lo < i_hi and params.arrhenius_a > 0.0:
-        sl = slice(lo, i_hi)
+    if params.arrhenius_a > 0.0:
         rate = reaction_rate(values[IT][sl], values[IFUEL][sl], values[IOX][sl], params)
-        drate = dt * rate
+        drate = grid.dt * rate
         out[IT][sl] += params.heat_release * drate
         out[IFUEL][sl] -= drate
         out[IOX][sl] -= drate
@@ -294,7 +281,7 @@ def _advance_slab(values, out, grid: GridSpec, params: PhysicalParams, i_lo: int
 def finish_columns(
     values, grid: GridSpec, columns: Sequence[Tuple[int, int]], time: float, what="step"
 ) -> None:
-    """Refuse non-finite values on the slabs, then clip species into [0, 1], in place.
+    """Refuse non-finite values and T <= 0 on the slabs, then clip species into [0, 1], in place.
 
     Checking first stops the clip hiding an infinite species; clamped mass is debug-logged.
     """
@@ -309,6 +296,16 @@ def finish_columns(
             raise BlowupError(
                 f"non-finite {VARIABLES[k]} at cell ({i}, {j}) after {what} to t={time:.6g}",
                 variable=VARIABLES[k],
+                cell=(i, j),
+            )
+        cold = values[IT, lo:hi] <= 0.0
+        if cold.any():
+            i, j = (int(c) for c in np.argwhere(cold)[0])
+            i += lo
+            raise BlowupError(
+                f"non-positive T {values[IT, i, j]:.6g} at cell ({i}, {j}) after {what} "
+                f"to t={time:.6g}",
+                variable="T",
                 cell=(i, j),
             )
         species = values[rows, lo:hi]
@@ -339,8 +336,13 @@ def step_columns(
 
     values = state.values
     out = values.copy()
+    east, north = face_fluxes(values, grid, params)
+    net = east.copy()
+    net[:, 1:] -= east[:, :-1]         # west face
+    net += north
+    net[:, :, 1:] -= north[:, :, :-1]  # inner radial face; zero on the axis
     for lo, hi in columns:
-        _advance_slab(values, out, grid, params, lo, hi)
+        _advance_slab(values, out, net, grid, params, lo, hi)
     new_time = state.time + grid.dt
     finish_columns(out, grid, columns, new_time)
     return Snapshot(out, new_time)

@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities in a deliberately different form from
 the package implementation: per-neuron Python loops instead of matrix
-products, central finite differences instead of the chain rule, per-cell
+products, a per-cell, per-face loop instead of the solver's whole-array flux
+kernel, central finite differences instead of the chain rule, per-cell
 stencil reads instead of whole-band slices, a full solver step instead
 of trained networks, and per-array optimizer updates instead of one flat
 in-place update. `forward` is the exception: the single-sample scalar entry
@@ -22,7 +23,23 @@ import numpy as np
 from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition
 from fvmnet.errors import DomainError
 from fvmnet.network import Network, _activate, _input_batch, backward_batch, predict
-from fvmnet.solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot, check_consecutive, step
+from fvmnet.solver import (
+    IDX,
+    IFUEL,
+    IOX,
+    IPROD,
+    IT,
+    IVR,
+    IVX,
+    N_VARS,
+    TRANSPORTED,
+    GridSpec,
+    PhysicalParams,
+    Snapshot,
+    check_consecutive,
+    reaction_rate,
+    step,
+)
 
 
 def volume_weighted_total(state: Snapshot, grid: GridSpec, name: str) -> float:
@@ -31,6 +48,96 @@ def volume_weighted_total(state: Snapshot, grid: GridSpec, name: str) -> float:
         raise DomainError(f"snapshot shape {state.shape} does not match grid {grid.m}x{grid.n}")
     vol = grid.cell_volumes()
     return float(np.sum(state.var(name) * vol[None, :]))
+
+
+def loop_advance_slab(values, out, grid: GridSpec, params: PhysicalParams, i_lo: int, i_hi: int):
+    """Per-cell reference for the solver's flux kernel: flux-update transported
+    scalars on columns [i_lo, i_hi) into out, one cell and one face at a time.
+
+    The solver's whole-array step must match it bit for bit, slab by slab.
+
+    out must start as a copy of values; velocity planes and untouched columns
+    pass through. Every read is from time-t values.
+    """
+    m, n = grid.m, grid.n
+    dx, dr, dt = grid.dx, grid.dr, grid.dt
+    inflow = params.axial_bc == "inflow_outflow"
+    wall_t = params.wall_temperature
+
+    vx = values[IVX]
+    vr = values[IVR]
+    # Face-normal velocities by arithmetic average of the adjacent centers.
+    vx_e = np.empty((m, n))
+    vx_e[: m - 1] = 0.5 * (vx[: m - 1] + vx[1:])
+    vx_e[m - 1] = vx[m - 1]  # zero-gradient ghost
+    vr_n = np.zeros((m, n))
+    vr_n[:, : n - 1] = 0.5 * (vr[:, : n - 1] + vr[:, 1:])
+
+    r_c = grid.radial_centers()
+    area_e = r_c * dr                       # axial faces (east and west alike)
+    area_n = np.arange(1, n + 1) * dr * dx  # outer radial face of ring j
+    area_s = np.arange(0, n) * dr * dx      # inner radial face; zero on the axis
+    vol = r_c * dr * dx
+
+    for name in TRANSPORTED:
+        k = IDX[name]
+        phi = values[k]
+        new = out[k]
+        dcoef = float(params.diffusivity[name])
+        dirichlet_wall = name == "T" and wall_t is not None
+        for i in range(i_lo, i_hi):
+            if inflow and i == 0:
+                continue  # inlet column held at its current values
+            last = i == m - 1
+            for j in range(n):
+                c = phi[i, j]
+                # East face, positive flux leaves the cell in +x.
+                if last:
+                    fe = vx_e[i, j] * c * area_e[j] if inflow else 0.0
+                else:
+                    v = vx_e[i, j]
+                    up = c if v >= 0.0 else phi[i + 1, j]
+                    fe = (v * up - dcoef * (phi[i + 1, j] - c) / dx) * area_e[j]
+                # West face.
+                if i == 0:
+                    fw = 0.0  # closed end (inflow mode never updates i=0)
+                else:
+                    v = vx_e[i - 1, j]
+                    up = phi[i - 1, j] if v >= 0.0 else c
+                    fw = (v * up - dcoef * (c - phi[i - 1, j]) / dx) * area_e[j]
+                # Outer radial face.
+                if j == n - 1:
+                    if dirichlet_wall:
+                        # Half-cell ghost holds the wall face at wall_t.
+                        fn = -dcoef * (wall_t - c) / (0.5 * dr) * area_n[j]
+                    else:
+                        fn = 0.0  # impermeable adiabatic wall
+                else:
+                    v = vr_n[i, j]
+                    up = c if v >= 0.0 else phi[i, j + 1]
+                    fn = (v * up - dcoef * (phi[i, j + 1] - c) / dr) * area_n[j]
+                # Inner radial face; the axis face has zero area.
+                if j == 0:
+                    fs = 0.0
+                else:
+                    v = vr_n[i, j - 1]
+                    up = phi[i, j - 1] if v >= 0.0 else c
+                    fs = (v * up - dcoef * (c - phi[i, j - 1]) / dr) * area_s[j]
+                new[i, j] = c - dt * (fe - fw + fn - fs) / vol[j]
+
+    # Single-step Arrhenius source from time-t values, applied to every
+    # flux-updated column (the held inlet column gets none).
+    lo = i_lo
+    if inflow and lo == 0:
+        lo = 1
+    if lo < i_hi and params.arrhenius_a > 0.0:
+        sl = slice(lo, i_hi)
+        rate = reaction_rate(values[IT][sl], values[IFUEL][sl], values[IOX][sl], params)
+        drate = dt * rate
+        out[IT][sl] += params.heat_release * drate
+        out[IFUEL][sl] -= drate
+        out[IOX][sl] -= drate
+        out[IPROD][sl] += drate
 
 
 def flame_cells(partition: DomainPartition, n: int) -> np.ndarray:

@@ -172,7 +172,7 @@ def planes(count, low, high):
 @settings(max_examples=60, deadline=None)
 @given(
     velocities=planes(2, -2.5, 2.5),  # advective CFL at most 0.5
-    temperature=planes(1, -1e6, 1e6),
+    temperature=planes(1, 1.0, 1e6),
     species=planes(3, 0.0, 1.0),
     transported=arrays(np.float64, (BAND_ROWS, 4), elements=st.floats(-1e6, 1e6)),
 )
@@ -183,14 +183,28 @@ def test_hybrid_step_keeps_the_solver_state_invariants(
     outputs = np.zeros((BAND_ROWS, len(VARIABLES)))
     outputs[:, IDX["T"] :] = transported  # zero velocity derivatives: no CFL breach
     bundle = FixedBundle(outputs)
-    out = predict_step(bundle, state, PART, GRID, PARAMS)
     lo, hi = PART.flame
+    band = bundle.layout.next_band(state, outputs, PART, GRID.dt)
+    try:
+        strips = step_columns(state, GRID, PARAMS, [PART.inlet, PART.outlet])
+    except BlowupError as solver_err:
+        # The strips are stepped first, so their refusal is the hybrid step's.
+        with pytest.raises(BlowupError) as err:
+            predict_step(bundle, state, PART, GRID, PARAMS)
+        assert (err.value.variable, err.value.cell) == (solver_err.variable, solver_err.cell)
+        return
+    if (band[IDX["T"]] <= 0.0).any():
+        with pytest.raises(BlowupError, match="non-positive T .* after surrogate step") as err:
+            predict_step(bundle, state, PART, GRID, PARAMS)
+        i, j = err.value.cell
+        assert err.value.variable == "T" and band[IDX["T"]][i - lo, j] <= 0.0
+        return
+    out = predict_step(bundle, state, PART, GRID, PARAMS)
+    assert out.var("T")[lo:hi, :].min() > 0.0
     band_species = out.values[IDX["X_fuel"] :, lo:hi, :]
     assert band_species.min() >= 0.0 and band_species.max() <= 1.0
-    strips = step_columns(state, GRID, PARAMS, [PART.inlet, PART.outlet])
     for a, b in (PART.inlet, PART.outlet):
         assert np.array_equal(out.values[:, a:b, :], strips.values[:, a:b, :])
-    band = bundle.layout.next_band(state, outputs, PART, GRID.dt)
     assert np.array_equal(out.var("T")[lo:hi, :], band[IDX["T"]])
 
 
@@ -438,6 +452,27 @@ def test_multi_step_past_the_cfl_limit_is_a_numerical_failure():
     truth = [fast, Snapshot(fast.values, GRID.dt)]
     with pytest.raises(StabilityError):
         multi_step(zero_bundle(), fast, 1, truth, PART, GRID, PARAMS, 1.0)
+
+
+class ColdBandBundle:
+    """A bundle stand-in whose T derivative takes 10^4 K off band row 5 per step."""
+
+    layout = CellLayout()
+
+    def cell_outputs(self, state, partition, grid, params):
+        out = np.zeros((BAND_ROWS, len(VARIABLES)))
+        out[5, IDX["T"]] = -1e4 / grid.dt
+        return out
+
+
+def test_multi_step_below_zero_temperature_is_a_numerical_failure():
+    truth = simulate(blob_state(), GRID, PARAMS, 2)
+    with pytest.raises(NumericalError) as err:
+        multi_step(ColdBandBundle(), truth[0], 2, truth, PART, GRID, PARAMS, denom_for(truth))
+    assert not isinstance(err.value, ConfigurationError)
+    assert str(err.value).startswith("multi-step rollout failed at step 1: non-positive T")
+    assert err.value.variable == "T"
+    assert err.value.cell == NAN_CELL
 
 
 def test_reports_keep_the_predicted_states():
