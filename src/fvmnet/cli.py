@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from contextlib import contextmanager
 from typing import List, Optional
 
 from .errors import ArtifactIOError, ConfigurationError, NumericalError
@@ -31,28 +30,6 @@ VARIANTS = {
     "tier-only": ("tier", "absolute"),
     "derivative-only": ("center", "derivative"),
     "general": ("center", "absolute"),
-}
-ABLATION_HEADER = (
-    "kind,name,input_mode,output_mode,param_count,epochs,max_rel_err_T,mean_rel_err_T"
-)
-MACNET_TIMING_HEADER = (
-    "wall_seconds,train_seconds,pure_cfd_seconds,"
-    "hybrid_step_ms,solver_step_ms,step_cost_ratio"
-)
-
-# Every artifact `report` reads, by name, relative to the run directory.
-REPORT_INPUTS = {
-    "effective_config.json": "effective_config.json",
-    "series": "series/manifest.json",
-    "train_reports": "model/train_reports.json",
-    "ablation": "ablation.csv",
-    "report_multi": "report_multi.csv",
-    "report_single": "report_single.csv",
-    "report_constant-gradient": "report_constant-gradient.csv",
-    "growth_fit": "growth_fit.json",
-    "trace": "macnet/trace.json",
-    "audit": "macnet/audit.csv",
-    "macnet_timing": "macnet/macnet_timing.csv",
 }
 
 
@@ -308,7 +285,7 @@ def _parse_names(text: str, choices, what: str) -> List[str]:
 def cmd_ablate(args) -> int:
     from dataclasses import replace
 
-    from .io import write_csv
+    from .io import ABLATION_HEADER, write_csv
     from .network import CASES, param_count
     from .rollout import residual_denominator, single_step, train_bundle
 
@@ -363,11 +340,6 @@ def cmd_ablate(args) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     path = write_csv(os.path.join(cfg.out, "ablation.csv"), ABLATION_HEADER, rows)
     _echo_config(cfg)
-    ranked = sorted(rows, key=lambda row: row[6])
-    for row in ranked:
-        log.info(
-            "ablation rank: %-8s %-15s max %.4e mean %.4e", row[0], row[1], row[6], row[7]
-        )
     print(path)
     return EXIT_OK
 
@@ -454,7 +426,7 @@ def cmd_rollout(args) -> int:
 def cmd_macnet(args) -> int:
     import time
 
-    from .io import write_audit, write_csv, write_trace
+    from .io import MACNET_TIMING_HEADER, write_audit, write_csv, write_trace
     from .macnet import hybrid_error_audit, run, step_costs, validate_trace
     from .solver import simulate
 
@@ -500,210 +472,14 @@ def cmd_macnet(args) -> int:
     return EXIT_OK
 
 
-@contextmanager
-def _reading(path: str):
-    """Turn an error raised while interpreting `path` into an ArtifactIOError naming it."""
-    try:
-        yield
-    except (IndexError, KeyError, TypeError, ValueError) as err:
-        raise ArtifactIOError(f"{path} is malformed: {type(err).__name__}: {err}") from None
-
-
-def _read_rows(path: str, header: str) -> List[List[str]]:
-    """The rows of a CSV that `report` reads; each such file holds at least one."""
-    from .io import read_csv
-
-    rows = read_csv(path, header)
-    if not rows:
-        raise ArtifactIOError(f"{path} has a header but no rows")
-    return rows
-
-
-def _write_lines(path: str, lines: List[str]) -> str:
-    from .io import atomic_writer
-
-    with atomic_writer(path) as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
-
-
 def cmd_report(args) -> int:
-    import numpy as np
-
     from .config import load_config
-    from .io import REPORT_HEADER, load_series, read_json, write_csv
-    from .solver import IDX
+    from .report import write_report
 
     run_dir = args.out
     if run_dir is None:
-        cfg_probe = load_config(args.config, list(args.overrides))
-        run_dir = cfg_probe.out
-    if not os.path.isdir(run_dir):
-        raise ArtifactIOError(f"run directory not found: {run_dir}")
-
-    found = {}
-    for name, rel in REPORT_INPUTS.items():
-        path = os.path.join(run_dir, rel)
-        if os.path.exists(path):
-            found[name] = path
-    if not found:
-        raise ArtifactIOError(f"no artifacts found in {run_dir}")
-
-    report_dir = os.path.join(run_dir, "report")
-    os.makedirs(report_dir, exist_ok=True)
-    lines = ["# Run summary", "", "## Artifacts", ""]
-    for name in sorted(found):
-        lines.append(f"- {name}: `{found[name]}`")
-    written = []
-
-    for mode in ("multi", "single", "constant-gradient"):
-        key = f"report_{mode}"
-        if key not in found:
-            continue
-        rows = _read_rows(found[key], REPORT_HEADER)
-        with _reading(found[key]):
-            by_step = {}
-            for row in rows:
-                rec = by_step.setdefault(int(row[0]), {"residual": float(row[5])})
-                rec[row[2]] = (float(row[3]), float(row[4]))
-            out_rows = []
-            for k in sorted(by_step):
-                rec = by_step[k]
-                all_max = max(v[0] for key2, v in rec.items() if key2 != "residual")
-                out_rows.append(
-                    (k, rec["T"][0], rec["T"][1], all_max, rec["residual"])
-                )
-        written.append(
-            write_csv(
-                os.path.join(report_dir, f"error_vs_step_{mode}.csv"),
-                "step,max_rel_err_T,mean_rel_err_T,max_rel_err_all,scaled_residual",
-                out_rows,
-            )
-        )
-        final = out_rows[-1]
-        lines.append("")
-        lines.append(
-            f"## Rollout {mode}: final-step max T error {final[1]:.4e}, "
-            f"final residual {final[4]:.4f}"
-        )
-
-    if "growth_fit" in found:
-        fits = read_json(found["growth_fit"])
-        lines.append("")
-        lines.append("## Error growth fits")
-        lines.append("")
-        with _reading(found["growth_fit"]):
-            for mode in sorted(fits):
-                fit = fits[mode]
-                lines.append(
-                    f"- {mode}: linear RSS {fit['linear_rss']:.4e}, quadratic RSS "
-                    f"{fit['quadratic_rss']:.4e} -> {fit['better']}"
-                )
-
-    if "ablation" in found:
-        rows = _read_rows(found["ablation"], ABLATION_HEADER)
-        with _reading(found["ablation"]):
-            case_rows = [row for row in rows if row[0] == "case"]
-            if case_rows:
-                written.append(
-                    write_csv(
-                        os.path.join(report_dir, "case_bars.csv"),
-                        "name,param_count,epochs,max_rel_err_T,mean_rel_err_T",
-                        [
-                            (r[1], int(r[4]), int(r[5]), float(r[6]), float(r[7]))
-                            for r in case_rows
-                        ],
-                    )
-                )
-            ranked = sorted(rows, key=lambda r: float(r[6]))
-            lines.append("")
-            lines.append("## Ablation ranking (max T error, best first)")
-            lines.append("")
-            for r in ranked:
-                lines.append(
-                    f"- {r[0]} {r[1]} ({r[2]}/{r[3]}, {r[4]} params): "
-                    f"max {float(r[6]):.4e}, mean {float(r[7]):.4e}"
-                )
-
-    if "series" in found and "effective_config.json" in found:
-        try:
-            cfg = load_config(found["effective_config.json"])
-        except ConfigurationError as err:
-            # The run's own config is an artifact here, not user input.
-            raise ArtifactIOError(
-                f"{found['effective_config.json']} is malformed: {err}"
-            ) from None
-        window, grid, _ = load_series(found["series"], cfg.train_window + 1)
-        layout = cfg.recipe.layout
-        targets = np.concatenate(
-            [
-                layout.targets(a, b, cfg.partition, grid.dt)[:, IDX["T"]]
-                for a, b in zip(window[:-1], window[1:])
-            ]
-        )
-        if layout.output_mode == "derivative":
-            targets = targets * grid.dt
-        counts, edges = np.histogram(targets, bins=41)
-        written.append(
-            write_csv(
-                os.path.join(report_dir, "target_hist.csv"),
-                "bin_left,bin_right,count",
-                [
-                    (float(edges[k]), float(edges[k + 1]), int(counts[k]))
-                    for k in range(len(counts))
-                ],
-            )
-        )
-        lines.append("")
-        lines.append(
-            f"## Temperature target distribution: {targets.size} samples, "
-            f"peak bin {int(counts.max())} at "
-            f"[{edges[int(counts.argmax())]:.4g}, {edges[int(counts.argmax()) + 1]:.4g}]"
-        )
-
-    if "train_reports" in found:
-        payload = read_json(found["train_reports"])
-        lines.append("")
-        lines.append("## Training")
-        lines.append("")
-        with _reading(found["train_reports"]):
-            for v in sorted(payload):
-                rep = payload[v]
-                lines.append(
-                    f"- {v}: best val loss {rep['best_val_loss']:.4e} at epoch "
-                    f"{rep['best_epoch']} ({rep['epochs_run']} run)"
-                )
-
-    if "trace" in found:
-        from .io import load_trace
-
-        loaded = load_trace(found["trace"])
-        lines.append("")
-        lines.append(
-            f"## MACnet: {loaded.ml_steps()} ML / {loaded.cfd_steps()} CFD steps "
-            f"({100.0 * loaded.ml_fraction():.0f}% ML), "
-            f"{len(loaded.retrains)} retrains, {len(loaded.fallbacks)} fallbacks"
-        )
-        if "macnet_timing" in found:
-            row = _read_rows(found["macnet_timing"], MACNET_TIMING_HEADER)[0]
-            with _reading(found["macnet_timing"]):
-                timing_lines = [
-                    "# MACnet timing",
-                    "",
-                    f"- wall {float(row[0]):.2f}s (training {float(row[1]):.2f}s), "
-                    f"pure solver {float(row[2]):.2f}s",
-                    f"- per step: hybrid {float(row[3]):.2f} ms, solver "
-                    f"{float(row[4]):.2f} ms, cost ratio {float(row[5]):.3f} "
-                    f"(training {float(row[1]):.2f}s)",
-                ]
-            written.append(
-                _write_lines(os.path.join(report_dir, "timing_summary.md"), timing_lines)
-            )
-
-    # Wall-clock figures stay in timing_summary.md, so reruns rewrite this byte for byte.
-    summary = _write_lines(os.path.join(report_dir, "summary.md"), lines)
-    print(summary)
-    for path in written:
+        run_dir = load_config(args.config, list(args.overrides)).out
+    for path in write_report(run_dir):
         print(path)
     return EXIT_OK
 

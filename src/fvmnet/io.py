@@ -22,16 +22,20 @@ record, time gap and listed file) but loads only the first `count`
 snapshots, so each command reads just the snapshots it works on.
 
 The grid and physical-parameter records of the series manifest, the
-bundle's `layout` (its one `CellLayout`) and each network's `spec`, each
-`train_reports.json` entry and the trace header and its phase, retrain and
-fallback entries are their dataclass's fields, written by
-`dataclasses.asdict` and read back by `_record`. Adding a field to one of
-those dataclasses therefore changes the file format and needs its format tag
-bumped. A malformed file (a missing or unknown key, a value of the wrong type,
-or one the record's own checks refuse; a bundle without exactly one network
-per variable; a snapshot file or bundle member that is not a finite C-order
-little-endian float64 array of the expected shape) raises ArtifactIOError
-naming the file, which the CLI reports with exit code 4.
+bundle's `layout` (its one `CellLayout`) and each network's `spec`, and the
+trace header and its phase, retrain and fallback entries are their
+dataclass's fields, written by `dataclasses.asdict` and read back by
+`_record`. Adding a field to one of those dataclasses therefore changes the
+file format and needs its format tag bumped. A `train_reports.json` entry
+adds the derived `epochs_run` to a `TrainReport`'s fields, so it is read as
+raw JSON, never through `_record`: `report` reads three keys and
+`perfbench/workloads.py` reads `epochs_run`. A malformed file (a missing or
+unknown key, a value of the wrong type, or one the record's own checks
+refuse; a bundle without exactly one network per variable; a snapshot file
+or bundle member that is not a finite C-order little-endian float64 array of
+the expected shape) raises ArtifactIOError naming the file, which the CLI
+reports with exit code 4. Each CSV header that one command writes and
+another reads is a `*_HEADER` here.
 """
 
 from __future__ import annotations
@@ -430,6 +434,9 @@ def save_train_reports(out_dir: str, reports: Mapping[str, TrainReport]) -> str:
 
 REPORT_HEADER = "step,mode,variable,max_rel_err,mean_rel_err,scaled_residual"
 TIMING_HEADER = "step,ml_ms,cfd_ms"
+ABLATION_HEADER = (
+    "kind,name,input_mode,output_mode,param_count,epochs,max_rel_err_T,mean_rel_err_T"
+)
 
 
 def write_rollout_report(out_dir: str, report: RolloutReport) -> Tuple[str, str]:
@@ -511,6 +518,10 @@ def load_trace(path: str) -> MacnetTrace:
 
 
 AUDIT_HEADER = "step,mode,variable,max_rel_err,mean_rel_err"
+MACNET_TIMING_HEADER = (
+    "wall_seconds,train_seconds,pure_cfd_seconds,"
+    "hybrid_step_ms,solver_step_ms,step_cost_ratio"
+)
 
 
 def write_audit(out_dir: str, rows) -> str:

@@ -276,7 +276,7 @@ def test_10_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "run"
 
     def pipeline():
-        for command in ("generate", "train", "rollout"):
+        for command in ("generate", "train", "rollout", "report"):
             assert main([command, "--out", str(out)]) == 0
         files = {}
         for root, _, names in os.walk(out):

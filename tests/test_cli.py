@@ -11,8 +11,10 @@ import pytest
 
 import fvmnet.io
 import fvmnet.rollout
-from fvmnet.cli import ABLATION_HEADER, MACNET_TIMING_HEADER, main
+from fvmnet.cli import main
 from fvmnet.io import (
+    ABLATION_HEADER,
+    MACNET_TIMING_HEADER,
     REPORT_HEADER,
     load_bundle,
     load_series,
@@ -431,9 +433,13 @@ REPORT_INPUTS = {
 MALFORMED_REPORT_INPUTS = {
     "report-header-only": ("report_multi.csv", REPORT_HEADER + "\n"),
     "report-non-numeric": ("report_multi.csv", REPORT_HEADER + "\n1,multi,T,abc,0.25,1.5\n"),
+    "report-extra-field": ("report_multi.csv", REPORT_HEADER + "\n1,multi,T,0.5,0.25,1.5,9\n"),
     "ablation-header-only": ("ablation.csv", ABLATION_HEADER + "\n"),
     "ablation-non-numeric": (
         "ablation.csv", ABLATION_HEADER + "\ncase,a,tier,derivative,31,4,abc,0.25\n"
+    ),
+    "ablation-extra-field": (
+        "ablation.csv", ABLATION_HEADER + "\ncase,a,tier,derivative,31,4,0.5,0.25,9\n"
     ),
     "growth-fit-missing-key": (
         "growth_fit.json", json.dumps({"multi": {"linear_rss": 1.0, "better": "linear"}})
@@ -444,6 +450,9 @@ MALFORMED_REPORT_INPUTS = {
     "macnet-timing-header-only": ("macnet/macnet_timing.csv", MACNET_TIMING_HEADER + "\n"),
     "macnet-timing-non-numeric": (
         "macnet/macnet_timing.csv", MACNET_TIMING_HEADER + "\n9.5,3.25,2.0,abc,2.5,0.6\n"
+    ),
+    "macnet-timing-extra-field": (
+        "macnet/macnet_timing.csv", MACNET_TIMING_HEADER + "\n9.5,3.25,2.0,1.5,2.5,0.6,9\n"
     ),
     "config-truncated": ("effective_config.json", '{"grid": '),
     "config-string-grid-size": ("effective_config.json", json.dumps({"grid": {"m": "96"}})),
