@@ -9,7 +9,7 @@ derivative (x_next - x) / dt or the raw next-step value. The layout is built
 once from the `dataset` config leaves, checked once on construction, carried
 whole by the recipe and the trained bundle, and written once into the saved
 bundle. It maps in both directions: snapshots to input rows and targets for
-training, and network output rows back to the next band for a hybrid step.
+training, and transported-network rows back to the next band for a hybrid step.
 
 Samples are harvested only from the middle band of the channel; the inlet and
 outlet strips stay on the solver's books, which also guarantees every sampled
@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .solver import N_VARS, GridSpec, Snapshot, check_consecutive
+from .solver import N_VARS, SCALAR_ROWS, TRANSPORTED, GridSpec, Snapshot, check_consecutive
 
 INPUT_MODES = ("tier", "center")
 OUTPUT_MODES = ("derivative", "absolute")
@@ -178,11 +178,11 @@ class CellLayout:
     def next_band(
         self, state: Snapshot, rows: np.ndarray, partition: DomainPartition, dt: float
     ) -> np.ndarray:
-        """(vars, band, n) next-step band from (cells, vars) rows: `targets` inverted."""
+        """(len(TRANSPORTED), band, n) next scalar planes from rows of their `targets` columns."""
         lo, hi = partition.flame
-        band = rows.reshape(hi - lo, state.shape[1], N_VARS).transpose(2, 0, 1)
+        band = rows.reshape(hi - lo, state.shape[1], len(TRANSPORTED)).transpose(2, 0, 1)
         if self.output_mode == "derivative":
-            band = state.values[:, lo:hi, :] + dt * band
+            band = state.values[SCALAR_ROWS, lo:hi, :] + dt * band
         return band
 
 

@@ -74,7 +74,7 @@ def write_report(run_dir: str) -> List[str]:
     report_dir = os.path.join(run_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     lines = ["# Run summary", "", "## Artifacts", ""]
-    lines += [f"- {name}: `{found[name]}`" for name in sorted(found)]
+    lines += [f"- {name}: `{REPORT_INPUTS[name]}`" for name in sorted(found)]
     written = []
 
     def write_table(name: str, header: str, rows) -> None:

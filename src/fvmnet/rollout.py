@@ -7,8 +7,9 @@ fits the layout's width; `train_bundle` turns a snapshot window and a recipe
 into a SurrogateBundle, which carries the same layout into its saved file.
 The bundle advances the middle band of the domain one Euler step at a time
 while the reference solver keeps advancing the inlet and outlet strips; the
-layout turns the network rows into the new band, and the band then ends the
-step in the solver's own `finish_columns`, like the strips.
+layout turns the transported networks' rows into the band's scalars, the
+prescribed velocities pass through as in a solver step, and the band then
+ends the step in the solver's own `finish_columns`, like the strips.
 Three evaluation modes compare the result against a stored truth series:
 teacher-forced single-step, autoregressive multi-step, and a frozen
 constant-gradient baseline. One step-and-score loop serves all three; a mode
@@ -34,11 +35,12 @@ from .dataset import (
     fit_standardizer,
     target_scale,
 )
-from .errors import BlowupError, ConfigurationError, DomainError, NumericalError, StabilityError
+from .errors import BlowupError, ConfigurationError, DomainError
 from .network import Network, NetworkSpec, init_network, layer_buffers, predict
 from .solver import (
     IDX,
-    N_VARS,
+    SCALAR_ROWS,
+    TRANSPORTED,
     VARIABLES,
     GridSpec,
     PhysicalParams,
@@ -74,9 +76,9 @@ def _check_state(state: Snapshot, grid: GridSpec, partition: DomainPartition) ->
 class SurrogateBundle:
     """One trained network per variable plus the scaling that wraps them.
 
-    All six networks read the same standardized input row, built by the
-    cell layout they were trained on; each output is un-scaled by that
-    variable's target statistics before use.
+    The TRANSPORTED networks read one standardized input row per band cell,
+    built by the cell layout they were trained on, and each output is un-scaled
+    by that variable's target statistics. The v_x and v_r networks are saved, never run.
     """
 
     networks: Dict[str, Network]
@@ -114,20 +116,20 @@ class SurrogateBundle:
         grid: GridSpec,
         params: PhysicalParams,
     ) -> np.ndarray:
-        """(n_flame_cells, 6) physical-unit outputs, rows i-major over the band.
+        """(band cells, len(TRANSPORTED)) physical-unit outputs in TRANSPORTED order, rows i-major.
 
         Networks of one spec share a single set of layer buffers per call.
         """
         x = self.layout.inputs(state, partition)
         z = self.standardizer.apply(x)
-        out = np.empty((x.shape[0], N_VARS), dtype=np.float64)
+        out = np.empty((x.shape[0], len(TRANSPORTED)), dtype=np.float64)
         buffers = {}
-        for v in VARIABLES:
+        for k, v in enumerate(TRANSPORTED):
             net = self.networks[v]
             if net.spec not in buffers:
                 buffers[net.spec] = layer_buffers(net.spec, x.shape[0])
             mean, std = self.target_scales[v]
-            out[:, IDX[v]] = predict(net, z, buffers[net.spec]) * std + mean
+            out[:, k] = predict(net, z, buffers[net.spec]) * std + mean
         return out
 
 
@@ -151,8 +153,8 @@ def timed_predict_step(
     advanced = step_columns(state, grid, params, [partition.inlet, partition.outlet])
     cfd_ms = (time.perf_counter() - t1) * 1e3
 
-    values = advanced.values
-    values[:, lo:hi, :] = band
+    values = advanced.values  # band velocities: the input's, as step_columns copied them
+    values[SCALAR_ROWS, lo:hi, :] = band
     finish_columns(values, grid, [partition.flame], advanced.time, "surrogate step")
     return Snapshot(values, advanced.time), ml_ms, cfd_ms
 
@@ -166,10 +168,10 @@ def predict_step(
 ) -> Snapshot:
     """One hybrid step: networks advance the middle band, solver the strips.
 
-    Strip fluxes that touch the band read its time-t values, exactly as a
+    Only the transported networks run; the band velocities pass through, as in
+    a solver step. Strip fluxes that touch the band read its time-t values, as a
     whole-grid solver step would. The band's species are clamped into [0, 1]
-    and its values checked finite, with T > 0, the way a solver band is. The
-    velocities are still predicted, not copied from the prescribed fields.
+    and its values checked finite, with T > 0, the way a solver band is.
     """
     advanced, _, _ = timed_predict_step(bundle, state, partition, grid, params)
     return advanced
@@ -330,10 +332,6 @@ def _rollout(
                 variable=err.variable,
                 cell=err.cell,
             ) from err
-        except StabilityError as err:
-            if mode == "single" or k == 1:
-                raise  # stepping a stored truth state: a configuration error
-            raise NumericalError(f"{mode}-step rollout failed at step {k}: {err}") from err
         maxes, means = band_errors(state, truth[k], partition)
         res = scaled_residual(state, start, grid, params, denominator)
         records.append(StepRecord(k, maxes, means, res, ml_ms, cfd_ms))
@@ -394,10 +392,10 @@ def constant_gradient(
     params: PhysicalParams,
     denominator: float,
 ) -> RolloutReport:
-    """Baseline: apply one frozen gradient to the middle band every step.
+    """Baseline: apply one frozen gradient to the middle band's scalars every step.
 
-    The strips hold their initial values; error statistics only read the
-    middle band, so the strips serve the residual diagnostic alone.
+    The velocities and strips hold their initial values; error statistics only
+    read the middle band, so the strips serve the residual diagnostic alone.
     """
     _check_state(initial, grid, partition)
     gradient = np.asarray(gradient, dtype=np.float64)
@@ -410,7 +408,7 @@ def constant_gradient(
     def advance(k: int, start: Snapshot) -> Tuple[Snapshot, float, float]:
         t0 = time.perf_counter()
         values = initial.values.copy()
-        values[:, lo:hi, :] += (k * grid.dt) * gradient[:, lo:hi, :]
+        values[SCALAR_ROWS, lo:hi, :] += (k * grid.dt) * gradient[SCALAR_ROWS, lo:hi, :]
         ml_ms = (time.perf_counter() - t0) * 1e3
         return Snapshot(values, initial.time + k * grid.dt), ml_ms, 0.0
 

@@ -42,7 +42,7 @@ IVX, IVR, IT, IFUEL, IPROD, IOX = (IDX[v] for v in VARIABLES)
 TRANSPORTED: Tuple[str, ...] = ("T", "X_fuel", "X_prod", "X_ox")
 SPECIES: Tuple[str, ...] = ("X_fuel", "X_prod", "X_ox")
 
-_SCALAR_ROWS = [IDX[name] for name in TRANSPORTED]
+SCALAR_ROWS = [IDX[name] for name in TRANSPORTED]
 
 CFL_LIMIT = 0.5
 DIFFUSION_LIMIT = 0.25
@@ -221,7 +221,7 @@ def face_fluxes(values, grid: GridSpec, params: PhysicalParams):
     """
     m, n = grid.m, grid.n
     dx, dr = grid.dx, grid.dr
-    phi = values[_SCALAR_ROWS]
+    phi = values[SCALAR_ROWS]
     dcoef = np.array([float(params.diffusivity[name]) for name in TRANSPORTED])[:, None, None]
     vx = values[IVX]
     vr = values[IVR]
@@ -265,7 +265,7 @@ def _advance_slab(values, out, net, grid: GridSpec, params: PhysicalParams, i_lo
     if i_lo >= i_hi:
         return
     sl = slice(i_lo, i_hi)
-    out[_SCALAR_ROWS, sl] = values[_SCALAR_ROWS, sl] - grid.dt * net[:, sl] / grid.cell_volumes()
+    out[SCALAR_ROWS, sl] = values[SCALAR_ROWS, sl] - grid.dt * net[:, sl] / grid.cell_volumes()
 
     # Single-step Arrhenius source from time-t values, applied to every
     # flux-updated column (the held inlet column gets none).

@@ -212,7 +212,8 @@ def derivative_target(
 
 @dataclass
 class DerivativeOracle:
-    """Bundle stand-in returning the exact solver derivative per flame cell.
+    """Bundle stand-in returning the exact solver derivative of every
+    transported scalar per flame cell.
 
     Closes the loop: feeding these outputs through predict_step must
     reproduce the reference solver on the middle band.
@@ -229,8 +230,9 @@ class DerivativeOracle:
     ) -> np.ndarray:
         advanced = step(state, grid, params)
         lo, hi = partition.flame
-        band = (advanced.values[:, lo:hi, :] - state.values[:, lo:hi, :]) / grid.dt
-        return np.ascontiguousarray(band.transpose(1, 2, 0).reshape(-1, N_VARS))
+        rows = [IDX[v] for v in TRANSPORTED]
+        band = (advanced.values[rows, lo:hi, :] - state.values[rows, lo:hi, :]) / grid.dt
+        return np.ascontiguousarray(band.transpose(1, 2, 0).reshape(-1, len(TRANSPORTED)))
 
 
 def forward(net: Network, x) -> float:

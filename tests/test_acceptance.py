@@ -243,7 +243,7 @@ def test_08_hybrid_trace_validity_and_tolerance_extremes(desk_cfg, desk_series):
 
 def test_09_solver_step_beats_hybrid_step(desk_cfg, desk_series, desk_bundle):
     """The paper's speedup comes from replacing an expensive CFD solver. Against
-    the whole-array kernel the hybrid step, six 64-wide networks over the band
+    the whole-array kernel the hybrid step, four 64-wide networks over the band
     plus the strips, is the slower one, so a slow kernel coming back shows here.
     A cheaper surrogate step would have to restate this check.
     """

@@ -485,14 +485,19 @@ def test_report_malformed_input_exits_4_naming_the_file(tmp_path, capsys, case):
     assert f"{path} " in capsys.readouterr().err
 
 
-def test_report_summary_is_byte_stable_when_only_timings_change(tmp_path):
-    run = tmp_path / "run"
+def fake_report_run(run):
+    """A run directory holding a one-phase trace and every REPORT_INPUTS file."""
     (run / "model").mkdir(parents=True)
     trace = MacnetTrace(horizon=2, cfd_window=2, tolerance=5.0, max_ml_steps=1)
     trace.phases.append(Phase("CFD", 0, 2, ended_by="horizon"))
     write_trace(str(run / "macnet"), trace)
     for rel, text in REPORT_INPUTS.items():
         (run / rel).write_text(text)
+
+
+def test_report_summary_is_byte_stable_when_only_timings_change(tmp_path):
+    run = tmp_path / "run"
+    fake_report_run(run)
     summaries = []
     for row in ("9.5,3.25,2.0,1.5,2.5,0.6", "19.25,12.5,4.0,3.5,1.5,2.333"):
         (run / "macnet" / "macnet_timing.csv").write_text(MACNET_TIMING_HEADER + f"\n{row}\n")
@@ -502,6 +507,21 @@ def test_report_summary_is_byte_stable_when_only_timings_change(tmp_path):
         assert f"cost ratio {float(row.split(',')[-1]):.3f}" in timing_summary
     assert b"MACnet: 0 ML / 2 CFD steps" in summaries[0]
     assert summaries[0] == summaries[1]
+
+
+def test_report_summary_is_the_same_through_a_relative_and_an_absolute_out(
+    tmp_path, monkeypatch
+):
+    run = tmp_path / "run"
+    fake_report_run(run)
+    assert run_cli("report", "--out", str(run)) == 0
+    absolute = read_bytes(run / "report" / "summary.md")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("report", "--out", "run") == 0
+    assert read_bytes(run / "report" / "summary.md") == absolute
+    # Artifacts are listed by their path inside the run directory.
+    assert b"- trace: `macnet/trace.json`" in absolute
+    assert str(tmp_path).encode() not in absolute
 
 
 # ----- global flags -----

@@ -18,7 +18,15 @@ from fvmnet.macnet import (
 )
 from fvmnet.network import NetworkSpec
 from fvmnet.rollout import SurrogateRecipe, multi_step, residual_denominator, train_bundle
-from fvmnet.solver import IDX, VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
+from fvmnet.solver import (
+    IDX,
+    TRANSPORTED,
+    VARIABLES,
+    GridSpec,
+    PhysicalParams,
+    Snapshot,
+    simulate,
+)
 from fvmnet.training import TrainConfig
 
 GRID = GridSpec(m=16, n=4, dx=0.01, dr=0.01, dt=0.002)
@@ -140,7 +148,7 @@ def test_tiny_tolerance_reduces_to_pure_cfd():
 
 
 class KickBundle:
-    """Stand-in surrogate whose axial-velocity kicks grow every call, so the
+    """Stand-in surrogate whose temperature kicks grow every call, so the
     continuity residual of its trajectory rises step by step."""
 
     layout = CellLayout()
@@ -153,10 +161,11 @@ class KickBundle:
         lo, hi = partition.flame
         rows = (hi - lo) * grid.n
         sign = np.where((np.arange(rows) // grid.n) % 2 == 0, 1.0, -1.0)
-        out = np.zeros((rows, 6))
-        # Derivative-mode output: each accepted step shifts v_x by
-        # dt * 25 * calls = 0.05 * calls, an ever-larger sawtooth.
-        out[:, IDX["v_x"]] = 25.0 * self.calls * sign
+        out = np.zeros((rows, len(TRANSPORTED)))
+        # Derivative-mode output: each accepted step shifts T by
+        # dt * 1e4 * calls = 20 K * calls, an ever-larger axial sawtooth whose
+        # sign flips every call, so T drifts by at most 10 K * (calls + 1).
+        out[:, TRANSPORTED.index("T")] = 1e4 * self.calls * sign * (-1.0) ** self.calls
         return out
 
 

@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import DerivativeOracle
 
-from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition, Standardizer
+import fvmnet.rollout
+from fvmnet.dataset import TIER_WIDTH, CellLayout, DomainPartition, Standardizer, fit_standardizer
 from fvmnet.errors import (
     BlowupError,
     ConfigurationError,
@@ -37,6 +38,7 @@ from fvmnet.rollout import (
 )
 from fvmnet.solver import (
     IDX,
+    TRANSPORTED,
     VARIABLES,
     GridSpec,
     PhysicalParams,
@@ -52,6 +54,8 @@ PART = DomainPartition(m=16, m_star=4)
 PARAMS = PhysicalParams(
     diffusivity={"T": 1e-4, "X_fuel": 5e-5, "X_prod": 5e-5, "X_ox": 5e-5}
 )
+# Column of each transported variable in `cell_outputs` rows.
+COL = {v: k for k, v in enumerate(TRANSPORTED)}
 
 
 def blob_state(grid=GRID, vx=0.4):
@@ -134,8 +138,8 @@ class NanBundle:
 
     def cell_outputs(self, state, partition, grid, params):
         lo, hi = partition.flame
-        out = np.zeros(((hi - lo) * grid.n, 6))
-        out[5, IDX["T"]] = np.nan
+        out = np.zeros(((hi - lo) * grid.n, len(TRANSPORTED)))
+        out[5, COL["T"]] = np.nan
         return out
 
 
@@ -151,7 +155,8 @@ def test_nonfinite_network_output_names_cell_and_variable():
 
 
 class FixedBundle:
-    """A bundle stand-in that returns the same (band cells, 6) outputs every call."""
+    """A bundle stand-in that returns the same (band cells, len(TRANSPORTED))
+    outputs every call."""
 
     layout = CellLayout()
 
@@ -174,14 +179,14 @@ def planes(count, low, high):
     velocities=planes(2, -2.5, 2.5),  # advective CFL at most 0.5
     temperature=planes(1, 1.0, 1e6),
     species=planes(3, 0.0, 1.0),
-    transported=arrays(np.float64, (BAND_ROWS, 4), elements=st.floats(-1e6, 1e6)),
+    outputs=arrays(
+        np.float64, (BAND_ROWS, len(TRANSPORTED)), elements=st.floats(-1e6, 1e6)
+    ),
 )
 def test_hybrid_step_keeps_the_solver_state_invariants(
-    velocities, temperature, species, transported
+    velocities, temperature, species, outputs
 ):
     state = Snapshot(np.concatenate([velocities, temperature, species]), 0.0)
-    outputs = np.zeros((BAND_ROWS, len(VARIABLES)))
-    outputs[:, IDX["T"] :] = transported  # zero velocity derivatives: no CFL breach
     bundle = FixedBundle(outputs)
     lo, hi = PART.flame
     band = bundle.layout.next_band(state, outputs, PART, GRID.dt)
@@ -193,11 +198,11 @@ def test_hybrid_step_keeps_the_solver_state_invariants(
             predict_step(bundle, state, PART, GRID, PARAMS)
         assert (err.value.variable, err.value.cell) == (solver_err.variable, solver_err.cell)
         return
-    if (band[IDX["T"]] <= 0.0).any():
+    if (band[COL["T"]] <= 0.0).any():
         with pytest.raises(BlowupError, match="non-positive T .* after surrogate step") as err:
             predict_step(bundle, state, PART, GRID, PARAMS)
         i, j = err.value.cell
-        assert err.value.variable == "T" and band[IDX["T"]][i - lo, j] <= 0.0
+        assert err.value.variable == "T" and band[COL["T"]][i - lo, j] <= 0.0
         return
     out = predict_step(bundle, state, PART, GRID, PARAMS)
     assert out.var("T")[lo:hi, :].min() > 0.0
@@ -205,12 +210,15 @@ def test_hybrid_step_keeps_the_solver_state_invariants(
     assert band_species.min() >= 0.0 and band_species.max() <= 1.0
     for a, b in (PART.inlet, PART.outlet):
         assert np.array_equal(out.values[:, a:b, :], strips.values[:, a:b, :])
-    assert np.array_equal(out.var("T")[lo:hi, :], band[IDX["T"]])
+    assert np.array_equal(out.var("T")[lo:hi, :], band[COL["T"]])
+    # The prescribed velocities pass through bit for bit, as in a solver step.
+    for v in ("v_x", "v_r"):
+        assert out.var(v)[lo:hi, :].tobytes() == state.var(v)[lo:hi, :].tobytes()
 
 
 def test_infinite_band_species_is_refused_not_clipped():
-    outputs = np.zeros((BAND_ROWS, len(VARIABLES)))
-    outputs[5, IDX["X_fuel"]] = np.inf
+    outputs = np.zeros((BAND_ROWS, len(TRANSPORTED)))
+    outputs[5, COL["X_fuel"]] = np.inf
     with pytest.raises(BlowupError, match="after surrogate step") as err:
         predict_step(FixedBundle(outputs), blob_state(), PART, GRID, PARAMS)
     assert err.value.variable == "X_fuel"
@@ -218,7 +226,8 @@ def test_infinite_band_species_is_refused_not_clipped():
 
 
 def test_cell_outputs_share_no_stale_values_between_calls():
-    # Five networks share one spec (and so one buffer set); one has its own.
+    # Five networks share one spec; of the four that run, three share one
+    # buffer set and X_prod has its own.
     rng = np.random.default_rng(5)
     nets = {}
     for k, v in enumerate(VARIABLES):
@@ -238,10 +247,10 @@ def test_cell_outputs_share_no_stale_values_between_calls():
 
     def fresh(state):
         z = bundle.standardizer.apply(CellLayout().inputs(state, PART))
-        out = np.empty((z.shape[0], len(VARIABLES)))
-        for v in VARIABLES:
+        out = np.empty((z.shape[0], len(TRANSPORTED)))
+        for v in TRANSPORTED:
             mean, std = bundle.target_scales[v]
-            out[:, IDX[v]] = predict(nets[v], z) * std + mean
+            out[:, COL[v]] = predict(nets[v], z) * std + mean
         return out
 
     expected = [fresh(s) for s in states]
@@ -249,6 +258,30 @@ def test_cell_outputs_share_no_stale_values_between_calls():
     for k in (0, 1, 1, 0, 1):
         got = bundle.cell_outputs(states[k], PART, GRID, PARAMS)
         assert got.tobytes() == expected[k].tobytes()
+
+
+def test_velocity_networks_never_run_in_a_hybrid_step(monkeypatch):
+    state = blob_state()
+    bundle = SurrogateBundle(
+        networks={
+            v: init_network(NetworkSpec(TIER_WIDTH, (8,), 1), seed=k)
+            for k, v in enumerate(VARIABLES)
+        },
+        standardizer=fit_standardizer(CellLayout().inputs(state, PART)),
+        target_scales={v: (0.0, 1e-3) for v in VARIABLES},
+    )
+    plain = predict_step(bundle, state, PART, GRID, PARAMS)
+    kicked = {v: net.copy() for v, net in bundle.networks.items()}
+    for v in ("v_x", "v_r"):
+        kicked[v].biases[-1][:] = 1e6
+    calls = []
+    real_predict = fvmnet.rollout.predict
+    monkeypatch.setattr(
+        fvmnet.rollout, "predict", lambda *a: calls.append(1) or real_predict(*a)
+    )
+    out = predict_step(replace(bundle, networks=kicked), state, PART, GRID, PARAMS)
+    assert out.values.tobytes() == plain.values.tobytes() and out.time == plain.time
+    assert len(calls) == len(TRANSPORTED)
 
 
 def test_predict_step_rejects_mismatched_shapes():
@@ -427,27 +460,17 @@ def test_rollout_blowup_names_mode_step_variable_and_cell(mode):
     assert err.value.cell == NAN_CELL
 
 
-class VelocityKickBundle:
-    """A bundle stand-in whose v_x derivative lifts the band velocity by 4 per step."""
-
-    layout = CellLayout()
-
-    def cell_outputs(self, state, partition, grid, params):
-        out = np.zeros((BAND_ROWS, len(VARIABLES)))
-        out[:, IDX["v_x"]] = 4.0 / grid.dt
-        return out
-
-
-def test_multi_step_past_the_cfl_limit_is_a_numerical_failure():
+def test_multi_step_keeps_its_velocities_so_only_a_stored_state_breaks_the_cfl_limit():
     truth = simulate(blob_state(), GRID, PARAMS, 2)
-    # Step 1 starts from truth and passes; its band v_x of 4.4 gives CFL 0.88.
-    with pytest.raises(NumericalError) as err:
-        multi_step(VelocityKickBundle(), truth[0], 2, truth, PART, GRID, PARAMS, denom_for(truth))
-    assert not isinstance(err.value, ConfigurationError)
-    assert str(err.value).startswith(
-        "multi-step rollout failed at step 2: explicit step unstable: advective CFL 0.88"
+    outputs = np.full((BAND_ROWS, len(TRANSPORTED)), 1.0)  # every scalar moves
+    report = multi_step(
+        FixedBundle(outputs), truth[0], 2, truth, PART, GRID, PARAMS, denom_for(truth)
     )
-    # A stored state past the limit stays a configuration error.
+    for state in report.states:
+        for v in ("v_x", "v_r"):
+            assert state.var(v).tobytes() == truth[0].var(v).tobytes()
+        assert not np.array_equal(state.var("T"), truth[0].var("T"))
+    # The CFL limit reads only velocities, so a state past it was stored that way.
     fast = blob_state(vx=3.0)
     truth = [fast, Snapshot(fast.values, GRID.dt)]
     with pytest.raises(StabilityError):
@@ -460,8 +483,8 @@ class ColdBandBundle:
     layout = CellLayout()
 
     def cell_outputs(self, state, partition, grid, params):
-        out = np.zeros((BAND_ROWS, len(VARIABLES)))
-        out[5, IDX["T"]] = -1e4 / grid.dt
+        out = np.zeros((BAND_ROWS, len(TRANSPORTED)))
+        out[5, COL["T"]] = -1e4 / grid.dt
         return out
 
 
@@ -516,11 +539,12 @@ def test_constant_gradient_is_exact_on_linearly_evolving_truth():
     initial = blob_state()
     rng = np.random.default_rng(5)
     gradient = rng.standard_normal(initial.values.shape)
+    rows = [IDX[v] for v in TRANSPORTED]
     truth = [initial]
     for k in range(1, 6):
-        truth.append(
-            Snapshot(initial.values + (k * GRID.dt) * gradient, k * GRID.dt)
-        )
+        values = initial.values.copy()  # the gradient's velocity rows are never applied
+        values[rows] = initial.values[rows] + (k * GRID.dt) * gradient[rows]
+        truth.append(Snapshot(values, k * GRID.dt))
     report = constant_gradient(
         initial, gradient, 5, truth, PART, GRID, PARAMS, denominator=1.0
     )
