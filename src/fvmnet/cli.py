@@ -285,7 +285,9 @@ def _parse_names(text: str, choices, what: str) -> List[str]:
 def cmd_ablate(args) -> int:
     from dataclasses import replace
 
-    from .io import ABLATION_HEADER, write_csv
+    import numpy as np
+
+    from .io import ABLATION_HEADER, ABLATION_TIMING_HEADER, write_csv
     from .network import CASES, param_count
     from .rollout import residual_denominator, single_step, train_bundle
 
@@ -305,24 +307,32 @@ def cmd_ablate(args) -> int:
     denominator = residual_denominator(series[: w + 1], grid, params)
 
     def run_one(recipe):
+        """(param_count, epochs, max T error, mean T error), median ml_ms."""
         bundle, reports = train_bundle(
             series[: w + 1], grid, cfg.partition, recipe, seed=cfg.seed
         )
-        rec = single_step(
+        steps = single_step(
             bundle, series[w : w + 2], cfg.partition, grid, params, denominator
-        ).steps[0]
+        ).steps
+        rec = steps[0]
         epochs = sum(rep.epochs_run for rep in reports.values())
-        return param_count(recipe.spec), epochs, rec.max_errors["T"], rec.mean_errors["T"]
+        scores = (param_count(recipe.spec), epochs, rec.max_errors["T"], rec.mean_errors["T"])
+        return scores, float(np.median([s.ml_ms for s in steps]))
 
-    rows = []
+    rows, timing_rows = [], []
+
+    def record(kind, name, input_mode, output_mode, result):
+        scores, ml_ms = result
+        rows.append((kind, name, input_mode, output_mode, *scores))
+        timing_rows.append((kind, name, scores[0], ml_ms))
+        log.info("ablate %s %s: max T error %.3e", kind, name, scores[2])
+
     case_cache = {}
     fvmn = replace(cfg.recipe.layout, input_mode="tier", output_mode="derivative")
     for label in cases:
         recipe = replace(cfg.recipe, spec=CASES[label], layout=fvmn)
-        scores = run_one(recipe)
-        case_cache[(recipe.spec, fvmn)] = scores
-        rows.append(("case", label, "tier", "derivative", *scores))
-        log.info("ablate case %s: max T error %.3e", label, scores[2])
+        case_cache[(recipe.spec, fvmn)] = result = run_one(recipe)
+        record("case", label, "tier", "derivative", result)
     for name in variants:
         input_mode, output_mode = VARIANTS[name]
         layout = replace(cfg.recipe.layout, input_mode=input_mode, output_mode=output_mode)
@@ -332,15 +342,21 @@ def cmd_ablate(args) -> int:
             layout=layout,
         )
         # The fvmn variant at a swept case's spec repeats that case's run
-        # bit for bit (same seed), so reuse its scores when available.
+        # bit for bit (same seed), so reuse its scores and timing when available.
         key = (recipe.spec, layout)
-        scores = case_cache[key] if key in case_cache else run_one(recipe)
-        rows.append(("variant", name, input_mode, output_mode, *scores))
-        log.info("ablate variant %s: max T error %.3e", name, scores[2])
+        result = case_cache[key] if key in case_cache else run_one(recipe)
+        record("variant", name, input_mode, output_mode, result)
     os.makedirs(cfg.out, exist_ok=True)
-    path = write_csv(os.path.join(cfg.out, "ablation.csv"), ABLATION_HEADER, rows)
+    # Wall-clock figures go to their own sidecar so ablation.csv stays deterministic.
+    paths = [
+        write_csv(os.path.join(cfg.out, "ablation.csv"), ABLATION_HEADER, rows),
+        write_csv(
+            os.path.join(cfg.out, "timing_ablation.csv"), ABLATION_TIMING_HEADER, timing_rows
+        ),
+    ]
     _echo_config(cfg)
-    print(path)
+    for path in paths:
+        print(path)
     return EXIT_OK
 
 
@@ -428,7 +444,7 @@ def cmd_macnet(args) -> int:
 
     from .io import MACNET_TIMING_HEADER, write_audit, write_csv, write_trace
     from .macnet import hybrid_error_audit, run, step_costs, validate_trace
-    from .solver import simulate
+    from .solver import step
 
     if args.tolerance is not None:
         args.overrides = list(args.overrides) + [f"macnet.tolerance={args.tolerance}"]
@@ -436,9 +452,12 @@ def cmd_macnet(args) -> int:
     _echo_config(cfg)
     state = _burned_in_state(cfg)
 
-    t0 = time.perf_counter()
-    truth = simulate(state, cfg.grid, cfg.params, cfg.macnet.horizon)
-    pure_seconds = time.perf_counter() - t0
+    # The pure-solver reference run, each step timed for the solver step cost.
+    truth, solver_seconds = [state.copy()], []
+    for _ in range(cfg.macnet.horizon):
+        t0 = time.perf_counter()
+        truth.append(step(truth[-1], cfg.grid, cfg.params))
+        solver_seconds.append(time.perf_counter() - t0)
 
     series, trace = run(
         state, cfg.macnet, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed
@@ -454,8 +473,8 @@ def cmd_macnet(args) -> int:
             os.path.join(out_dir, "macnet_timing.csv"),
             MACNET_TIMING_HEADER,
             [
-                (trace.wall_seconds, trace.train_seconds, pure_seconds,
-                 *step_costs(trace, pure_seconds))
+                (trace.wall_seconds, trace.train_seconds, sum(solver_seconds),
+                 *step_costs(trace, solver_seconds))
             ],
         )
     )

@@ -437,6 +437,7 @@ TIMING_HEADER = "step,ml_ms,cfd_ms"
 ABLATION_HEADER = (
     "kind,name,input_mode,output_mode,param_count,epochs,max_rel_err_T,mean_rel_err_T"
 )
+ABLATION_TIMING_HEADER = "kind,name,param_count,ml_ms"
 
 
 def write_rollout_report(out_dir: str, report: RolloutReport) -> Tuple[str, str]:

@@ -15,6 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .dataset import DomainPartition
 from .errors import DomainError, MacnetAbortError, TrainingDivergedError
 from .rollout import (
@@ -267,16 +269,23 @@ def run(
     return series, trace
 
 
-def step_costs(trace: MacnetTrace, pure_cfd_seconds: float) -> Tuple[float, float, float]:
+def step_costs(
+    trace: MacnetTrace, solver_step_seconds: Sequence[float]
+) -> Tuple[float, float, float]:
     """(hybrid_step_ms, solver_step_ms, step_cost_ratio), training excluded.
 
-    The hybrid step is the mean candidate predict_step, the solver step the
-    mean step of the pure-solver run over the same horizon; the ratio is
-    hybrid over solver, nan when the run attempted no surrogate step.
+    The hybrid step is the mean candidate predict_step. The solver step is the
+    median of the per-step times of the pure-solver run over the same horizon,
+    so one slow step does not move it. The ratio is hybrid over solver, nan
+    when the run attempted no surrogate step.
     """
-    if not pure_cfd_seconds > 0.0:
-        raise DomainError("step costs need a positive pure-solver wall time")
-    solver_ms = 1e3 * pure_cfd_seconds / trace.horizon
+    if len(solver_step_seconds) != trace.horizon or not all(
+        t > 0.0 for t in solver_step_seconds
+    ):
+        raise DomainError(
+            f"step costs need {trace.horizon} positive pure-solver step times"
+        )
+    solver_ms = 1e3 * float(np.median(solver_step_seconds))
     candidates = trace.candidates()
     hybrid_ms = 1e3 * trace.ml_seconds / candidates if candidates else float("nan")
     ratio = hybrid_ms / solver_ms

@@ -7,11 +7,13 @@ batches; gradients come from the chain rule applied layer by layer, with the
 rectifier taking subgradient 0 at the kink.
 
 `predict` is the one forward pass: it keeps no per-layer caches and writes
-each layer in place into (rows, width) buffers, which a caller running
-several networks of one spec over the same rows can allocate once and share
-(`layer_buffers`). Backprop runs `predict` and walks back over its buffers,
-which hold the post-activations, writing each gradient into caller-given
-arrays (in training, views of the optimizer's flat gradient vector).
+each layer in place into (rows, width) buffers (`layer_buffers`). A caller
+running several networks of one spec over many rows can allocate one
+block-sized set, share it, and run the rows block by block; a shorter block
+writes into the leading rows of the same buffers. Backprop runs `predict`
+and walks back over its buffers, which hold the post-activations, writing
+each gradient into caller-given arrays (in training, views of the
+optimizer's flat gradient vector).
 
 The named size cases a-h are the ladder that `ablate --cases` trains:
 widths from one 64-wide layer up to three 256-wide layers, plus a logistic

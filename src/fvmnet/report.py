@@ -199,8 +199,8 @@ def write_report(run_dir: str) -> List[str]:
                 "",
                 f"- wall {t['wall_seconds']:.2f}s (training {t['train_seconds']:.2f}s), "
                 f"pure solver {t['pure_cfd_seconds']:.2f}s",
-                f"- per step: hybrid {t['hybrid_step_ms']:.2f} ms, solver "
-                f"{t['solver_step_ms']:.2f} ms, cost ratio {t['step_cost_ratio']:.3f} "
+                f"- per step: hybrid {t['hybrid_step_ms']:.2f} ms (mean candidate), solver "
+                f"{t['solver_step_ms']:.2f} ms (median), cost ratio {t['step_cost_ratio']:.3f} "
                 f"(training {t['train_seconds']:.2f}s)",
             ]
             written.append(

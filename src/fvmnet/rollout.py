@@ -60,6 +60,11 @@ MODES = ("multi", "single", "constant-gradient")
 # species and velocities pass through zero where a ratio means nothing.
 DENOM_FLOOR_SCALE = 1e-6
 
+# Band rows per network pass in `cell_outputs`: 8 band columns x 24 rings on
+# the desk grid. One 64-wide layer buffer of a block is 96 KiB, small enough to
+# be served from reused heap memory rather than fresh pages on every step.
+BLOCK_ROWS = 192
+
 
 def _check_state(state: Snapshot, grid: GridSpec, partition: DomainPartition) -> None:
     if state.shape != (grid.m, grid.n):
@@ -118,18 +123,32 @@ class SurrogateBundle:
     ) -> np.ndarray:
         """(band cells, len(TRANSPORTED)) physical-unit outputs in TRANSPORTED order, rows i-major.
 
-        Networks of one spec share a single set of layer buffers per call.
+        The band's standardized rows are walked in blocks of BLOCK_ROWS, each
+        block through every transported network. Networks of one spec share one
+        block-sized set of layer buffers, and a short last block uses their
+        leading rows. Each output row depends on its input row alone, so the
+        result is bit for bit that of one whole-band pass. That holds because
+        every block starts at a multiple of BLOCK_ROWS, which keeps each row's
+        place in the BLAS kernels' row groups, and runs at least two rows:
+        numpy computes a one-row product as a vector product, whose sums can
+        round differently, so a lone last row joins the block before it.
         """
-        x = self.layout.inputs(state, partition)
-        z = self.standardizer.apply(x)
-        out = np.empty((x.shape[0], len(TRANSPORTED)), dtype=np.float64)
+        z = self.standardizer.apply(self.layout.inputs(state, partition))
+        rows = z.shape[0]
+        out = np.empty((rows, len(TRANSPORTED)), dtype=np.float64)
         buffers = {}
+        runs = []
         for k, v in enumerate(TRANSPORTED):
             net = self.networks[v]
             if net.spec not in buffers:
-                buffers[net.spec] = layer_buffers(net.spec, x.shape[0])
-            mean, std = self.target_scales[v]
-            out[:, k] = predict(net, z, buffers[net.spec]) * std + mean
+                buffers[net.spec] = layer_buffers(net.spec, min(rows, BLOCK_ROWS + 1))
+            runs.append((k, net, buffers[net.spec], *self.target_scales[v]))
+        starts = range(0, max(rows - 1, 1), BLOCK_ROWS)
+        for start, stop in zip(starts, [*starts[1:], rows]):
+            block = z[start:stop]
+            for k, net, layers, mean, std in runs:
+                y = predict(net, block, [b[: stop - start] for b in layers])
+                out[start:stop, k] = y * std + mean
         return out
 
 

@@ -14,6 +14,7 @@ import fvmnet.rollout
 from fvmnet.cli import main
 from fvmnet.io import (
     ABLATION_HEADER,
+    ABLATION_TIMING_HEADER,
     MACNET_TIMING_HEADER,
     REPORT_HEADER,
     load_bundle,
@@ -174,6 +175,24 @@ def test_ablate_rows_and_fvmn_reuse(generated):
     assert by_name["derivative-only"][2:4] == ["center", "derivative"]
 
 
+def test_ablate_writes_one_timing_row_per_ablation_row(generated):
+    config_path, out = generated
+    assert (
+        run_cli(
+            "ablate", "--config", config_path, "--out", out,
+            "--cases", "a", "--variants", "fvmn,general",
+        )
+        == 0
+    )
+    ablation = read_csv(os.path.join(out, "ablation.csv"), ABLATION_HEADER)
+    with open(os.path.join(out, "timing_ablation.csv")) as fh:
+        assert fh.readline().strip() == "kind,name,param_count,ml_ms"
+    timing = read_csv(os.path.join(out, "timing_ablation.csv"), ABLATION_TIMING_HEADER)
+    assert len(timing) == len(ablation) == 3
+    assert [r[:3] for r in timing] == [[r[0], r[1], r[4]] for r in ablation]
+    assert all(float(r[3]) > 0.0 for r in timing)
+
+
 def test_ablate_rejects_unknown_case(generated, capsys):
     config_path, out = generated
     assert (
@@ -301,7 +320,9 @@ def test_macnet_writes_valid_trace_and_audit(config_path, tmp_path):
     hybrid_ms, solver_ms, ratio = (float(v) for v in timing[0][3:])
     assert hybrid_ms > 0.0 and solver_ms > 0.0
     assert ratio == pytest.approx(hybrid_ms / solver_ms)
-    assert solver_ms == pytest.approx(1e3 * float(timing[0][2]) / trace.horizon)
+    # solver_ms is the median pure-solver step: at least half the steps take
+    # that long or longer, and they all fit in the pure-solver total.
+    assert solver_ms * (trace.horizon // 2) <= 1e3 * float(timing[0][2])
     assert run_cli("report", "--out", out) == 0
     timing_summary = open(os.path.join(out, "report", "timing_summary.md")).read()
     assert f"cost ratio {ratio:.3f}" in timing_summary

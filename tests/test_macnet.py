@@ -256,15 +256,35 @@ def test_step_costs_divide_by_candidates_and_horizon():
     validate_trace(trace)
     trace.ml_seconds = 0.012
     assert trace.candidates() == 6  # 4 accepted, 1 breach, 1 fallback
-    hybrid, solver, ratio = step_costs(trace, 0.05)
+    steps = [0.005] * trace.horizon
+    hybrid, solver, ratio = step_costs(trace, steps)
     assert hybrid == pytest.approx(2.0) and solver == pytest.approx(5.0)
     assert ratio == pytest.approx(0.4)
     trace.phases = [Phase("CFD", 0, 10, ended_by="horizon")]
     trace.fallbacks = []
-    hybrid, solver, ratio = step_costs(trace, 0.05)
+    hybrid, solver, ratio = step_costs(trace, steps)
     assert np.isnan(hybrid) and np.isnan(ratio) and solver == pytest.approx(5.0)
-    with pytest.raises(DomainError):
-        step_costs(trace, 0.0)
+    # One time per step of the horizon, each positive.
+    for bad in ([0.005] * 9, [0.005] * 9 + [0.0]):
+        with pytest.raises(DomainError):
+            step_costs(trace, bad)
+
+
+def test_step_costs_take_the_median_solver_step_so_an_outlier_does_not_move_it():
+    trace = MacnetTrace(horizon=5, cfd_window=2, tolerance=1.0, max_ml_steps=4)
+    trace.phases = [
+        Phase("CFD", 0, 2),
+        Phase("ML", 2, 5, residuals=(0.1, 0.2, 0.3), ended_by="horizon"),
+    ]
+    validate_trace(trace)
+    trace.ml_seconds = 0.006
+    steady = [0.0011, 0.0009, 0.001, 0.0012, 0.0008]
+    outlier = [0.0011, 0.0009, 0.001, 0.05, 0.0008]  # one step stalled 50 ms
+    hybrid, solver, ratio = step_costs(trace, steady)
+    assert (hybrid, solver, ratio) == pytest.approx((2.0, 1.0, 2.0))
+    assert step_costs(trace, outlier) == pytest.approx((2.0, 1.0, 2.0))
+    # The mean step over the horizon would read 10.76 ms.
+    assert 1e3 * sum(outlier) / trace.horizon == pytest.approx(10.76)
 
 
 # ----- independent validator on synthetic traces -----

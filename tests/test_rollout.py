@@ -19,8 +19,9 @@ from fvmnet.errors import (
     NumericalError,
     StabilityError,
 )
-from fvmnet.network import NetworkSpec, init_network, predict
+from fvmnet.network import CASES, NetworkSpec, init_network, predict
 from fvmnet.rollout import (
+    BLOCK_ROWS,
     RolloutReport,
     StepRecord,
     SurrogateBundle,
@@ -276,12 +277,69 @@ def test_velocity_networks_never_run_in_a_hybrid_step(monkeypatch):
         kicked[v].biases[-1][:] = 1e6
     calls = []
     real_predict = fvmnet.rollout.predict
-    monkeypatch.setattr(
-        fvmnet.rollout, "predict", lambda *a: calls.append(1) or real_predict(*a)
-    )
+
+    def recording_predict(net, x, *rest):
+        calls.append((net, x.shape[0]))
+        return real_predict(net, x, *rest)
+
+    monkeypatch.setattr(fvmnet.rollout, "predict", recording_predict)
     out = predict_step(replace(bundle, networks=kicked), state, PART, GRID, PARAMS)
     assert out.values.tobytes() == plain.values.tobytes() and out.time == plain.time
-    assert len(calls) == len(TRANSPORTED)
+    transported = {id(kicked[v]): v for v in TRANSPORTED}
+    assert all(id(net) in transported for net, _ in calls)
+    lo, hi = PART.flame
+    for v in TRANSPORTED:
+        rows = sum(n for net, n in calls if net is kicked[v])
+        assert rows == (hi - lo) * GRID.n, v
+
+
+@pytest.mark.parametrize("input_mode", ["tier", "center"])
+@pytest.mark.parametrize("case", ["c", "e"])
+@pytest.mark.parametrize(
+    "rows",
+    [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5, 1536],
+)
+def test_blocked_cell_outputs_match_the_whole_band_bit_for_bit(rows, case, input_mode):
+    # Reference: one predict over all band rows per network. X_prod has its
+    # own spec, so two buffer sets are walked block by block.
+    rng = np.random.default_rng(rows)
+    layout = CellLayout(input_mode=input_mode)
+    shared = CASES[case]
+    nets = {}
+    for k, v in enumerate(VARIABLES):
+        hidden = (5, 3) if v == "X_prod" else shared.hidden
+        net = init_network(NetworkSpec(layout.width, hidden, 1, shared.activation), seed=k)
+        for b in net.biases:
+            b[:] = rng.standard_normal(b.shape)
+        nets[v] = net
+    bundle = SurrogateBundle(
+        networks=nets,
+        standardizer=Standardizer(
+            mean=rng.standard_normal(layout.width), std=1.0 + rng.random(layout.width)
+        ),
+        target_scales={v: (float(k), 0.5 + k) for k, v in enumerate(VARIABLES)},
+        layout=layout,
+    )
+    n = 24 if rows % 24 == 0 else 1
+    part = DomainPartition(m=rows // n + 2, m_star=1)
+    states = [Snapshot(rng.random((len(VARIABLES), part.m, n)), 0.0) for _ in range(2)]
+
+    def whole_band(state):
+        z = bundle.standardizer.apply(layout.inputs(state, part))
+        assert z.shape[0] == rows
+        out = np.empty((rows, len(TRANSPORTED)))
+        for v in TRANSPORTED:
+            mean, std = bundle.target_scales[v]
+            out[:, COL[v]] = predict(nets[v], z) * std + mean
+        return out
+
+    expected = [whole_band(s) for s in states]
+    # Two calls in a row on different states, so a short last block cannot
+    # pass for right by reading rows the full block before it left behind.
+    # cell_outputs reads only the state and the partition; n = 1 fits no GridSpec.
+    for k in (0, 1, 0):
+        got = bundle.cell_outputs(states[k], part, GRID, PARAMS)
+        assert got.tobytes() == expected[k].tobytes()
 
 
 def test_predict_step_rejects_mismatched_shapes():
