@@ -1,7 +1,8 @@
 """Command line driver: generate, train, ablate, rollout, macnet, report.
 
-Heavy modules load inside the command functions so that `--threads` can cap
-the numerical thread pools before the first array import. Every command
+`main` parses argv before anything loads numpy, applies `--threads` to the
+thread variables, and only then runs the command, which imports the array
+stack itself; `--dump-defaults` prints the default config. Every command
 echoes its fully resolved configuration into the output directory; rerunning
 any command from that echo reproduces the same artifacts byte for byte
 (wall-clock measurements live in separate timing sidecars).
@@ -33,28 +34,25 @@ VARIANTS = {
 }
 
 
-def _apply_thread_cap(argv: List[str]) -> None:
-    """Honor --threads before anything imports the array stack."""
-    cap = None
-    for k, token in enumerate(argv):
-        if token == "--threads" and k + 1 < len(argv):
-            cap = argv[k + 1]
-        elif token.startswith("--threads="):
-            cap = token.split("=", 1)[1]
-    if cap is not None and cap.isdigit() and int(cap) > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = cap
-        if "numpy" in sys.modules:
-            # BLAS reads these variables once, when numpy loads.
-            log.warning(
-                "--threads %s has no effect: numpy was loaded before the cap was set",
-                cap,
-            )
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def _apply_thread_cap(cap: int) -> None:
+    """Cap the numerical thread pools; only takes effect before numpy loads."""
+    for var in THREAD_VARS:
+        os.environ[var] = str(cap)
+    if "numpy" in sys.modules:
+        # BLAS reads these variables once, when numpy loads.
+        log.warning(
+            "--threads %s has no effect: numpy was loaded before the cap was set",
+            cap,
+        )
 
 
 def _thread_count(text: str) -> int:
@@ -64,8 +62,6 @@ def _thread_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .config import DEFAULTS
-
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--seed", type=int, metavar="N", help="override the run seed")
@@ -87,9 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-volume surrogate workbench: generate solver data, "
         "train tier/derivative networks, evaluate rollouts, and run the "
         "residual-gated ML/CFD alternation.",
-        epilog="defaults (override via --config/--set):\n"
-        + json.dumps(DEFAULTS, indent=2, sort_keys=True),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--dump-defaults",
@@ -145,17 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "macnet", parents=[common], help="run the gated ML/CFD alternation loop"
     )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        metavar="X",
-        help="shorthand for --set macnet.tolerance=X (inf allowed)",
-    )
-    p.add_argument(
-        "--emit-residuals",
-        action="store_true",
-        help="also write the per-ML-step residual series",
-    )
     p.set_defaults(func=cmd_macnet)
 
     p = sub.add_parser(
@@ -184,10 +166,12 @@ def _echo_config(cfg) -> str:
     return dump_json(os.path.join(cfg.out, "effective_config.json"), cfg.tree)
 
 
-def _load_series_checked(cfg, args, count):
-    """The series at --manifest (default: the run's own), on the configured grid.
+def _load_series_checked(cfg, args, count, leaves):
+    """The first `count` snapshots at --manifest (default: the run's own).
 
-    Only its first `count` snapshots are read and returned.
+    The series must lie on the configured grid and hold at least `count`
+    snapshots; `leaves` names the config leaves that set `count`. Only the
+    snapshots returned are read.
     """
     from .io import load_series
 
@@ -196,6 +180,10 @@ def _load_series_checked(cfg, args, count):
     if grid != cfg.grid:
         raise ConfigurationError(
             f"manifest grid {grid} does not match configured grid {cfg.grid}"
+        )
+    if len(series) < count:
+        raise ConfigurationError(
+            f"series holds {len(series)} snapshots, {leaves} needs {count}"
         )
     return series, grid, params
 
@@ -240,16 +228,10 @@ def cmd_train(args) -> int:
     from .rollout import train_bundle
 
     cfg = _load_cfg(args)
-    need = cfg.train_window + 1
-    series, grid, _ = _load_series_checked(cfg, args, need)
-    if len(series) < need:
-        raise ConfigurationError(
-            f"series holds {len(series)} snapshots, "
-            f"dataset.train_window={cfg.train_window} needs {need}"
-        )
-    bundle, reports = train_bundle(
-        series[:need], grid, cfg.partition, cfg.recipe, seed=cfg.seed
+    series, grid, _ = _load_series_checked(
+        cfg, args, cfg.train_window + 1, f"dataset.train_window={cfg.train_window}"
     )
+    bundle, reports = train_bundle(series, grid, cfg.partition, cfg.recipe, seed=cfg.seed)
     model_dir = os.path.join(cfg.out, "model")
     bundle_file = save_bundle(model_dir, bundle, cfg.seed, cfg.recipe.train)
     save_train_reports(model_dir, reports)
@@ -293,12 +275,9 @@ def cmd_ablate(args) -> int:
 
     cfg = _load_cfg(args)
     w = cfg.train_window
-    series, grid, params = _load_series_checked(cfg, args, w + 2)
-    if len(series) < w + 2:
-        raise ConfigurationError(
-            f"ablation scores the step after the training window; "
-            f"series holds {len(series)} snapshots, needs {w + 2}"
-        )
+    series, grid, params = _load_series_checked(
+        cfg, args, w + 2, f"dataset.train_window={w} plus the scored step"
+    )
     cases = _parse_names(args.cases, sorted(CASES), "network case")
     variants = _parse_names(args.variants, VARIANTS, "variant")
     if not cases and not variants:
@@ -378,16 +357,12 @@ def cmd_rollout(args) -> int:
 
     cfg = _load_cfg(args)
     w, horizon = cfg.train_window, cfg.rollout_horizon
-    need = w + horizon + 1
-    series, grid, params = _load_series_checked(cfg, args, need)
-    model_dir = args.model or os.path.join(cfg.out, "model")
-    bundle = load_bundle(model_dir)
-    if len(series) < need:
-        raise ConfigurationError(
-            f"rollout.horizon={horizon} after a {w}-step training window needs "
-            f"{need} snapshots, series holds {len(series)}"
-        )
-    truth = series[w : need]
+    bundle = load_bundle(args.model or os.path.join(cfg.out, "model"))
+    series, grid, params = _load_series_checked(
+        cfg, args, w + horizon + 1,
+        f"dataset.train_window={w} and rollout.horizon={horizon}",
+    )
+    truth = series[w:]
     denominator = residual_denominator(series[: w + 1], grid, params)
     modes = ["multi", "single", "constant"] if args.mode == "all" else [args.mode]
 
@@ -446,8 +421,6 @@ def cmd_macnet(args) -> int:
     from .macnet import hybrid_error_audit, run, step_costs, validate_trace
     from .solver import step
 
-    if args.tolerance is not None:
-        args.overrides = list(args.overrides) + [f"macnet.tolerance={args.tolerance}"]
     cfg = _load_cfg(args)
     _echo_config(cfg)
     state = _burned_in_state(cfg)
@@ -466,9 +439,9 @@ def cmd_macnet(args) -> int:
     audit = hybrid_error_audit(series, trace, truth, cfg.partition)
 
     out_dir = os.path.join(cfg.out, "macnet")
-    paths = write_trace(out_dir, trace, emit_residuals=args.emit_residuals)
-    paths.append(write_audit(out_dir, audit))
-    paths.append(
+    paths = [
+        write_trace(out_dir, trace),
+        write_audit(out_dir, audit),
         write_csv(
             os.path.join(out_dir, "macnet_timing.csv"),
             MACNET_TIMING_HEADER,
@@ -476,8 +449,8 @@ def cmd_macnet(args) -> int:
                 (trace.wall_seconds, trace.train_seconds, sum(solver_seconds),
                  *step_costs(trace, solver_seconds))
             ],
-        )
-    )
+        ),
+    ]
     log.info(
         "macnet: %d ML / %d CFD steps (%.0f%% ML), %d retrains, %d fallbacks",
         trace.ml_steps(),
@@ -504,12 +477,10 @@ def cmd_report(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     if not logging.getLogger().handlers:
         logging.basicConfig(
             level=logging.INFO, format="%(levelname)-7s %(name)s: %(message)s"
         )
-    _apply_thread_cap(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -520,6 +491,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return EXIT_OK
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
+    if args.threads is not None:
+        _apply_thread_cap(args.threads)
     try:
         return args.func(args)
     except ConfigurationError as err:

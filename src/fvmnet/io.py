@@ -484,28 +484,16 @@ def write_error_field(path: str, pred: Snapshot, truth: Snapshot) -> str:
 # ----- traces and audits -----
 
 
-def write_trace(out_dir: str, trace: MacnetTrace, emit_residuals: bool = False) -> List[str]:
-    """Write trace.json (deterministic) and optionally residuals.csv.
+def write_trace(out_dir: str, trace: MacnetTrace) -> str:
+    """Write trace.json (deterministic) and return its path.
 
-    Wall-clock fields stay out of trace.json; the caller owns timing sidecars.
+    Every accepted residual is in `phases[].residuals`. Wall-clock fields
+    stay out of trace.json; the caller owns timing sidecars.
     """
     os.makedirs(out_dir, exist_ok=True)
     record = asdict(trace)
     payload = {"format": TRACE_FORMAT, **{k: record[k] for k in TRACE_FIELDS}}
-    paths = [dump_json(os.path.join(out_dir, "trace.json"), payload)]
-    if emit_residuals:
-        rows = []
-        for phase in trace.phases:
-            if phase.mode != "ML":
-                continue
-            for offset, residual in enumerate(phase.residuals, start=1):
-                rows.append((phase.start + offset, float(residual)))
-        paths.append(
-            write_csv(
-                os.path.join(out_dir, "residuals.csv"), "step,scaled_residual", rows
-            )
-        )
-    return paths
+    return dump_json(os.path.join(out_dir, "trace.json"), payload)
 
 
 def load_trace(path: str) -> MacnetTrace:

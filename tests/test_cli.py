@@ -135,14 +135,19 @@ def test_train_missing_manifest_exit_code(config_path, tmp_path, capsys):
     assert "manifest not found" in capsys.readouterr().err
 
 
-def test_train_window_longer_than_series_is_reported(generated, capsys):
-    config_path, out = generated
-    code = run_cli(
-        "train", "--config", config_path, "--out", out,
-        "--set", "dataset.train_window=99",
-    )
-    assert code == 2
-    assert "train_window" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, leaf",
+    [
+        (["train", "--set", "dataset.train_window=99"], "dataset.train_window=99"),
+        (["ablate", "--set", "dataset.train_window=14"], "dataset.train_window=14"),
+        (["rollout", "--set", "rollout.horizon=50"], "rollout.horizon=50"),
+    ],
+    ids=["train", "ablate", "rollout"],
+)
+def test_train_window_longer_than_series_is_reported(trained, capsys, argv, leaf):
+    config_path, out = trained
+    assert run_cli(*argv, "--config", config_path, "--out", out) == 2
+    assert leaf in capsys.readouterr().err
 
 
 # ----- ablate -----
@@ -282,23 +287,13 @@ def test_rollout_without_model_exit_code(generated, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_rollout_horizon_exceeding_series_is_reported(trained, capsys):
-    config_path, out = trained
-    code = run_cli(
-        "rollout", "--config", config_path, "--out", out,
-        "--set", "rollout.horizon=50",
-    )
-    assert code == 2
-    assert "rollout.horizon" in capsys.readouterr().err
-
-
 # ----- macnet -----
 
 
 def test_macnet_writes_valid_trace_and_audit(config_path, tmp_path):
     out = str(tmp_path / "mac")
     assert (
-        run_cli("macnet", "--config", config_path, "--out", out, "--emit-residuals")
+        run_cli("macnet", "--config", config_path, "--out", out)
         == 0
     )
     trace = load_trace(os.path.join(out, "macnet", "trace.json"))
@@ -309,7 +304,6 @@ def test_macnet_writes_valid_trace_and_audit(config_path, tmp_path):
         "step,mode,variable,max_rel_err,mean_rel_err",
     )
     assert len(audit) == trace.horizon * len(VARIABLES)
-    assert os.path.exists(os.path.join(out, "macnet", "residuals.csv"))
     timing = read_csv(
         os.path.join(out, "macnet", "macnet_timing.csv"),
         "wall_seconds,train_seconds,pure_cfd_seconds,"
@@ -327,12 +321,19 @@ def test_macnet_writes_valid_trace_and_audit(config_path, tmp_path):
     timing_summary = open(os.path.join(out, "report", "timing_summary.md")).read()
     assert f"cost ratio {ratio:.3f}" in timing_summary
     assert "speedup" not in timing_summary
+    # --set macnet.tolerance=X is the one way to set the tolerance.
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("macnet", "--config", config_path, "--out", out, "--tolerance", "5")
+    assert exit_.value.code == 2
 
 
 def test_macnet_infinite_tolerance_retrains_once(config_path, tmp_path):
     out = str(tmp_path / "macinf")
     assert (
-        run_cli("macnet", "--config", config_path, "--out", out, "--tolerance", "inf")
+        run_cli(
+            "macnet", "--config", config_path, "--out", out,
+            "--set", "macnet.tolerance=inf",
+        )
         == 0
     )
     trace = load_trace(os.path.join(out, "macnet", "trace.json"))
@@ -569,15 +570,19 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
 def test_threads_cap_warns_when_numpy_is_already_loaded(
     config_path, tmp_path, caplog, monkeypatch
 ):
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
+    for var in THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     out = str(tmp_path / "capped")
     with caplog.at_level(logging.WARNING, logger="fvmnet.cli"):
@@ -590,10 +595,27 @@ def test_threads_cap_warns_when_numpy_is_already_loaded(
     assert "--threads 1" in warned[0]
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    # --threads only takes effect if nothing loads numpy before main() runs.
-    probe = "import sys, fvmnet.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+def test_cli_import_leaves_numpy_unloaded(tmp_path):
+    # --threads only takes effect if nothing loads numpy before main() parses
+    # argv and sets the cap.
+    probe = """
+import os, sys
+from fvmnet import cli
+assert "numpy" not in sys.modules, "import"
+args = cli.build_parser().parse_args(["generate", "--threads", "2"])
+assert args.threads == 2 and "numpy" not in sys.modules, "parse"
+argv = ["generate", "--threads", "2", "--set", "generate.horizon=2", "--out", sys.argv[1]]
+assert cli.main(argv) == 0
+print(",".join(os.environ.get(var, "-") for var in sys.argv[2:]))
+"""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "run"), *THREAD_VARS],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == ",".join(["2"] * len(THREAD_VARS))
+    assert "has no effect" not in done.stderr
 
 
 def test_seed_flag_overrides_config(generated):

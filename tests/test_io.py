@@ -565,8 +565,7 @@ def make_trace():
 def test_trace_round_trip_and_validation(tmp_path):
     trace = make_trace()
     trace.wall_seconds = 1.25
-    paths = write_trace(str(tmp_path), trace, emit_residuals=True)
-    back = load_trace(paths[0])
+    back = load_trace(write_trace(str(tmp_path), trace))
     validate_trace(back)
     assert back.horizon == 8 and back.cfd_window == 2
     assert back.tolerance == 5.0 and back.max_ml_steps == 6
@@ -574,10 +573,6 @@ def test_trace_round_trip_and_validation(tmp_path):
     assert back.retrains == trace.retrains
     assert back.fallbacks == trace.fallbacks
     assert back.wall_seconds == 0.0
-    rows = read_csv(paths[1], "step,scaled_residual")
-    assert [(int(r[0]), float(r[1])) for r in rows] == [
-        (3, 0.5), (4, 1.0), (5, 1.5), (8, 0.25),
-    ]
 
 
 def test_trace_json_omits_wall_clock(tmp_path):
@@ -604,8 +599,7 @@ def test_trace_with_infinite_tolerance_round_trips(tmp_path):
             denominator=1.0,
         )
     )
-    paths = write_trace(str(tmp_path), trace)
-    back = load_trace(paths[0])
+    back = load_trace(write_trace(str(tmp_path), trace))
     assert back.tolerance == float("inf")
     validate_trace(back)
 
@@ -624,8 +618,7 @@ def test_trace_with_fallback_round_trips(tmp_path):
                 denominator=1.0,
             )
         )
-    paths = write_trace(str(tmp_path), trace)
-    back = load_trace(paths[0])
+    back = load_trace(write_trace(str(tmp_path), trace))
     assert back.fallbacks == trace.fallbacks
     validate_trace(back)
 
@@ -706,7 +699,7 @@ def test_record_formats_are_pinned(tmp_path):
     )
     trace.fallbacks.append(FallbackEvent(at_step=2, residual=7.5))
     trace.wall_seconds, trace.train_seconds, trace.ml_seconds = 9.5, 3.25, 1.125
-    path = write_trace(str(tmp_path / "macnet"), trace)[0]
+    path = write_trace(str(tmp_path / "macnet"), trace)
     assert open(path).read() == json_text(
         {
             "cfd_window": 2,
@@ -847,7 +840,7 @@ def test_malformed_artifact_exits_4_naming_the_file(tmp_path, capsys, case):
         target = manifest
         argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "run")]
     elif artifact == "trace":
-        target = write_trace(str(tmp_path / "macnet"), make_trace())[0]
+        target = write_trace(str(tmp_path / "macnet"), make_trace())
         argv = ["report", "--out", str(tmp_path)]
     else:
         model = str(tmp_path / "model")
