@@ -16,6 +16,7 @@ from .config import load_config
 from .errors import ArtifactIOError, ConfigurationError
 from .io import ABLATION_HEADER, MACNET_TIMING_HEADER, REPORT_HEADER, atomic_writer
 from .io import load_series, load_trace, read_csv, read_json, write_csv
+from .rollout import MODES
 from .solver import IDX
 
 # Every artifact `report` reads, by name, relative to the run directory.
@@ -24,9 +25,7 @@ REPORT_INPUTS = {
     "series": "series/manifest.json",
     "train_reports": "model/train_reports.json",
     "ablation": "ablation.csv",
-    "report_multi": "report_multi.csv",
-    "report_single": "report_single.csv",
-    "report_constant-gradient": "report_constant-gradient.csv",
+    **{f"report_{mode}": f"report_{mode}.csv" for mode in MODES},
     "growth_fit": "growth_fit.json",
     "trace": "macnet/trace.json",
     "audit": "macnet/audit.csv",
@@ -80,7 +79,7 @@ def write_report(run_dir: str) -> List[str]:
     def write_table(name: str, header: str, rows) -> None:
         written.append(write_csv(os.path.join(report_dir, name), header, rows))
 
-    for mode in ("multi", "single", "constant-gradient"):
+    for mode in MODES:
         key = f"report_{mode}"
         if key not in found:
             continue

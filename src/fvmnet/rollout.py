@@ -10,20 +10,20 @@ while the reference solver keeps advancing the inlet and outlet strips; the
 layout turns the transported networks' rows into the band's scalars, the
 prescribed velocities pass through as in a solver step, and the band then
 ends the step in the solver's own `finish_columns`, like the strips.
-Three evaluation modes compare the result against a stored truth series:
-teacher-forced single-step, autoregressive multi-step, and a frozen
-constant-gradient baseline. One step-and-score loop serves all three; a mode
-only supplies how step k advances. Step k starts from truth[k - 1] in
-single-step mode and from the mode's previous state otherwise, and its
-scaled residual pairs the new state with that start. `band_errors` scores a
-state against truth for every variable, here and in the MACnet audit.
+`evaluate` scores one of three modes against a stored series: teacher-forced
+single-step, autoregressive multi-step, and a frozen constant-gradient
+baseline. The caller names the series, the training window and the horizon;
+`evaluate` takes the truth, the start state, the baseline's gradient and
+the residual denominator from the series itself, and runs one step-and-score
+loop for every mode. `band_errors` scores a state against truth for every
+variable, here and in the MACnet audit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,11 +45,9 @@ from .solver import (
     GridSpec,
     PhysicalParams,
     Snapshot,
-    check_consecutive,
     continuity_residual,
     finish_columns,
     step_columns,
-    time_tolerance,
 )
 from .training import TrainConfig, TrainReport, derived_seed, train
 
@@ -296,21 +294,6 @@ class RolloutReport:
         return self.steps[-1].max_errors[variable]
 
 
-def _check_truth(
-    truth: Sequence[Snapshot], initial: Snapshot, horizon: int, grid: GridSpec
-) -> None:
-    if horizon < 1:
-        raise DomainError(f"horizon must be >= 1, got {horizon}")
-    if len(truth) < horizon + 1:
-        raise DomainError(
-            f"truth series has {len(truth)} snapshots, horizon {horizon} needs {horizon + 1}"
-        )
-    if not abs(truth[0].time - initial.time) <= time_tolerance(grid.dt):  # a NaN time fails too
-        raise DomainError(
-            f"truth starts at t={truth[0].time}, initial state is at t={initial.time}"
-        )
-
-
 def band_errors(
     pred: Snapshot, truth: Snapshot, partition: DomainPartition
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -321,120 +304,69 @@ def band_errors(
     return maxes, means
 
 
-def _rollout(
+def evaluate(
     mode: str,
-    advance: Callable[[int, Snapshot], Tuple[Snapshot, float, float]],
-    initial: Snapshot,
+    bundle,
+    series: Sequence[Snapshot],
+    window: int,
     horizon: int,
-    truth: Sequence[Snapshot],
     partition: DomainPartition,
     grid: GridSpec,
     params: PhysicalParams,
-    denominator: float,
 ) -> RolloutReport:
-    """The step-and-score loop every mode runs.
+    """Score one mode over the `horizon` steps after a `window`-step training window.
 
-    Step k calls `advance(k, start)` for (state_k, ml_ms, cfd_ms), where
-    `start` is truth[k - 1] in single mode and the previous state (initially
-    `initial`) otherwise; its residual pairs state_k with `start`.
+    The truth is series[window : window + horizon + 1], and every mode starts
+    from truth[0]. Step k starts from truth[k - 1] in single mode and from the
+    mode's previous state otherwise; its scaled residual pairs the new state
+    with that start, over the residual of the window's final pair. The
+    constant-gradient baseline does not run `bundle`: it applies that pair's
+    frozen gradient to the band's scalars, k steps on from truth[0]. Its
+    velocities and strips hold their initial values; error statistics read
+    only the band, so the strips serve the residual diagnostic alone.
     """
-    _check_truth(truth, initial, horizon, grid)
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
+    if window < 1 or horizon < 1:
+        raise DomainError(f"window and horizon must be >= 1, got {window} and {horizon}")
+    if len(series) < window + horizon + 1:
+        raise DomainError(
+            f"series has {len(series)} snapshots, window {window} and "
+            f"horizon {horizon} need {window + horizon + 1}"
+        )
+    # Also checks that series[window - 1] and series[window] are one dt apart.
+    denominator = residual_denominator(series[: window + 1], grid, params)
+    truth = series[window : window + horizon + 1]
+    initial = truth[0]
+    _check_state(initial, grid, partition)
+    lo, hi = partition.flame
+    band = (SCALAR_ROWS, slice(lo, hi), slice(None))
+    gradient = (initial.values[band] - series[window - 1].values[band]) / grid.dt
+
     records, states = [], []
     state = initial
     for k in range(1, horizon + 1):
         start = truth[k - 1] if mode == "single" else state
-        try:
-            state, ml_ms, cfd_ms = advance(k, start)
-        except BlowupError as err:
-            raise BlowupError(
-                f"{mode}-step rollout failed at step {k}: {err}",
-                variable=err.variable,
-                cell=err.cell,
-            ) from err
+        if mode == "constant-gradient":
+            t0 = time.perf_counter()
+            values = initial.values.copy()
+            values[band] += (k * grid.dt) * gradient
+            ml_ms, cfd_ms = (time.perf_counter() - t0) * 1e3, 0.0
+            state = Snapshot(values, initial.time + k * grid.dt)
+        else:
+            try:
+                state, ml_ms, cfd_ms = timed_predict_step(bundle, start, partition, grid, params)
+            except BlowupError as err:
+                raise BlowupError(
+                    f"{mode}-step rollout failed at step {k}: {err}",
+                    variable=err.variable,
+                    cell=err.cell,
+                ) from err
         maxes, means = band_errors(state, truth[k], partition)
         res = scaled_residual(state, start, grid, params, denominator)
         records.append(StepRecord(k, maxes, means, res, ml_ms, cfd_ms))
         states.append(state)
     return RolloutReport(mode=mode, steps=records, states=states)
-
-
-def multi_step(
-    bundle,
-    initial: Snapshot,
-    horizon: int,
-    truth: Sequence[Snapshot],
-    partition: DomainPartition,
-    grid: GridSpec,
-    params: PhysicalParams,
-    denominator: float,
-) -> RolloutReport:
-    """Autoregressive rollout: each step consumes the previous predicted state."""
-    return _rollout(
-        "multi",
-        lambda k, start: timed_predict_step(bundle, start, partition, grid, params),
-        initial, horizon, truth, partition, grid, params, denominator,
-    )
-
-
-def single_step(
-    bundle,
-    truth: Sequence[Snapshot],
-    partition: DomainPartition,
-    grid: GridSpec,
-    params: PhysicalParams,
-    denominator: float,
-    horizon: Optional[int] = None,
-) -> RolloutReport:
-    """Teacher-forced rollout: every step restarts from the true snapshot."""
-    if horizon is None:
-        horizon = len(truth) - 1
-    return _rollout(
-        "single",
-        lambda k, start: timed_predict_step(bundle, start, partition, grid, params),
-        truth[0], horizon, truth, partition, grid, params, denominator,
-    )
-
-
-def window_gradient(first: Snapshot, second: Snapshot, grid: GridSpec) -> np.ndarray:
-    """Frozen per-cell time gradient (6, m, n) from one consecutive pair."""
-    check_consecutive(first, second, grid.dt)
-    return (second.values - first.values) / grid.dt
-
-
-def constant_gradient(
-    initial: Snapshot,
-    gradient: np.ndarray,
-    horizon: int,
-    truth: Sequence[Snapshot],
-    partition: DomainPartition,
-    grid: GridSpec,
-    params: PhysicalParams,
-    denominator: float,
-) -> RolloutReport:
-    """Baseline: apply one frozen gradient to the middle band's scalars every step.
-
-    The velocities and strips hold their initial values; error statistics only
-    read the middle band, so the strips serve the residual diagnostic alone.
-    """
-    _check_state(initial, grid, partition)
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != initial.values.shape:
-        raise DomainError(
-            f"gradient shape {gradient.shape} does not match state {initial.values.shape}"
-        )
-    lo, hi = partition.flame
-
-    def advance(k: int, start: Snapshot) -> Tuple[Snapshot, float, float]:
-        t0 = time.perf_counter()
-        values = initial.values.copy()
-        values[SCALAR_ROWS, lo:hi, :] += (k * grid.dt) * gradient[SCALAR_ROWS, lo:hi, :]
-        ml_ms = (time.perf_counter() - t0) * 1e3
-        return Snapshot(values, initial.time + k * grid.dt), ml_ms, 0.0
-
-    return _rollout(
-        "constant-gradient", advance,
-        initial, horizon, truth, partition, grid, params, denominator,
-    )
 
 
 def growth_fit_rss(errors: Sequence[float]) -> Tuple[float, float]:

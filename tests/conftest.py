@@ -8,14 +8,7 @@ parts, so both are computed once per session and shared.
 import pytest
 
 from fvmnet.config import default_tree, resolve_config
-from fvmnet.rollout import (
-    constant_gradient,
-    multi_step,
-    residual_denominator,
-    single_step,
-    train_bundle,
-    window_gradient,
-)
+from fvmnet.rollout import MODES, evaluate, train_bundle
 from fvmnet.solver import simulate, step
 
 
@@ -45,14 +38,10 @@ def desk_rollouts(desk_cfg, desk_series, desk_bundle):
     """Reports for all three modes over the default test horizon."""
     cfg = desk_cfg
     bundle, _ = desk_bundle
-    w = cfg.train_window
-    h = cfg.rollout_horizon
-    truth = desk_series[w : w + h + 1]
-    denom = residual_denominator(desk_series[: w + 1], cfg.grid, cfg.params)
-    args = (cfg.partition, cfg.grid, cfg.params, denom)
-    gradient = window_gradient(desk_series[w - 1], desk_series[w], cfg.grid)
     return {
-        "multi": multi_step(bundle, truth[0], h, truth, *args),
-        "single": single_step(bundle, truth, *args),
-        "constant-gradient": constant_gradient(truth[0], gradient, h, truth, *args),
+        mode: evaluate(
+            mode, bundle, desk_series, cfg.train_window, cfg.rollout_horizon,
+            cfg.partition, cfg.grid, cfg.params,
+        )
+        for mode in MODES
     }

@@ -35,8 +35,8 @@ from fvmnet.cli import main
 from fvmnet.macnet import hybrid_error_audit, retrain_seed, run, validate_trace
 from fvmnet.network import CASES, init_network, param_count
 from fvmnet.rollout import (
+    evaluate,
     growth_fit_rss,
-    multi_step,
     predict_step,
     relative_error,
     residual_denominator,
@@ -166,12 +166,9 @@ def test_05_rollout_error_shapes(desk_rollouts):
 
 def test_06_exact_derivative_oracle_closes_the_loop(desk_cfg, desk_series):
     cfg = desk_cfg
-    w = cfg.train_window
-    horizon = 10
-    truth = desk_series[w : w + horizon + 1]
-    denominator = residual_denominator(desk_series[: w + 1], cfg.grid, cfg.params)
-    report = multi_step(
-        DerivativeOracle(), truth[0], horizon, truth, cfg.partition, cfg.grid, cfg.params, denominator
+    report = evaluate(
+        "multi", DerivativeOracle(), desk_series, cfg.train_window, 10,
+        cfg.partition, cfg.grid, cfg.params,
     )
     worst = max(max(rec.max_errors.values()) for rec in report.steps)
     assert worst < 1e-8, f"oracle rollout drifted to {worst:.3e}"
@@ -217,9 +214,8 @@ def test_08_hybrid_trace_validity_and_tolerance_extremes(desk_cfg, desk_series):
         inf_cfg.recipe,
         seed=retrain_seed(cfg.seed, 0),
     )
-    denominator = residual_denominator(truth[: w + 1], cfg.grid, cfg.params)
-    plain = multi_step(
-        bundle, truth[w], inf_cfg.max_ml_steps, truth[w:], cfg.partition, cfg.grid, cfg.params, denominator
+    plain = evaluate(
+        "multi", bundle, truth, w, inf_cfg.max_ml_steps, cfg.partition, cfg.grid, cfg.params
     )
     audit = hybrid_error_audit(inf_series, inf_trace, truth, cfg.partition)
     for offset, rec in enumerate(plain.steps):

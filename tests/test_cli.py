@@ -1,5 +1,6 @@
 """End-to-end command tests at miniature scale, run in process."""
 
+import argparse
 import json
 import logging
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import fvmnet.io
 import fvmnet.rollout
-from fvmnet.cli import main
+from fvmnet.cli import build_parser, main
 from fvmnet.io import (
     ABLATION_HEADER,
     ABLATION_TIMING_HEADER,
@@ -25,6 +26,7 @@ from fvmnet.io import (
     write_trace,
 )
 from fvmnet.macnet import MacnetTrace, Phase, validate_trace
+from fvmnet.rollout import MODES
 from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot
 
 SMALL = {
@@ -227,7 +229,7 @@ def test_rollout_all_modes(trained):
     config_path, out = trained
     assert run_cli("rollout", "--config", config_path, "--out", out) == 0
     reports = {}
-    for mode in ("multi", "single", "constant-gradient"):
+    for mode in MODES:
         rows = read_csv(os.path.join(out, f"report_{mode}.csv"), REPORT_HEADER)
         assert len(rows) == SMALL["rollout"]["horizon"] * len(VARIABLES)
         assert os.path.exists(os.path.join(out, f"timing_{mode}.csv"))
@@ -235,22 +237,45 @@ def test_rollout_all_modes(trained):
     step1 = lambda rows: [r[2:] for r in rows if r[0] == "1"]
     assert step1(reports["multi"]) == step1(reports["single"])
     fits = json.loads(read_bytes(os.path.join(out, "growth_fit.json")))
-    assert set(fits) == {"multi", "single", "constant-gradient"}
-    for mode in ("multi", "single", "constant-gradient"):
+    assert set(fits) == set(MODES)
+    for mode in MODES:
         for k in (1, SMALL["rollout"]["horizon"]):
             assert os.path.exists(
                 os.path.join(out, f"errors_{mode}_step_{k:04d}.csv")
             )
 
 
-def test_rollout_single_mode_writes_one_report(trained):
+@pytest.mark.parametrize("mode", MODES)
+def test_rollout_single_mode_writes_one_report(trained, tmp_path, mode):
     config_path, out = trained
+    alone = str(tmp_path / "alone")
     assert (
-        run_cli("rollout", "--config", config_path, "--out", out, "--mode", "single")
+        run_cli(
+            "rollout", "--config", config_path, "--out", alone, "--mode", mode,
+            "--model", os.path.join(out, "model"),
+            "--manifest", os.path.join(out, "series", "manifest.json"),
+        )
         == 0
     )
-    assert os.path.exists(os.path.join(out, "report_single.csv"))
-    assert not os.path.exists(os.path.join(out, "report_multi.csv"))
+    reports = [name for name in os.listdir(alone) if name.startswith("report_")]
+    assert reports == [f"report_{mode}.csv"]
+    assert run_cli("rollout", "--config", config_path, "--out", out, "--mode", "all") == 0
+    assert read_bytes(os.path.join(alone, reports[0])) == read_bytes(
+        os.path.join(out, reports[0])
+    )
+
+
+def test_rollout_mode_choices_are_the_evaluation_modes(tmp_path):
+    [rollout] = [
+        action.choices["rollout"] for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    [mode] = [action for action in rollout._actions if action.dest == "mode"]
+    assert mode.choices == [*MODES, "all"]
+    # The mode's one name is constant-gradient.
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("rollout", "--out", str(tmp_path), "--mode", "constant")
+    assert exit_.value.code == 2
 
 
 def test_rollout_runs_each_hybrid_step_once(trained, monkeypatch):
@@ -382,7 +407,7 @@ def test_report_aggregates_everything(trained, capsys):
     summary = open(os.path.join(out, "report", "summary.md")).read()
     for artifact in ("series", "train_reports", "ablation", "report_multi"):
         assert artifact in summary
-    for mode in ("multi", "single", "constant-gradient"):
+    for mode in MODES:
         rows = read_csv(
             os.path.join(out, "report", f"error_vs_step_{mode}.csv"),
             "step,max_rel_err_T,mean_rel_err_T,max_rel_err_all,scaled_residual",

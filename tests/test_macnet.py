@@ -17,7 +17,7 @@ from fvmnet.macnet import (
     validate_trace,
 )
 from fvmnet.network import NetworkSpec
-from fvmnet.rollout import SurrogateRecipe, multi_step, residual_denominator, train_bundle
+from fvmnet.rollout import SurrogateRecipe, evaluate, train_bundle
 from fvmnet.solver import (
     IDX,
     TRANSPORTED,
@@ -103,16 +103,15 @@ def test_infinite_tolerance_matches_plain_multi_step_bit_exactly():
 
     window = truth[: config.cfd_window + 1]
     bundle, _ = train_bundle(window, GRID, PART, RECIPE, seed=retrain_seed(seed, 0))
-    denom = residual_denominator(window, GRID, PARAMS)
-    plain = multi_step(
+    plain = evaluate(
+        "multi",
         bundle,
-        truth[config.cfd_window],
+        truth,
+        config.cfd_window,
         config.horizon - config.cfd_window,
-        truth[config.cfd_window :],
         PART,
         GRID,
         PARAMS,
-        denom,
     )
     audit = hybrid_error_audit(series, trace, truth, PART)
     for offset, rec in enumerate(plain.steps):

@@ -22,20 +22,18 @@ from fvmnet.errors import (
 from fvmnet.network import CASES, NetworkSpec, init_network, predict
 from fvmnet.rollout import (
     BLOCK_ROWS,
+    MODES,
     RolloutReport,
     StepRecord,
     SurrogateBundle,
     SurrogateRecipe,
-    constant_gradient,
+    evaluate,
     growth_fit_rss,
-    multi_step,
     predict_step,
     relative_error,
     residual_denominator,
     scaled_residual,
-    single_step,
     train_bundle,
-    window_gradient,
 )
 from fvmnet.solver import (
     IDX,
@@ -451,46 +449,37 @@ def test_scaled_residual_rejects_bad_denominator():
 
 
 def test_oracle_multi_step_error_stays_tiny_for_full_horizon():
-    truth = simulate(blob_state(), GRID, PARAMS, 10)
-    report = multi_step(
-        DerivativeOracle(), truth[0], 10, truth, PART, GRID, PARAMS, denom_for(truth)
-    )
+    series = simulate(blob_state(), GRID, PARAMS, 11)
+    report = evaluate("multi", DerivativeOracle(), series, 1, 10, PART, GRID, PARAMS)
     assert report.horizon == 10
     for v in VARIABLES:
         assert max(report.max_series(v)) < 1e-8
 
 
 def test_oracle_single_step_errors_are_tiny():
-    truth = simulate(blob_state(), GRID, PARAMS, 4)
-    report = single_step(
-        DerivativeOracle(), truth, PART, GRID, PARAMS, denom_for(truth)
-    )
+    series = simulate(blob_state(), GRID, PARAMS, 5)
+    report = evaluate("single", DerivativeOracle(), series, 1, 4, PART, GRID, PARAMS)
     assert report.horizon == 4
     for v in VARIABLES:
         assert max(report.max_series(v)) < 1e-9
 
 
 def test_multi_and_single_agree_at_step_one():
-    truth = simulate(blob_state(), GRID, PARAMS, 3)
+    series = simulate(blob_state(), GRID, PARAMS, 4)
     bundle = zero_bundle()
-    denom = denom_for(truth)
-    multi = multi_step(bundle, truth[0], 3, truth, PART, GRID, PARAMS, denom)
-    single = single_step(bundle, truth, PART, GRID, PARAMS, denom)
+    multi = evaluate("multi", bundle, series, 1, 3, PART, GRID, PARAMS)
+    single = evaluate("single", bundle, series, 1, 3, PART, GRID, PARAMS)
     assert multi.steps[0].max_errors == single.steps[0].max_errors
     assert multi.steps[0].mean_errors == single.steps[0].mean_errors
     assert multi.steps[0].scaled_residual == single.steps[0].scaled_residual
 
 
 def test_every_step_residual_pairs_the_new_state_with_its_start():
-    truth = simulate(blob_state(), GRID, PARAMS, 4)
+    series = simulate(blob_state(), GRID, PARAMS, 5)
+    truth = series[1:]
     bundle = zero_bundle()
-    denom = denom_for(truth)
-    gradient = window_gradient(truth[0], truth[1], GRID)
-    reports = (
-        multi_step(bundle, truth[0], 4, truth, PART, GRID, PARAMS, denom),
-        single_step(bundle, truth, PART, GRID, PARAMS, denom),
-        constant_gradient(truth[0], gradient, 4, truth, PART, GRID, PARAMS, denom),
-    )
+    denom = denom_for(series)
+    reports = [evaluate(mode, bundle, series, 1, 4, PART, GRID, PARAMS) for mode in MODES]
     for report in reports:
         for k in range(2, 5):
             state, previous = report.states[k - 1], report.states[k - 2]
@@ -506,33 +495,28 @@ def test_every_step_residual_pairs_the_new_state_with_its_start():
 
 @pytest.mark.parametrize("mode", ["multi", "single"])
 def test_rollout_blowup_names_mode_step_variable_and_cell(mode):
-    truth = simulate(blob_state(), GRID, PARAMS, 2)
-    denom = denom_for(truth)
+    series = simulate(blob_state(), GRID, PARAMS, 3)
     with pytest.raises(BlowupError) as err:
-        if mode == "multi":
-            multi_step(NanBundle(), truth[0], 2, truth, PART, GRID, PARAMS, denom)
-        else:
-            single_step(NanBundle(), truth, PART, GRID, PARAMS, denom)
+        evaluate(mode, NanBundle(), series, 1, 2, PART, GRID, PARAMS)
     assert str(err.value).startswith(f"{mode}-step rollout failed at step 1: non-finite T")
     assert err.value.variable == "T"
     assert err.value.cell == NAN_CELL
 
 
 def test_multi_step_keeps_its_velocities_so_only_a_stored_state_breaks_the_cfl_limit():
-    truth = simulate(blob_state(), GRID, PARAMS, 2)
+    series = simulate(blob_state(), GRID, PARAMS, 3)
+    start = series[1]
     outputs = np.full((BAND_ROWS, len(TRANSPORTED)), 1.0)  # every scalar moves
-    report = multi_step(
-        FixedBundle(outputs), truth[0], 2, truth, PART, GRID, PARAMS, denom_for(truth)
-    )
+    report = evaluate("multi", FixedBundle(outputs), series, 1, 2, PART, GRID, PARAMS)
     for state in report.states:
         for v in ("v_x", "v_r"):
-            assert state.var(v).tobytes() == truth[0].var(v).tobytes()
-        assert not np.array_equal(state.var("T"), truth[0].var("T"))
+            assert state.var(v).tobytes() == start.var(v).tobytes()
+        assert not np.array_equal(state.var("T"), start.var("T"))
     # The CFL limit reads only velocities, so a state past it was stored that way.
     fast = blob_state(vx=3.0)
-    truth = [fast, Snapshot(fast.values, GRID.dt)]
+    series = [Snapshot(fast.values, k * GRID.dt) for k in range(3)]
     with pytest.raises(StabilityError):
-        multi_step(zero_bundle(), fast, 1, truth, PART, GRID, PARAMS, 1.0)
+        evaluate("multi", zero_bundle(), series, 1, 1, PART, GRID, PARAMS)
 
 
 class ColdBandBundle:
@@ -547,9 +531,9 @@ class ColdBandBundle:
 
 
 def test_multi_step_below_zero_temperature_is_a_numerical_failure():
-    truth = simulate(blob_state(), GRID, PARAMS, 2)
+    series = simulate(blob_state(), GRID, PARAMS, 3)
     with pytest.raises(NumericalError) as err:
-        multi_step(ColdBandBundle(), truth[0], 2, truth, PART, GRID, PARAMS, denom_for(truth))
+        evaluate("multi", ColdBandBundle(), series, 1, 2, PART, GRID, PARAMS)
     assert not isinstance(err.value, ConfigurationError)
     assert str(err.value).startswith("multi-step rollout failed at step 1: non-positive T")
     assert err.value.variable == "T"
@@ -557,13 +541,14 @@ def test_multi_step_below_zero_temperature_is_a_numerical_failure():
 
 
 def test_reports_keep_the_predicted_states():
-    truth = simulate(blob_state(), GRID, PARAMS, 3)
+    series = simulate(blob_state(), GRID, PARAMS, 4)
+    truth = series[1:]
     bundle = zero_bundle()
-    denom = denom_for(truth)
-    multi = multi_step(bundle, truth[0], 3, truth, PART, GRID, PARAMS, denom)
-    single = single_step(bundle, truth, PART, GRID, PARAMS, denom)
-    gradient = window_gradient(truth[0], truth[1], GRID)
-    const = constant_gradient(truth[0], gradient, 3, truth, PART, GRID, PARAMS, denom)
+    multi, single, const = (
+        evaluate(mode, bundle, series, 1, 3, PART, GRID, PARAMS)
+        for mode in MODES
+    )
+    gradient = (series[1].values - series[0].values) / GRID.dt
     lo, hi = PART.flame
     state = truth[0]
     for k in range(1, 4):
@@ -581,53 +566,54 @@ def test_reports_keep_the_predicted_states():
         assert len(report.states) == report.horizon
 
 
-def test_multi_step_validates_truth_coverage():
-    truth = simulate(blob_state(), GRID, PARAMS, 2)
-    with pytest.raises(DomainError):
-        multi_step(zero_bundle(), truth[0], 5, truth, PART, GRID, PARAMS, 1.0)
-    with pytest.raises(DomainError):
-        multi_step(zero_bundle(), truth[0], 0, truth, PART, GRID, PARAMS, 1.0)
-    for time_ in (99.0, float("nan")):
-        shifted = Snapshot(truth[0].values.copy(), time_)
-        with pytest.raises(DomainError, match="truth starts at"):
-            multi_step(zero_bundle(), shifted, 2, truth, PART, GRID, PARAMS, 1.0)
-
-
 def test_constant_gradient_is_exact_on_linearly_evolving_truth():
-    initial = blob_state()
-    rng = np.random.default_rng(5)
-    gradient = rng.standard_normal(initial.values.shape)
+    # A dyadic dt, values and gradient keep every sum exact, so the gradient
+    # read off the window pair is the generating one to the bit.
+    grid = replace(GRID, dt=2.0**-9)
+    base = np.round(blob_state().values * 1024.0) / 1024.0
+    gradient = np.random.default_rng(5).integers(-8, 9, size=base.shape).astype(float)
     rows = [IDX[v] for v in TRANSPORTED]
-    truth = [initial]
-    for k in range(1, 6):
-        values = initial.values.copy()  # the gradient's velocity rows are never applied
-        values[rows] = initial.values[rows] + (k * GRID.dt) * gradient[rows]
-        truth.append(Snapshot(values, k * GRID.dt))
-    report = constant_gradient(
-        initial, gradient, 5, truth, PART, GRID, PARAMS, denominator=1.0
-    )
+    velocities = [IDX["v_x"], IDX["v_r"]]
+    series = []
+    for k in range(7):
+        values = base.copy()
+        values[rows] += (k * grid.dt) * gradient[rows]
+        if k == 0:  # the window pair moves the velocities too; the baseline never applies that
+            values[velocities] -= grid.dt * gradient[velocities]
+        series.append(Snapshot(values, k * grid.dt))
+    report = evaluate("constant-gradient", None, series, 1, 5, PART, grid, PARAMS)
+    assert report.horizon == 5
     for rec in report.steps:
         for v in VARIABLES:
             assert rec.max_errors[v] == 0.0
             assert rec.mean_errors[v] == 0.0
 
 
-def test_constant_gradient_validates_gradient_shape():
-    truth = simulate(blob_state(), GRID, PARAMS, 2)
-    with pytest.raises(DomainError):
-        constant_gradient(
-            truth[0], np.zeros((6, 4, 4)), 2, truth, PART, GRID, PARAMS, 1.0
-        )
+def _retimed(series, index, time):
+    return [*series[:index], Snapshot(series[index].values, time), *series[index + 1 :]]
 
 
-def test_window_gradient_value_and_validation():
-    truth = simulate(blob_state(), GRID, PARAMS, 1)
-    g = window_gradient(truth[0], truth[1], GRID)
-    np.testing.assert_array_equal(
-        g, (truth[1].values - truth[0].values) / GRID.dt
-    )
-    with pytest.raises(DomainError):
-        window_gradient(truth[0], Snapshot(truth[1].values, 5.0), GRID)
+# Each case turns the valid call's (mode, window 2, horizon 2, 5-snapshot series)
+# into inputs that `evaluate` must refuse, and names the refusal.
+BAD_INPUTS = {
+    "unknown-mode": (lambda m, s: (f"{m}-step", 2, 2, s), "mode must be one of"),
+    "window-0": (lambda m, s: (m, 0, 2, s), "window and horizon must be >= 1"),
+    "horizon-0": (lambda m, s: (m, 2, 0, s), "window and horizon must be >= 1"),
+    "short-series": (lambda m, s: (m, 2, 3, s), "series has 5 snapshots, window 2 and horizon 3 need 6"),
+    "window-pair-gap": (lambda m, s: (m, 2, 2, _retimed(s, 1, 99.0)), "not one step apart"),
+    "window-pair-nan-time": (lambda m, s: (m, 2, 2, _retimed(s, 1, np.nan)), "not one step apart"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluate_validates_mode_window_horizon_and_series(mode, case):
+    series = simulate(blob_state(), GRID, PARAMS, 4)
+    evaluate(mode, zero_bundle(), series, 2, 2, PART, GRID, PARAMS)  # the valid call runs
+    alter, match = BAD_INPUTS[case]
+    mode, window, horizon, series = alter(mode, series)
+    with pytest.raises(DomainError, match=match):
+        evaluate(mode, zero_bundle(), series, window, horizon, PART, GRID, PARAMS)
 
 
 # ----- growth-shape fits -----
@@ -760,7 +746,6 @@ def test_trained_bundle_beats_zero_bundle_on_one_step():
     truth = simulate(blob_state(), GRID, PARAMS, 6)
     config = TrainConfig(max_epochs=200, patience=200, batch_size=32, seed=0)
     bundle, _ = train_bundle(truth[:5], GRID, PART, SurrogateRecipe(SMALL_SPEC, config), seed=3)
-    denom = denom_for(truth)
-    trained = single_step(bundle, truth[4:6], PART, GRID, PARAMS, denom)
-    frozen = single_step(zero_bundle(), truth[4:6], PART, GRID, PARAMS, denom)
+    trained = evaluate("single", bundle, truth, 4, 1, PART, GRID, PARAMS)
+    frozen = evaluate("single", zero_bundle(), truth, 4, 1, PART, GRID, PARAMS)
     assert trained.final_max("T") < frozen.final_max("T")
