@@ -170,23 +170,29 @@ def _echo_config(cfg) -> str:
 def _load_series_checked(cfg, args, count, leaves):
     """The first `count` snapshots at --manifest (default: the run's own).
 
-    The series must lie on the configured grid and hold at least `count`
-    snapshots; `leaves` names the config leaves that set `count`. Only the
-    snapshots returned are read.
+    The series must have been generated with the configured grid and
+    physical parameters, so `cfg.grid` and `cfg.params` describe it, and hold
+    at least `count` snapshots; `leaves` names the config leaves that set
+    `count`. Only the snapshots returned are read.
     """
+    from dataclasses import fields
+
     from .io import load_series
 
     manifest = args.manifest or os.path.join(cfg.out, "series", "manifest.json")
     series, grid, params = load_series(manifest, count)
-    if grid != cfg.grid:
-        raise ConfigurationError(
-            f"manifest grid {grid} does not match configured grid {cfg.grid}"
-        )
+    for section, record, wanted in (("grid", grid, cfg.grid), ("physical", params, cfg.params)):
+        for name in (f.name for f in fields(record)):
+            stored, configured = getattr(record, name), getattr(wanted, name)
+            if stored != configured:
+                raise ConfigurationError(
+                    f"manifest {section}.{name} is {stored!r}, configured {configured!r}"
+                )
     if len(series) < count:
         raise ConfigurationError(
             f"series holds {len(series)} snapshots, {leaves} needs {count}"
         )
-    return series, grid, params
+    return series
 
 
 def _burned_in_state(cfg):
@@ -229,10 +235,10 @@ def cmd_train(args) -> int:
     from .rollout import train_bundle
 
     cfg = _load_cfg(args)
-    series, grid, _ = _load_series_checked(
+    series = _load_series_checked(
         cfg, args, cfg.train_window + 1, f"dataset.train_window={cfg.train_window}"
     )
-    bundle, reports = train_bundle(series, grid, cfg.partition, cfg.recipe, seed=cfg.seed)
+    bundle, reports = train_bundle(series, cfg.grid, cfg.partition, cfg.recipe, seed=cfg.seed)
     model_dir = os.path.join(cfg.out, "model")
     bundle_file = save_bundle(model_dir, bundle, cfg.seed, cfg.recipe.train)
     save_train_reports(model_dir, reports)
@@ -267,6 +273,7 @@ def _parse_names(text: str, choices, what: str) -> List[str]:
 
 def cmd_ablate(args) -> int:
     from dataclasses import replace
+    from functools import cache
 
     from .io import ABLATION_HEADER, ABLATION_TIMING_HEADER, write_csv
     from .network import CASES, param_count
@@ -274,7 +281,7 @@ def cmd_ablate(args) -> int:
 
     cfg = _load_cfg(args)
     w = cfg.train_window
-    series, grid, params = _load_series_checked(
+    series = _load_series_checked(
         cfg, args, w + 2, f"dataset.train_window={w} plus the scored step"
     )
     cases = _parse_names(args.cases, sorted(CASES), "network case")
@@ -282,12 +289,15 @@ def cmd_ablate(args) -> int:
     if not cases and not variants:
         raise ConfigurationError("nothing to ablate: both case and variant lists empty")
 
+    # A recipe trained twice at one seed repeats its run bit for bit (the fvmn
+    # variant at a swept case's spec, say), so each distinct recipe runs once.
+    @cache
     def run_one(recipe):
         """(param_count, epochs, max T error, mean T error), the scored step's ml_ms."""
         bundle, reports = train_bundle(
-            series[: w + 1], grid, cfg.partition, recipe, seed=cfg.seed
+            series[: w + 1], cfg.grid, cfg.partition, recipe, seed=cfg.seed
         )
-        [rec] = evaluate("single", bundle, series, w, 1, cfg.partition, grid, params).steps
+        [rec] = evaluate("single", bundle, series, w, 1, cfg.partition, cfg.grid, cfg.params).steps
         epochs = sum(rep.epochs_run for rep in reports.values())
         scores = (param_count(recipe.spec), epochs, rec.max_errors["T"], rec.mean_errors["T"])
         return scores, rec.ml_ms
@@ -300,11 +310,9 @@ def cmd_ablate(args) -> int:
         timing_rows.append((kind, name, scores[0], ml_ms))
         log.info("ablate %s %s: max T error %.3e", kind, name, scores[2])
 
-    case_cache = {}
     fvmn = replace(cfg.recipe.layout, input_mode="tier", output_mode="derivative")
     for label in cases:
-        recipe = replace(cfg.recipe, spec=CASES[label], layout=fvmn)
-        case_cache[(recipe.spec, fvmn)] = result = run_one(recipe)
+        result = run_one(replace(cfg.recipe, spec=CASES[label], layout=fvmn))
         record("case", label, "tier", "derivative", result)
     for name in variants:
         input_mode, output_mode = VARIANTS[name]
@@ -314,11 +322,7 @@ def cmd_ablate(args) -> int:
             spec=replace(cfg.recipe.spec, n_inputs=layout.width),
             layout=layout,
         )
-        # The fvmn variant at a swept case's spec repeats that case's run
-        # bit for bit (same seed), so reuse its scores and timing when available.
-        key = (recipe.spec, layout)
-        result = case_cache[key] if key in case_cache else run_one(recipe)
-        record("variant", name, input_mode, output_mode, result)
+        record("variant", name, input_mode, output_mode, run_one(recipe))
     os.makedirs(cfg.out, exist_ok=True)
     # Wall-clock figures go to their own sidecar so ablation.csv stays deterministic.
     paths = [
@@ -345,7 +349,7 @@ def cmd_rollout(args) -> int:
     cfg = _load_cfg(args)
     w, horizon = cfg.train_window, cfg.rollout_horizon
     bundle = load_bundle(args.model or os.path.join(cfg.out, "model"))
-    series, grid, params = _load_series_checked(
+    series = _load_series_checked(
         cfg, args, w + horizon + 1,
         f"dataset.train_window={w} and rollout.horizon={horizon}",
     )
@@ -354,7 +358,7 @@ def cmd_rollout(args) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     fits = {}
     for mode in modes:
-        report = evaluate(mode, bundle, series, w, horizon, cfg.partition, grid, params)
+        report = evaluate(mode, bundle, series, w, horizon, cfg.partition, cfg.grid, cfg.params)
         report_file, timing_file = write_rollout_report(cfg.out, report)
         errors_t = report.max_series("T")
         if len(errors_t) >= 3:

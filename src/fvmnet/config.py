@@ -11,8 +11,11 @@ does. Each section's resolved leaves are the keyword arguments of the object
 it builds. The `dataset` leaves other than `train_window` and
 `split_fraction` make one `CellLayout`, the tier-input/derivative-output
 choice that the recipe, the trained bundle and its saved file then carry
-whole; the layout, split fraction, network and training settings make one
-`SurrogateRecipe`, which the train, ablate and macnet commands share.
+whole; a null `wall_values` repeats the center at the wall. The `network`
+leaves `hidden` and `activation` are the `NetworkSpec`'s own, its input
+width taken from the layout. The layout, split fraction, network and training
+settings make one `SurrogateRecipe`, which the train, ablate and macnet
+commands share; the run seed stays outside it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .dataset import INPUT_MODES, OUTPUT_MODES, WALL_POLICIES, CellLayout, DomainPartition
+from .dataset import INPUT_MODES, OUTPUT_MODES, CellLayout, DomainPartition
 from .errors import ArtifactIOError, ConfigurationError
 from .macnet import RETRAIN_POLICIES, MacnetConfig
-from .network import CASES, NetworkSpec
+from .network import ACTIVATIONS, NetworkSpec
 from .rollout import SurrogateRecipe
 from .solver import IDX, N_VARS, VARIABLES, GridSpec, PhysicalParams, Snapshot
 from .training import OPTIMIZERS, TrainConfig
@@ -108,22 +111,10 @@ def _as_wall_values(path: str, v) -> Tuple[float, ...]:
     return tuple(_as_float(f"{path}[{k}]", x) for k, x in enumerate(v))
 
 
-def _as_custom_network(path: str, v) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigurationError(f"config field {path} must be an object")
-    allowed = {"hidden", "activation"}
-    for key in v:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown config key {path}.{key}")
-    hidden = v.get("hidden")
-    if not isinstance(hidden, list) or not hidden or not all(
-        isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden
-    ):
-        raise ConfigurationError(
-            f"config field {path}.hidden must be a non-empty list of positive integers"
-        )
-    activation = v.get("activation", "relu")
-    return {"hidden": hidden, "activation": _as_str(f"{path}.activation", activation)}
+def _as_hidden(path: str, v) -> Tuple[int, ...]:
+    if not isinstance(v, list) or not v:
+        raise ConfigurationError(f"config field {path} must be a non-empty list of widths")
+    return tuple(_int_at_least(1)(f"{path}[{k}]", h) for k, h in enumerate(v))
 
 
 # Every config leaf, declared once: (default, caster, nullable). A null value
@@ -176,12 +167,11 @@ _SCHEMA = {
         "input_mode": ("tier", _one_of(INPUT_MODES), False),
         "output_mode": ("derivative", _one_of(OUTPUT_MODES), False),
         "split_fraction": (0.8, _as_fraction, False),
-        "wall_policy": ("zero_neumann", _one_of(WALL_POLICIES), False),
         "wall_values": (None, _as_wall_values, True),
     },
     "network": {
-        "case": ("c", _one_of(tuple(sorted(CASES))), True),
-        "custom": (None, _as_custom_network, True),
+        "hidden": ([64, 64, 64], _as_hidden, False),
+        "activation": ("relu", _one_of(ACTIVATIONS), False),
     },
     "train": {
         "learning_rate": (0.001, _as_float, False),
@@ -356,18 +346,6 @@ class ExperimentConfig:
         return self.initial.build(self.grid)
 
 
-def _resolve_spec(network: dict, width: int) -> NetworkSpec:
-    case, custom = network["case"], network["custom"]
-    if (case is None) == (custom is None):
-        raise ConfigurationError(
-            "network needs exactly one of network.case or network.custom"
-        )
-    if case is not None:
-        base = CASES[case]
-        return NetworkSpec(width, base.hidden, 1, base.activation)
-    return NetworkSpec(width, tuple(custom["hidden"]), 1, custom["activation"])
-
-
 def resolve_config(tree: dict) -> ExperimentConfig:
     """Validate a merged tree and construct every referenced object."""
     leaves = {}
@@ -393,8 +371,8 @@ def resolve_config(tree: dict) -> ExperimentConfig:
     split_fraction = dataset.pop("split_fraction")
     layout = CellLayout(**dataset)
     recipe = SurrogateRecipe(
-        spec=_resolve_spec(leaves["network"], layout.width),
-        train=TrainConfig(**leaves["train"], seed=tree["seed"]),
+        spec=NetworkSpec(layout.width, **leaves["network"]),
+        train=TrainConfig(**leaves["train"]),
         layout=layout,
         split_fraction=split_fraction,
     )

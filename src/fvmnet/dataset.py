@@ -14,8 +14,8 @@ training, and transported-network rows back to the next band for a hybrid step.
 Samples are harvested only from the middle band of the channel; the inlet and
 outlet strips stay on the solver's books, which also guarantees every sampled
 cell has both axial neighbors. Missing radial neighbors are patched by rule:
-the axis mirror uses the center value, the wall either repeats the center
-(zero-gradient reading) or substitutes a fixed per-variable wall value.
+the axis mirror uses the center value, and the wall repeats the center
+(zero-gradient reading) unless the layout holds fixed per-variable wall values.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .solver import N_VARS, SCALAR_ROWS, TRANSPORTED, GridSpec, Snapshot, check_
 
 INPUT_MODES = ("tier", "center")
 OUTPUT_MODES = ("derivative", "absolute")
-WALL_POLICIES = ("zero_neumann", "wall_value")
 
 # Stencil slots per variable, in feature order.
 TIER_SLOTS = ("center", "i-1", "i+1", "j-1", "j+1")
@@ -120,15 +119,12 @@ class CellLayout:
     `input_mode` "tier" reads the five-point stencil of every variable,
     "center" the bare cell values. `output_mode` "derivative" targets
     (x_next - x) / dt, "absolute" the next-step value. The tier's radial wall
-    neighbor repeats the center under `wall_policy` "zero_neumann" and takes
-    `wall_values` (one per variable, kept as a tuple of floats) under
-    "wall_value". Under "zero_neumann" any given `wall_values` are checked,
-    then dropped to None, so layouts that build the same inputs compare equal.
+    neighbor repeats the center when `wall_values` is None, and otherwise
+    takes `wall_values`, one per variable, kept as a tuple of floats.
     """
 
     input_mode: str = "tier"
     output_mode: str = "derivative"
-    wall_policy: str = "zero_neumann"
     wall_values: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
@@ -136,17 +132,11 @@ class CellLayout:
             raise DomainError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
         if self.output_mode not in OUTPUT_MODES:
             raise DomainError(f"output_mode must be one of {OUTPUT_MODES}, got {self.output_mode!r}")
-        if self.wall_policy not in WALL_POLICIES:
-            raise DomainError(f"wall_policy must be one of {WALL_POLICIES}, got {self.wall_policy!r}")
         if self.wall_values is None:
-            if self.wall_policy == "wall_value":
-                raise DomainError("wall_value policy needs a wall_values vector")
             return
         values = tuple(float(w) for w in self.wall_values)
         if len(values) != N_VARS:
             raise DomainError(f"wall_values must hold {N_VARS} numbers, got {len(values)}")
-        if self.wall_policy != "wall_value":
-            values = None
         object.__setattr__(self, "wall_values", values)
 
     @property

@@ -21,21 +21,22 @@ reader uses: `load_series(manifest, count)` checks the whole manifest (every
 record, time gap and listed file) but loads only the first `count`
 snapshots, so each command reads just the snapshots it works on.
 
-The grid and physical-parameter records of the series manifest, the
-bundle's `layout` (its one `CellLayout`) and each network's `spec`, and the
-trace header and its phase, retrain and fallback entries are their
-dataclass's fields, written by `dataclasses.asdict` and read back by
-`_record`. Adding a field to one of those dataclasses therefore changes the
-file format and needs its format tag bumped. A `train_reports.json` entry
-adds the derived `epochs_run` to a `TrainReport`'s fields, so it is read as
-raw JSON, never through `_record`: `report` reads three keys and
-`perfbench/workloads.py` reads `epochs_run`. A malformed file (a missing or
-unknown key, a value of the wrong type, or one the record's own checks
-refuse; a bundle without exactly one network per variable; a snapshot file
-or bundle member that is not a finite C-order little-endian float64 array of
-the expected shape) raises ArtifactIOError naming the file, which the CLI
-reports with exit code 4. Each CSV header that one command writes and
-another reads is a `*_HEADER` here.
+The grid and physical-parameter records of the series manifest, the bundle's
+`layout` (its one `CellLayout`) and each network's `spec`, and the trace
+header and its phase, retrain and fallback entries are their dataclass's
+fields, written by `dataclasses.asdict` and read back by `_record`. Adding
+or dropping a field of one of those dataclasses therefore changes the file
+format and needs its format tag bumped. A `train_reports.json` entry adds
+the derived `epochs_run` to a `TrainReport`'s fields, so it is read as raw
+JSON, never through `_record`: `report` reads `best_val_loss`, `best_epoch`
+and `epochs_run`, and `perfbench/workloads.py` reads `best_val_loss` and
+`epochs_run`. A malformed file (a missing or unknown key, a value of the
+wrong type, or one the record's own checks refuse; a bundle without exactly
+one network per variable; a snapshot file or bundle member that is not a
+finite C-order little-endian float64 array of the expected shape) raises
+ArtifactIOError naming the file, which the CLI reports with exit code 4.
+Each CSV header that one command writes and another reads is a `*_HEADER`
+here.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import numpy as np
 from .dataset import CellLayout, Standardizer
 from .errors import ArtifactIOError, DomainError, FvmnetError
 from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
-from .network import Network, NetworkSpec, param_count
+from .network import Network, NetworkSpec
 from .rollout import RolloutReport, SurrogateBundle
 from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, time_tolerance
 from .training import TrainConfig, TrainReport, config_digest
@@ -62,7 +63,7 @@ from .training import TrainConfig, TrainReport, config_digest
 SERIES_FORMAT = "fvmnet-series-2"
 # Every stored array is C-order with this dtype, whatever the host.
 ARRAY_DTYPE = np.dtype("<f8")
-BUNDLE_FORMAT = "fvmnet-bundle-3"
+BUNDLE_FORMAT = "fvmnet-bundle-4"
 BUNDLE_FILE = "bundle.npz"
 TRACE_FORMAT = "fvmnet-trace-1"
 # What np.load raises on an empty, truncated, pickled or non-numpy file; a
@@ -337,8 +338,8 @@ def save_bundle(
     The archive holds one `.npy` member per array: the standardizer's `mean`
     and `std`, and `<var>.w<l>` and `<var>.b<l>` for layer l of each network.
     Its `meta` member is the JSON text of the rest: the format tag, seed,
-    training-config digest, cell layout, and each network's spec, parameter
-    count and target scale.
+    training-config digest, cell layout, and each network's spec and target
+    scale.
     """
     os.makedirs(out_dir, exist_ok=True)
     nets = bundle.networks
@@ -348,8 +349,7 @@ def save_bundle(
         "train_config_digest": config_digest(train_config),
         "layout": asdict(bundle.layout),
         "networks": {
-            v: {"spec": asdict(nets[v].spec), "param_count": param_count(nets[v].spec),
-                "target_scale": list(bundle.target_scales[v])}
+            v: {"spec": asdict(nets[v].spec), "target_scale": list(bundle.target_scales[v])}
             for v in VARIABLES
         },
     }

@@ -22,7 +22,7 @@ variable, here and in the MACnet audit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -424,10 +424,12 @@ def train_bundle(
 ) -> Tuple[SurrogateBundle, Dict[str, TrainReport]]:
     """Build datasets from a snapshot window and train all six networks.
 
-    The input standardizer is fitted on the shared training rows; each
-    variable gets its own target scale. With `warm_from`, training continues
-    from that bundle's parameters instead of a fresh initialization; the
-    standardizer and target scales are refitted on the new window either way.
+    `seed` drives the train/validation split and each network's
+    initialization and shuffles, each through its own `derived_seed`. The
+    input standardizer is fitted on the shared training rows; each variable
+    gets its own target scale. With `warm_from`, training continues from that
+    bundle's parameters instead of a fresh initialization; the standardizer
+    and target scales are refitted on the new window either way.
     """
     if warm_from is not None:
         for v in VARIABLES:
@@ -461,14 +463,14 @@ def train_bundle(
             net = warm_from.networks[v].copy()
         else:
             net = init_network(recipe.spec, derived_seed(seed, "init", v))
-        config = replace(recipe.train, seed=derived_seed(seed, "train", v))
         net, report = train(
             net,
             z_train,
             (train_targets - mean) / std,
             z_val,
             (val_targets - mean) / std,
-            config,
+            recipe.train,
+            derived_seed(seed, "train", v),
         )
         networks[v] = net
         reports[v] = report

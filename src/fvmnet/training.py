@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
@@ -33,7 +33,6 @@ class TrainConfig:
     max_epochs: int = 2000
     patience: int = 50
     min_delta: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -59,7 +58,6 @@ class TrainReport:
     train_losses: List[float] = field(default_factory=list)
     val_losses: List[float] = field(default_factory=list)
     best_epoch: int = -1
-    stopped_epoch: int = -1
     best_val_loss: float = float("inf")
     param_snapshot_id: str = ""
 
@@ -144,12 +142,14 @@ def train(
     val_inputs: np.ndarray,
     val_targets: np.ndarray,
     config: TrainConfig,
+    seed: int,
 ) -> Tuple[Network, TrainReport]:
     """Fit `net` in place on the given rows; returns (best network, report).
 
     The input network provides the starting parameters, so passing a freshly
     initialized network trains from scratch and passing a previously trained
-    one warm-starts. Optimizer moments always start at zero for the call.
+    one warm-starts. Optimizer moments always start at zero for the call;
+    `seed` drives the per-epoch shuffles.
     """
     x = np.asarray(train_inputs, dtype=np.float64)
     y = np.asarray(train_targets, dtype=np.float64).reshape(-1)
@@ -183,7 +183,7 @@ def train(
     else:
         opt = _Sgd(config.learning_rate, flat.size)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     report = TrainReport()
     stall = 0
 
@@ -222,7 +222,6 @@ def train(
             if stall >= config.patience:
                 break
 
-    report.stopped_epoch = report.epochs_run - 1
     # The first finite validation loss always beats +inf - min_delta, so
     # `best` holds a validated epoch. Each returned array owns its memory.
     best_arrays = [view.copy() for view in _views(best, shapes)]
@@ -239,4 +238,4 @@ def derived_seed(base: int, *parts) -> int:
 
 def config_digest(config: TrainConfig) -> str:
     """Short stable digest of the hyperparameters, for saved bundles."""
-    return hashlib.sha256(repr(replace(config)).encode()).hexdigest()[:12]
+    return hashlib.sha256(repr(config).encode()).hexdigest()[:12]

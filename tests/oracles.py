@@ -152,18 +152,16 @@ def tier_input(
     i: int,
     j: int,
     partition: DomainPartition,
-    wall_policy: str = "zero_neumann",
     wall_values=None,
 ) -> np.ndarray:
     """Stencil vector for one cell: per variable [center, i-1, i+1, j-1, j+1].
 
     The cell must lie in the middle band, so both axial neighbors exist (the
     band edges legally read into the solver-owned strips). On the axis the
-    j-1 slot repeats the center; at the wall the j+1 slot repeats the center
-    or takes the per-variable wall value, by policy.
+    j-1 slot repeats the center; at the wall the j+1 slot repeats the center,
+    or takes the per-variable wall value when `wall_values` are given.
     """
-    layout = CellLayout(wall_policy=wall_policy, wall_values=wall_values)
-    wv = layout.wall_values if wall_policy == "wall_value" else None
+    wv = CellLayout(wall_values=wall_values).wall_values
     m, n = snapshot.shape
     if partition.m != m:
         raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")

@@ -26,6 +26,7 @@ from fvmnet.io import (
     write_trace,
 )
 from fvmnet.macnet import MacnetTrace, Phase, validate_trace
+from fvmnet.network import NetworkSpec, param_count
 from fvmnet.rollout import MODES
 from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot
 
@@ -118,7 +119,7 @@ def test_train_writes_checkpoints_and_reports(trained, capsys):
     assert sorted(os.listdir(model)) == ["bundle.npz", "train_reports.json"]
     with np.load(os.path.join(model, "bundle.npz")) as archive:
         meta = json.loads(str(archive["meta"]))
-    assert meta["networks"]["T"]["param_count"] == 10369
+    assert param_count(NetworkSpec(**meta["networks"]["T"]["spec"])) == 10369
     bundle = load_bundle(model)
     assert bundle.networks["T"].spec.hidden == (64, 64, 64)
 
@@ -129,6 +130,20 @@ def test_train_is_seed_deterministic(generated):
     first = read_bytes(os.path.join(out, "model", "train_reports.json"))
     assert run_cli("train", "--config", config_path, "--out", out) == 0
     assert read_bytes(os.path.join(out, "model", "train_reports.json")) == first
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "rollout"])
+def test_commands_refuse_a_series_generated_with_other_physics(trained, capsys, command):
+    config_path, out = trained
+    echo = read_bytes(os.path.join(out, "effective_config.json"))
+    code = run_cli(
+        command, "--config", config_path, "--out", out,
+        "--set", "physical.arrhenius_a=0", "--set", "physical.heat_release=1",
+    )
+    assert code == 2
+    assert "manifest physical.arrhenius_a is 10000.0, configured 0.0" in capsys.readouterr().err
+    # Nothing ran, so the run's echo still states the physics its series used.
+    assert read_bytes(os.path.join(out, "effective_config.json")) == echo
 
 
 def test_train_missing_manifest_exit_code(config_path, tmp_path, capsys):

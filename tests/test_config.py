@@ -33,7 +33,8 @@ def test_defaults_resolve_to_the_reference_experiment():
     assert cfg.macnet.tolerance == 5.0
     assert cfg.macnet.horizon == 40
     assert cfg.params.wall_temperature == 300.0
-    assert cfg.seed == 0 and cfg.recipe.train.seed == 0
+    assert cfg.seed == 0 and not hasattr(cfg.recipe.train, "seed")
+    assert cfg.recipe.layout.wall_values is None
     assert cfg.macnet.recipe is cfg.recipe
 
 
@@ -96,6 +97,13 @@ def test_type_errors_name_the_field():
         resolve_config_from({"train": {"optimizer": 7}})
     with pytest.raises(ConfigurationError, match="macnet.tolerance must be a number"):
         resolve_config_from({"macnet": {"tolerance": "soon"}})
+    for bad in ([0.0] * 5, [0.0] * 7, 300.0):
+        with pytest.raises(ConfigurationError, match="dataset.wall_values must be a list of 6"):
+            resolve_config_from({"dataset": {"wall_values": bad}})
+    with pytest.raises(ConfigurationError, match=r"dataset.wall_values\[2\] must be a number"):
+        resolve_config_from({"dataset": {"wall_values": [0, 0, "hot", 0, 0, 0]}})
+    walled = resolve_config_from({"dataset": {"wall_values": [0, 0, 300, 0, 0, 0.2]}})
+    assert walled.recipe.layout.wall_values == (0.0, 0.0, 300.0, 0.0, 0.0, 0.2)
 
 
 def test_enum_fields_are_validated():
@@ -103,24 +111,33 @@ def test_enum_fields_are_validated():
         resolve_config_from({"dataset": {"input_mode": "everything"}})
     with pytest.raises(ConfigurationError, match="macnet.retrain"):
         resolve_config_from({"macnet": {"retrain": "sometimes"}})
-    with pytest.raises(ConfigurationError, match="network.case"):
-        resolve_config_from({"network": {"case": "z"}})
+    with pytest.raises(ConfigurationError, match="network.activation must be one of"):
+        resolve_config_from({"network": {"activation": "tanh"}})
     with pytest.raises(ConfigurationError, match="train.optimizer"):
         resolve_config_from({"train": {"optimizer": "rmsprop"}})
 
 
-def test_network_case_and_custom_are_exclusive():
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        resolve_config_from(
-            {"network": {"case": "c", "custom": {"hidden": [8]}}}
-        )
-    with pytest.raises(ConfigurationError, match="exactly one"):
-        resolve_config_from({"network": {"case": None, "custom": None}})
-    cfg = resolve_config_from(
-        {"network": {"case": None, "custom": {"hidden": [16, 8], "activation": "sigmoid"}}}
-    )
+def test_network_hidden_and_activation_set_the_spec():
+    for bad in ([], 64, "64", {"hidden": [8]}):
+        with pytest.raises(ConfigurationError, match="network.hidden must be a non-empty list"):
+            resolve_config_from({"network": {"hidden": bad}})
+    for bad, message in (
+        ([16, 0], r"network.hidden\[1\] must be at least 1, got 0"),
+        ([16, -8], r"network.hidden\[1\] must be at least 1, got -8"),
+        ([8.0], r"network.hidden\[0\] must be an integer"),
+        ([True], r"network.hidden\[0\] must be an integer"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            resolve_config_from({"network": {"hidden": bad}})
+    with pytest.raises(ConfigurationError, match="network.hidden is missing"):
+        resolve_config_from({"network": {"hidden": None}})
+    with pytest.raises(ConfigurationError, match="unknown config key network.case"):
+        resolve_config_from({"network": {"case": "c"}})
+    cfg = resolve_config_from({"network": {"hidden": [16, 8], "activation": "sigmoid"}})
     assert cfg.recipe.spec.hidden == (16, 8)
     assert cfg.recipe.spec.activation == "sigmoid"
+    assert cfg.tree["network"] == {"hidden": [16, 8], "activation": "sigmoid"}
+    assert load_config().recipe.spec == CASES["c"]
 
 
 def test_center_mode_resizes_network_inputs():
@@ -168,14 +185,14 @@ def test_range_checks():
 def test_overrides_parse_json_then_fall_back_to_strings():
     tree = default_tree()
     apply_override(tree, "macnet.tolerance=2.5")
-    apply_override(tree, "network.case=a")
+    apply_override(tree, "network.hidden=[64]")
     apply_override(tree, "seed=11")
     apply_override(tree, "physical.wall_temperature=null")
     cfg = resolve_config(tree)
     assert cfg.macnet.tolerance == 2.5
     assert cfg.recipe.spec.hidden == CASES["a"].hidden
     assert cfg.recipe.spec.activation == CASES["a"].activation
-    assert cfg.seed == 11 and cfg.recipe.train.seed == 11
+    assert cfg.seed == 11 and cfg.recipe == load_config(overrides=["network.hidden=[64]"]).recipe
     assert cfg.params.wall_temperature is None
 
 

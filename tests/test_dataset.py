@@ -55,22 +55,17 @@ def test_cell_layout_validation():
         CellLayout(input_mode="stencil")
     with pytest.raises(DomainError, match="output_mode"):
         CellLayout(output_mode="next")
-    with pytest.raises(DomainError, match="wall_policy"):
-        CellLayout(wall_policy="mirror")
-    with pytest.raises(DomainError, match="wall_values"):
-        CellLayout(wall_policy="wall_value")
-    with pytest.raises(DomainError, match="6 numbers, got 5"):
-        CellLayout(wall_policy="wall_value", wall_values=[0.0] * 5)
-    walled = CellLayout(wall_policy="wall_value", wall_values=np.arange(6))
-    assert walled.wall_values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-    assert all(type(w) is float for w in walled.wall_values)
-    assert walled == CellLayout(wall_policy="wall_value", wall_values=[0, 1, 2, 3, 4, 5])
-    # zero_neumann reads no wall values: they are checked, then dropped.
-    unread = CellLayout(wall_values=range(6))
-    assert unread.wall_values is None
-    assert unread == CellLayout()
+    with pytest.raises(DomainError, match="6 numbers, got 7"):
+        CellLayout(wall_values=[0.0] * 7)
     with pytest.raises(DomainError, match="6 numbers, got 5"):
         CellLayout(wall_values=[0.0] * 5)
+    walled = CellLayout(wall_values=np.arange(6))
+    assert walled.wall_values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    assert all(type(w) is float for w in walled.wall_values)
+    assert walled == CellLayout(wall_values=[0, 1, 2, 3, 4, 5])
+    # No wall values: the wall repeats the center.
+    assert CellLayout().wall_values is None
+    assert walled != CellLayout()
     assert CellLayout().width == TIER_WIDTH
     assert CellLayout(input_mode="center").width == N_VARS
 
@@ -107,11 +102,11 @@ def test_tier_wall_rules():
     vec = tier_input(snap, 3, 4, part)
     for k in range(N_VARS):
         assert vec[5 * k + 4] == vec[5 * k]
-    # Wall-value policy substitutes the per-variable wall vector instead:
+    # Given wall values substitute the per-variable wall vector instead:
     # temperature gets the wall temperature, everything else zero.
     wall = np.zeros(N_VARS)
     wall[IDX["T"]] = 300.0
-    vec = tier_input(snap, 3, 4, part, wall_policy="wall_value", wall_values=wall)
+    vec = tier_input(snap, 3, 4, part, wall_values=wall)
     kt = IDX["T"]
     center = snap.values[kt, 3, 4]
     np.testing.assert_array_equal(
@@ -142,24 +137,18 @@ def test_tier_rejects_cells_outside_band_and_bad_args():
     with pytest.raises(DomainError):
         tier_input(snap, 3, 5, part)
     with pytest.raises(DomainError):
-        tier_input(snap, 3, 2, part, wall_policy="mirror")
-    with pytest.raises(DomainError):
-        tier_input(snap, 3, 2, part, wall_policy="wall_value")  # vector missing
+        tier_input(snap, 3, 2, part, wall_values=[0.0] * 5)  # one value short
     with pytest.raises(DomainError):
         tier_input(snap, 3, 2, DomainPartition(m=9, m_star=2))
 
 
-# (policy, wall values): zero_neumann ignores values it is given.
-WALL_CASES = (("zero_neumann", None), ("zero_neumann", "wall"), ("wall_value", "wall"))
-
-
 def variant_layouts(input_mode, wall):
-    """Layouts of every ablation variant reading `input_mode`, under each wall case."""
+    """Layouts of every ablation variant reading `input_mode`, without and with wall values."""
     for name, (inputs, outputs) in VARIANTS.items():
         if inputs != input_mode:
             continue
-        for policy, values in WALL_CASES:
-            yield name, CellLayout(inputs, outputs, policy, None if values is None else wall)
+        for values in (None, wall):
+            yield name, CellLayout(inputs, outputs, values)
 
 
 def test_tier_matrix_agrees_with_scalar_extraction():
@@ -173,13 +162,12 @@ def test_tier_matrix_agrees_with_scalar_extraction():
         names.add(name)
         mat = layout.inputs(snap, part)
         assert mat.shape == (cells.shape[0], TIER_WIDTH) == (cells.shape[0], layout.width)
-        wv = wall if layout.wall_policy == "wall_value" else None
-        assert mat.tobytes() == tier_matrix(snap, part, wv).tobytes()
+        assert mat.tobytes() == tier_matrix(snap, part, layout.wall_values).tobytes()
         for row in range(0, cells.shape[0], 7):
             i, j = cells[row]
             np.testing.assert_array_equal(
                 mat[row],
-                tier_input(snap, int(i), int(j), part, layout.wall_policy, layout.wall_values),
+                tier_input(snap, int(i), int(j), part, layout.wall_values),
             )
     assert names == {"fvmn", "tier-only"}
 

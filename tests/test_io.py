@@ -38,7 +38,7 @@ from fvmnet.macnet import (
     RetrainEvent,
     validate_trace,
 )
-from fvmnet.network import Network, NetworkSpec, init_network
+from fvmnet.network import Network, NetworkSpec, init_network, param_count
 from fvmnet.rollout import RolloutReport, StepRecord, SurrogateBundle
 from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
 from fvmnet.training import TrainConfig, TrainReport, config_digest
@@ -290,7 +290,7 @@ def test_standardizer_round_trip(tmp_path):
 
 
 def test_bundle_round_trip_preserves_weights_and_predictions(tmp_path):
-    walls = CellLayout(output_mode="absolute", wall_policy="wall_value", wall_values=range(6))
+    walls = CellLayout(output_mode="absolute", wall_values=range(6))
     bundle = replace(make_bundle(), layout=walls)
     save_bundle(str(tmp_path), bundle, seed=7, train_config=TrainConfig())
     back = load_bundle(str(tmp_path))
@@ -328,7 +328,10 @@ def test_checkpoint_records_config_digest_and_count(tmp_path):
     save_bundle(str(tmp_path), bundle, seed=7, train_config=TrainConfig())
     assert sorted(os.listdir(tmp_path)) == ["bundle.npz"]
     meta = json.loads(str(archive_members(tmp_path / "bundle.npz")["meta"]))
-    assert meta["networks"]["T"]["param_count"] == TIER_WIDTH * 5 + 5 + 5 + 1
+    # The spec alone determines the parameter count, so the meta does not repeat it.
+    assert "param_count" not in meta["networks"]["T"]
+    spec = NetworkSpec(**meta["networks"]["T"]["spec"])
+    assert param_count(spec) == TIER_WIDTH * 5 + 5 + 5 + 1
     assert len(meta["train_config_digest"]) == 12
     assert meta["seed"] == 7
 
@@ -470,7 +473,7 @@ def test_train_reports_file_lists_losses(tmp_path):
     reports = {
         v: TrainReport(
             train_losses=[1.0, 0.5], val_losses=[1.1, 0.6],
-            best_epoch=1, stopped_epoch=1, best_val_loss=0.6,
+            best_epoch=1, best_val_loss=0.6,
             param_snapshot_id="ab" * 6,
         )
         for v in VARIABLES
@@ -728,8 +731,9 @@ def test_record_formats_are_pinned(tmp_path):
         }
     )
 
-    layout = CellLayout("center", "absolute", "wall_value", range(6))
+    layout = CellLayout("center", "absolute", range(6))
     spec = NetworkSpec(len(VARIABLES), (), 1)  # a linear map: 6 weights, 1 bias
+    assert param_count(spec) == 7
     bundle = SurrogateBundle(
         networks={
             v: Network(spec, [np.full((6, 1), 0.5 * k)], [np.array([k + 0.25])])
@@ -746,16 +750,14 @@ def test_record_formats_are_pinned(tmp_path):
     assert (meta.dtype.kind, meta.shape) == ("U", ())
     assert str(meta) == json.dumps(
         {
-            "format": "fvmnet-bundle-3",
+            "format": "fvmnet-bundle-4",
             "layout": {
                 "input_mode": "center",
                 "output_mode": "absolute",
-                "wall_policy": "wall_value",
                 "wall_values": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
             },
             "networks": {
                 v: {
-                    "param_count": 7,
                     "spec": {"activation": "relu", "hidden": [], "n_inputs": 6, "n_outputs": 1},
                     "target_scale": [0.125 * k, 1.5],
                 }
@@ -776,7 +778,7 @@ def test_record_formats_are_pinned(tmp_path):
 
     report = TrainReport(
         train_losses=[1.0, 0.5], val_losses=[1.25, 0.75], best_epoch=1,
-        stopped_epoch=1, best_val_loss=0.75, param_snapshot_id="ab" * 6,
+        best_val_loss=0.75, param_snapshot_id="ab" * 6,
     )
     path = save_train_reports(str(tmp_path), {"T": report})
     assert open(path).read() == json_text(
@@ -786,7 +788,6 @@ def test_record_formats_are_pinned(tmp_path):
                 "best_val_loss": 0.75,
                 "epochs_run": 2,
                 "param_snapshot_id": "abababababab",
-                "stopped_epoch": 1,
                 "train_losses": [1.0, 0.5],
                 "val_losses": [1.25, 0.75],
             }

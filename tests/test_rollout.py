@@ -686,7 +686,7 @@ def test_bundle_validation_catches_mismatches():
 
 
 SMALL_SPEC = NetworkSpec(TIER_WIDTH, (8,), 1)
-SMALL_CONFIG = TrainConfig(max_epochs=12, patience=12, batch_size=32, seed=0)
+SMALL_CONFIG = TrainConfig(max_epochs=12, patience=12, batch_size=32)
 SMALL_RECIPE = SurrogateRecipe(SMALL_SPEC, SMALL_CONFIG)
 
 
@@ -716,7 +716,7 @@ def test_train_bundle_warm_start_and_spec_checks():
     narrow = replace(SMALL_RECIPE, spec=NetworkSpec(TIER_WIDTH, (4,), 1))
     with pytest.raises(DomainError, match="matching specs"):
         train_bundle(truth, GRID, PART, narrow, seed=2, warm_from=bundle)
-    walls = CellLayout(wall_policy="wall_value", wall_values=(0.0,) * 6)
+    walls = CellLayout(wall_values=(0.0,) * 6)
     for layout in (CellLayout(output_mode="absolute"), walls):
         with pytest.raises(DomainError, match="matching cell layout"):
             train_bundle(
@@ -744,7 +744,7 @@ def test_trained_bundle_beats_zero_bundle_on_one_step():
     # Even a briefly trained surrogate should track the solver better than
     # predicting "nothing changes".
     truth = simulate(blob_state(), GRID, PARAMS, 6)
-    config = TrainConfig(max_epochs=200, patience=200, batch_size=32, seed=0)
+    config = TrainConfig(max_epochs=200, patience=200, batch_size=32)
     bundle, _ = train_bundle(truth[:5], GRID, PART, SurrogateRecipe(SMALL_SPEC, config), seed=3)
     trained = evaluate("single", bundle, truth, 4, 1, PART, GRID, PARAMS)
     frozen = evaluate("single", zero_bundle(), truth, 4, 1, PART, GRID, PARAMS)

@@ -30,8 +30,8 @@ def linear_problem(n=200, seed=0):
 def test_linear_net_recovers_exact_linear_map_with_adam():
     tx, ty, vx, vy = linear_problem()
     net = init_network(NetworkSpec(2, (), 1), seed=1)
-    cfg = TrainConfig(learning_rate=0.05, max_epochs=400, patience=400, seed=3)
-    net, report = train(net, tx, ty, vx, vy, cfg)
+    cfg = TrainConfig(learning_rate=0.05, max_epochs=400, patience=400)
+    net, report = train(net, tx, ty, vx, vy, cfg, 3)
     assert report.best_val_loss < 1e-8
     np.testing.assert_allclose(net.weights[0][:, 0], [3.0, -2.0], atol=1e-3)
     assert net.biases[0][0] == pytest.approx(0.5, abs=1e-3)
@@ -40,9 +40,8 @@ def test_linear_net_recovers_exact_linear_map_with_adam():
 def test_sgd_also_converges_on_the_linear_problem():
     tx, ty, vx, vy = linear_problem(seed=4)
     net = init_network(NetworkSpec(2, (), 1), seed=2)
-    cfg = TrainConfig(optimizer="sgd", learning_rate=0.05, max_epochs=300,
-                      patience=300, seed=5)
-    net, report = train(net, tx, ty, vx, vy, cfg)
+    cfg = TrainConfig(optimizer="sgd", learning_rate=0.05, max_epochs=300, patience=300)
+    net, report = train(net, tx, ty, vx, vy, cfg, 5)
     assert report.best_val_loss < 1e-6
 
 
@@ -71,13 +70,13 @@ def test_adam_with_zero_betas_matches_sgd_step_direction():
 
     sgd_net = start.copy()
     cfg = TrainConfig(optimizer="sgd", learning_rate=1e-3, max_epochs=1,
-                      patience=1, batch_size=8, seed=0)
-    train(sgd_net, x, y, x, y, cfg)
+                      patience=1, batch_size=8)
+    train(sgd_net, x, y, x, y, cfg, 0)
 
     adam_net = start.copy()
     cfg = TrainConfig(optimizer="adam", learning_rate=1e-3, beta1=0.0, beta2=0.0,
-                      eps=1e-300, max_epochs=1, patience=1, batch_size=8, seed=0)
-    train(adam_net, x, y, x, y, cfg)
+                      eps=1e-300, max_epochs=1, patience=1, batch_size=8)
+    train(adam_net, x, y, x, y, cfg, 0)
 
     for w0, ws, wa in zip(start.weights, sgd_net.weights, adam_net.weights):
         ds = ws - w0
@@ -95,15 +94,15 @@ def test_early_stopping_restores_best_epoch_parameters():
     vx = rng.standard_normal((32, 3))
     vy = vx @ np.array([1.0, -1.0, 0.5]) + 0.8 * rng.standard_normal(32)
     net = init_network(NetworkSpec(3, (16, 16), 1), seed=6)
-    cfg = TrainConfig(learning_rate=0.01, max_epochs=2000, patience=25, seed=7)
-    net, report = train(net, tx, ty, vx, vy, cfg)
+    cfg = TrainConfig(learning_rate=0.01, max_epochs=2000, patience=25)
+    net, report = train(net, tx, ty, vx, vy, cfg, 7)
 
     assert report.epochs_run < 2000, "patience never triggered"
     assert report.best_epoch == int(np.argmin(report.val_losses))
     assert report.best_val_loss == min(report.val_losses)
     # Returned parameters really are the best-epoch ones.
     assert mse_loss(predict(net, vx), vy) == pytest.approx(report.best_val_loss, rel=1e-12)
-    assert report.stopped_epoch - report.best_epoch >= 25
+    assert (report.epochs_run - 1) - report.best_epoch >= 25
 
 
 def test_training_is_bit_deterministic_for_fixed_seed():
@@ -111,8 +110,8 @@ def test_training_is_bit_deterministic_for_fixed_seed():
     runs = []
     for _ in range(2):
         net = init_network(NetworkSpec(2, (8,), 1), seed=13)
-        cfg = TrainConfig(learning_rate=0.01, max_epochs=40, patience=40, seed=14)
-        net, report = train(net, tx, ty, vx, vy, cfg)
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=40, patience=40)
+        net, report = train(net, tx, ty, vx, vy, cfg, 14)
         runs.append(report)
     assert runs[0].train_losses == runs[1].train_losses
     assert runs[0].val_losses == runs[1].val_losses
@@ -123,10 +122,9 @@ def test_training_is_bit_deterministic_for_fixed_seed():
 def test_divergent_training_raises_with_epoch():
     tx, ty, vx, vy = linear_problem(seed=15)
     net = init_network(NetworkSpec(2, (8,), 1), seed=16)
-    cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, max_epochs=50,
-                      patience=50, seed=17)
+    cfg = TrainConfig(optimizer="sgd", learning_rate=1e12, max_epochs=50, patience=50)
     with pytest.raises(TrainingDivergedError) as err:
-        train(net, tx, ty, vx, vy, cfg)
+        train(net, tx, ty, vx, vy, cfg, 17)
     assert err.value.epoch >= 0
 
 
@@ -145,7 +143,11 @@ def test_config_validation_and_digest():
     with pytest.raises(DomainError, match="min_delta"):
         load_config(None, ["train.min_delta=inf"])
     assert config_digest(TrainConfig()) == config_digest(TrainConfig())
-    assert config_digest(TrainConfig()) != config_digest(TrainConfig(seed=1))
+    # The digest reads hyperparameters; the training seed is no part of the config.
+    assert config_digest(TrainConfig()) != config_digest(TrainConfig(max_epochs=1))
+    assert config_digest(TrainConfig()) != config_digest(TrainConfig(learning_rate=0.002))
+    with pytest.raises(TypeError):
+        TrainConfig(seed=1)
 
 
 def test_derived_seed_is_stable_and_distinguishes_roles():
@@ -159,7 +161,7 @@ def test_empty_sets_rejected():
     net = init_network(NetworkSpec(2, (), 1), seed=0)
     with pytest.raises(DomainError):
         train(net, np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.zeros(1),
-              TrainConfig())
+              TrainConfig(), 0)
 
 
 @pytest.mark.parametrize(
@@ -197,7 +199,7 @@ def test_flat_optimizers_match_list_oracles_bit_for_bit(make_flat, make_list):
 def test_trained_network_arrays_own_their_memory():
     tx, ty, vx, vy = linear_problem(seed=19)
     net = init_network(NetworkSpec(2, (8, 4), 1), seed=20)
-    net, _ = train(net, tx, ty, vx, vy, TrainConfig(max_epochs=3, seed=21))
+    net, _ = train(net, tx, ty, vx, vy, TrainConfig(max_epochs=3), 21)
     arrays = net.weights + net.biases
     assert len(arrays) == 6
     for a in arrays:
@@ -207,6 +209,6 @@ def test_trained_network_arrays_own_their_memory():
     # Warm-starting from the result leaves the trained arrays untouched.
     before = [a.copy() for a in arrays]
     warm = net.copy()
-    train(warm, tx, ty, vx, vy, TrainConfig(max_epochs=2, seed=22))
+    train(warm, tx, ty, vx, vy, TrainConfig(max_epochs=2), 22)
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
