@@ -65,7 +65,7 @@ SERIES_FORMAT = "fvmnet-series-2"
 ARRAY_DTYPE = np.dtype("<f8")
 BUNDLE_FORMAT = "fvmnet-bundle-4"
 BUNDLE_FILE = "bundle.npz"
-TRACE_FORMAT = "fvmnet-trace-1"
+TRACE_FORMAT = "fvmnet-trace-2"
 # What np.load raises on an empty, truncated, pickled or non-numpy file; a
 # corrupt header can claim a huge array or fail to tokenize.
 _UNREADABLE = (ValueError, EOFError, MemoryError, tokenize.TokenError)
@@ -339,10 +339,14 @@ def save_bundle(
     and `std`, and `<var>.w<l>` and `<var>.b<l>` for layer l of each network.
     Its `meta` member is the JSON text of the rest: the format tag, seed,
     training-config digest, cell layout, and each network's spec and target
-    scale.
+    scale. The format holds all six networks, so a bundle missing any of
+    them is refused.
     """
-    os.makedirs(out_dir, exist_ok=True)
     nets = bundle.networks
+    missing = [v for v in VARIABLES if v not in nets]
+    if missing:
+        raise DomainError(f"cannot save a bundle without networks for {missing}")
+    os.makedirs(out_dir, exist_ok=True)
     meta = {
         "format": BUNDLE_FORMAT,
         "seed": int(seed),

@@ -1,16 +1,18 @@
 """Residual-gated alternation between solver windows and surrogate rollout.
 
-The run loop advances a CFD window, trains or updates the six surrogates on
-exactly that window, then lets the surrogates step the middle band while the
-scaled continuity residual stays under tolerance. A breaching candidate step
-is discarded, so the trajectory never contains a step that failed the gate;
-the loop then returns to CFD and retrains. An independent validator replays
-the recorded trace against the documented invariants.
+The run loop advances a CFD window, trains or updates the four transported
+surrogates (the ones a hybrid step runs) on exactly that window, then lets
+the surrogates step the middle band while the scaled continuity residual
+stays under tolerance. A breaching candidate step is discarded, so the
+trajectory never contains a step that failed the gate; the loop then returns
+to CFD and retrains. An independent validator replays the recorded trace
+against the documented invariants.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
@@ -27,7 +29,7 @@ from .rollout import (
     scaled_residual,
     train_bundle,
 )
-from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, step
+from .solver import TRANSPORTED, GridSpec, PhysicalParams, Snapshot, step
 from .training import derived_seed
 
 logger = logging.getLogger(__name__)
@@ -88,12 +90,17 @@ class Phase:
 
 @dataclass(frozen=True)
 class RetrainEvent:
-    """One (re)training of the surrogate bundle on the latest CFD window."""
+    """One (re)training of the surrogate bundle on the latest CFD window.
+
+    Each mapping is keyed by the trained variables, TRANSPORTED; `epochs`
+    holds each network's epochs run.
+    """
 
     at_step: int
     policy: str
     val_losses: Mapping[str, float]
     param_ids: Mapping[str, str]
+    epochs: Mapping[str, int]
     denominator: float
 
 
@@ -212,8 +219,9 @@ def run(
             RetrainEvent(
                 at_step=steps_done,
                 policy=config.retrain,
-                val_losses={v: reports[v].best_val_loss for v in VARIABLES},
-                param_ids={v: reports[v].param_snapshot_id for v in VARIABLES},
+                val_losses={v: rep.best_val_loss for v, rep in reports.items()},
+                param_ids={v: rep.param_snapshot_id for v, rep in reports.items()},
+                epochs={v: rep.epochs_run for v, rep in reports.items()},
                 denominator=denominator,
             )
         )
@@ -302,7 +310,9 @@ def validate_trace(trace: MacnetTrace) -> None:
     Checks only the recorded fields, independently of the run loop: phases
     tile [0, horizon]; every ML phase directly follows a CFD phase; each ML
     phase ends for a recorded, consistent reason with all accepted residuals
-    under the gate; consecutive CFD phases pair up with fallback events.
+    under the gate; consecutive CFD phases pair up with fallback events;
+    each retrain records a finite loss and at least one epoch for exactly the
+    TRANSPORTED networks.
     """
     if not trace.phases:
         raise DomainError("trace has no phases")
@@ -387,6 +397,17 @@ def validate_trace(trace: MacnetTrace) -> None:
                 f"fallback at step {event.at_step} has residual "
                 f"{event.residual} within tolerance"
             )
+    for event in trace.retrains:
+        for name in ("val_losses", "param_ids", "epochs"):
+            if sorted(getattr(event, name)) != sorted(TRANSPORTED):
+                raise DomainError(
+                    f"retrain at step {event.at_step} records {name} for "
+                    f"{sorted(getattr(event, name))}, expected {sorted(TRANSPORTED)}"
+                )
+        if not all(math.isfinite(loss) for loss in event.val_losses.values()):
+            raise DomainError(f"retrain at step {event.at_step} has a non-finite loss")
+        if not all(epochs >= 1 for epochs in event.epochs.values()):
+            raise DomainError(f"retrain at step {event.at_step} ran no epochs")
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,12 @@ def _check_state(state: Snapshot, grid: GridSpec, partition: DomainPartition) ->
 
 @dataclass
 class SurrogateBundle:
-    """One trained network per variable plus the scaling that wraps them.
+    """Trained networks by variable plus the scaling that wraps them.
 
     The TRANSPORTED networks read one standardized input row per band cell,
     built by the cell layout they were trained on, and each output is un-scaled
-    by that variable's target statistics. The v_x and v_r networks are saved, never run.
+    by that variable's target statistics. Only those four must be present; a
+    bundle trained for saving also holds v_x and v_r networks, which never run.
     """
 
     networks: Dict[str, Network]
@@ -90,10 +91,10 @@ class SurrogateBundle:
     layout: CellLayout = CellLayout()
 
     def __post_init__(self):
-        missing = [v for v in VARIABLES if v not in self.networks]
+        missing = [v for v in TRANSPORTED if v not in self.networks]
         if missing:
             raise DomainError(f"bundle is missing networks for {missing}")
-        missing = [v for v in VARIABLES if v not in self.target_scales]
+        missing = [v for v in self.networks if v not in self.target_scales]
         if missing:
             raise DomainError(f"bundle is missing target scales for {missing}")
         width = self.layout.width
@@ -102,7 +103,7 @@ class SurrogateBundle:
                 f"{self.layout.input_mode!r} inputs have width {width}, "
                 f"standardizer has width {self.standardizer.width}"
             )
-        for v in VARIABLES:
+        for v in self.networks:
             spec = self.networks[v].spec
             if spec.n_inputs != width or spec.n_outputs != 1:
                 raise DomainError(
@@ -421,18 +422,25 @@ def train_bundle(
     recipe: SurrogateRecipe,
     seed: int = 0,
     warm_from: Optional[SurrogateBundle] = None,
+    variables: Sequence[str] = TRANSPORTED,
 ) -> Tuple[SurrogateBundle, Dict[str, TrainReport]]:
-    """Build datasets from a snapshot window and train all six networks.
+    """Build datasets from a snapshot window and train one network per name in `variables`.
 
-    `seed` drives the train/validation split and each network's
-    initialization and shuffles, each through its own `derived_seed`. The
-    input standardizer is fitted on the shared training rows; each variable
-    gets its own target scale. With `warm_from`, training continues from that
-    bundle's parameters instead of a fresh initialization; the standardizer
-    and target scales are refitted on the new window either way.
+    The default trains the TRANSPORTED networks, the ones a hybrid step runs;
+    a bundle for `io.save_bundle` needs all of VARIABLES. `seed` drives the
+    train/validation split and each network's initialization and shuffles,
+    each through its own `derived_seed`, so a network comes out the same
+    whichever others are trained beside it. The input standardizer is fitted
+    on the shared training rows; each variable gets its own target scale.
+    With `warm_from`, training continues from that bundle's parameters
+    instead of a fresh initialization; the standardizer and target scales are
+    refitted on the new window either way.
     """
     if warm_from is not None:
-        for v in VARIABLES:
+        missing = [v for v in variables if v not in warm_from.networks]
+        if missing:
+            raise DomainError(f"warm start source is missing networks for {missing}")
+        for v in variables:
             if warm_from.networks[v].spec != recipe.spec:
                 raise DomainError(
                     f"warm start requires matching specs; network for {v!r} differs"
@@ -455,7 +463,7 @@ def train_bundle(
     networks: Dict[str, Network] = {}
     reports: Dict[str, TrainReport] = {}
     scales: Dict[str, Tuple[float, float]] = {}
-    for v in VARIABLES:
+    for v in variables:
         train_targets = data.train_targets[:, IDX[v]]
         val_targets = data.val_targets[:, IDX[v]]
         mean, std = target_scale(train_targets)

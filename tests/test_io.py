@@ -13,7 +13,7 @@ from oracles import forward
 from fvmnet.cli import main
 from fvmnet.dataset import TIER_WIDTH, CellLayout, Standardizer, fit_standardizer
 import fvmnet.io
-from fvmnet.errors import ArtifactIOError
+from fvmnet.errors import ArtifactIOError, DomainError
 from fvmnet.io import (
     dump_json,
     load_bundle,
@@ -40,7 +40,7 @@ from fvmnet.macnet import (
 )
 from fvmnet.network import Network, NetworkSpec, init_network, param_count
 from fvmnet.rollout import RolloutReport, StepRecord, SurrogateBundle
-from fvmnet.solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
+from fvmnet.solver import TRANSPORTED, VARIABLES, GridSpec, PhysicalParams, Snapshot, simulate
 from fvmnet.training import TrainConfig, TrainReport, config_digest
 
 GRID = GridSpec(m=12, n=4, dx=0.01, dr=0.01, dt=0.002)
@@ -336,6 +336,14 @@ def test_checkpoint_records_config_digest_and_count(tmp_path):
     assert meta["seed"] == 7
 
 
+def test_bundle_without_every_network_is_not_saved(tmp_path):
+    bundle = make_bundle()
+    four = replace(bundle, networks={v: bundle.networks[v] for v in TRANSPORTED})
+    with pytest.raises(DomainError, match=r"without networks for \['v_x', 'v_r'\]"):
+        save_bundle(str(tmp_path), four, seed=0, train_config=TrainConfig())
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_checkpoint_is_reported(tmp_path):
     bundle = make_bundle()
     save_bundle(str(tmp_path), bundle, seed=0, train_config=TrainConfig())
@@ -549,16 +557,18 @@ def make_trace():
     trace.retrains.append(
         RetrainEvent(
             at_step=2, policy="warm-start",
-            val_losses={v: 0.01 for v in VARIABLES},
-            param_ids={v: "ab" * 6 for v in VARIABLES},
+            val_losses={v: 0.01 for v in TRANSPORTED},
+            param_ids={v: "ab" * 6 for v in TRANSPORTED},
+            epochs={v: 3 for v in TRANSPORTED},
             denominator=3.5,
         )
     )
     trace.retrains.append(
         RetrainEvent(
             at_step=7, policy="warm-start",
-            val_losses={v: 0.02 for v in VARIABLES},
-            param_ids={v: "cd" * 6 for v in VARIABLES},
+            val_losses={v: 0.02 for v in TRANSPORTED},
+            param_ids={v: "cd" * 6 for v in TRANSPORTED},
+            epochs={v: 3 for v in TRANSPORTED},
             denominator=2.75,
         )
     )
@@ -597,8 +607,9 @@ def test_trace_with_infinite_tolerance_round_trips(tmp_path):
     trace.retrains.append(
         RetrainEvent(
             at_step=2, policy="warm-start",
-            val_losses={v: 0.0 for v in VARIABLES},
-            param_ids={v: "00" * 6 for v in VARIABLES},
+            val_losses={v: 0.0 for v in TRANSPORTED},
+            param_ids={v: "00" * 6 for v in TRANSPORTED},
+            epochs={v: 3 for v in TRANSPORTED},
             denominator=1.0,
         )
     )
@@ -616,8 +627,9 @@ def test_trace_with_fallback_round_trips(tmp_path):
         trace.retrains.append(
             RetrainEvent(
                 at_step=at, policy="warm-start",
-                val_losses={v: 0.0 for v in VARIABLES},
-                param_ids={v: "00" * 6 for v in VARIABLES},
+                val_losses={v: 0.0 for v in TRANSPORTED},
+                param_ids={v: "00" * 6 for v in TRANSPORTED},
+                epochs={v: 3 for v in TRANSPORTED},
                 denominator=1.0,
             )
         )
@@ -695,8 +707,9 @@ def test_record_formats_are_pinned(tmp_path):
     trace.retrains.append(
         RetrainEvent(
             at_step=2, policy="warm-start",
-            val_losses={v: 0.25 for v in VARIABLES},
-            param_ids={v: "ab" * 6 for v in VARIABLES},
+            val_losses={v: 0.25 for v in TRANSPORTED},
+            param_ids={v: "ab" * 6 for v in TRANSPORTED},
+            epochs={v: 3 for v in TRANSPORTED},
             denominator=3.5,
         )
     )
@@ -707,7 +720,7 @@ def test_record_formats_are_pinned(tmp_path):
         {
             "cfd_window": 2,
             "fallbacks": [{"at_step": 2, "residual": 7.5}],
-            "format": "fvmnet-trace-1",
+            "format": "fvmnet-trace-2",
             "horizon": 4,
             "max_ml_steps": 2,
             "phases": [
@@ -722,9 +735,10 @@ def test_record_formats_are_pinned(tmp_path):
                 {
                     "at_step": 2,
                     "denominator": 3.5,
-                    "param_ids": {v: "abababababab" for v in VARIABLES},
+                    "epochs": {v: 3 for v in TRANSPORTED},
+                    "param_ids": {v: "abababababab" for v in TRANSPORTED},
                     "policy": "warm-start",
-                    "val_losses": {v: 0.25 for v in VARIABLES},
+                    "val_losses": {v: 0.25 for v in TRANSPORTED},
                 }
             ],
             "tolerance": 5.0,
@@ -805,6 +819,8 @@ MALFORMED = {
     "trace-missing-key": ("trace", lambda p: p.pop("horizon")),
     "trace-unknown-key": ("trace", lambda p: p["phases"][1].update(bogus=1)),
     "trace-missing-event-key": ("trace", lambda p: p["retrains"][0].pop("denominator")),
+    "trace-event-without-epochs": ("trace", lambda p: p["retrains"][1].pop("epochs")),
+    "trace-format-1": ("trace", lambda p: p.update(format="fvmnet-trace-1")),
     "checkpoint-missing-key": (
         "checkpoint", lambda m: m["meta"]["networks"]["T"]["spec"].pop("activation")
     ),

@@ -10,6 +10,7 @@ from fvmnet.macnet import (
     MacnetConfig,
     MacnetTrace,
     Phase,
+    RetrainEvent,
     hybrid_error_audit,
     retrain_seed,
     run,
@@ -85,6 +86,10 @@ def test_infinite_tolerance_gives_one_window_then_ml_to_horizon():
     assert trace.phases[1].ended_by == "horizon"
     assert trace.fallbacks == []
     assert len(trace.retrains) == 1
+    # The retrain trains only the networks a hybrid step runs.
+    [event] = trace.retrains
+    assert sorted(event.epochs) == sorted(event.val_losses) == sorted(TRANSPORTED)
+    assert all(1 <= n <= TRAIN.max_epochs for n in event.epochs.values())
     assert len(series) == 9
     assert trace.ml_fraction() == 6 / 8
     times = [s.time for s in series]
@@ -171,6 +176,7 @@ class KickBundle:
 class FakeReport:
     best_val_loss = 0.0
     param_snapshot_id = "fake"
+    epochs_run = 1
 
 
 def patch_training(monkeypatch):
@@ -179,7 +185,7 @@ def patch_training(monkeypatch):
     monkeypatch.setattr(
         macnet_mod,
         "train_bundle",
-        lambda *a, **k: (KickBundle(), {v: FakeReport() for v in VARIABLES}),
+        lambda *a, **k: (KickBundle(), {v: FakeReport() for v in TRANSPORTED}),
     )
 
 
@@ -415,6 +421,37 @@ def test_validator_rejects_malformed_cfd_phases():
                 ]
             )
         )
+
+
+def test_validator_checks_each_retrain():
+    def retrain(**overrides):
+        fields = dict(
+            at_step=2, policy="warm-start",
+            val_losses={v: 0.5 for v in TRANSPORTED},
+            param_ids={v: "ab" * 6 for v in TRANSPORTED},
+            epochs={v: 4 for v in TRANSPORTED},
+            denominator=1.0,
+        )
+        fields.update(overrides)
+        trace = make_trace(
+            [Phase("CFD", 0, 2), Phase("ML", 2, 6, residuals=(0.1,) * 4, ended_by="max_ml_steps"),
+             Phase("CFD", 6, 8, ended_by="window")]
+        )
+        trace.retrains = [RetrainEvent(**fields)]
+        return trace
+
+    validate_trace(retrain())
+    six = {v: 0.5 for v in VARIABLES}
+    for bad in (
+        dict(val_losses=six),
+        dict(param_ids={v: "ab" * 6 for v in VARIABLES}),
+        dict(epochs={v: 4 for v in TRANSPORTED[:-1]}),
+        dict(val_losses={**six, "T": float("nan")}),
+        dict(val_losses={v: float("inf") for v in TRANSPORTED}),
+        dict(epochs={**{v: 4 for v in TRANSPORTED}, "X_ox": 0}),
+    ):
+        with pytest.raises(DomainError, match="retrain at step 2"):
+            validate_trace(retrain(**bad))
 
 
 def test_audit_rejects_horizon_mismatches():

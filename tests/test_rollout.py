@@ -675,6 +675,29 @@ def test_bundle_validation_catches_mismatches():
             standardizer=bundle.standardizer,
             target_scales={v: (0.0, 0.0) for v in VARIABLES},
         )
+    # The transported networks suffice, but every network held is checked.
+    four = SurrogateBundle(
+        networks={v: bundle.networks[v] for v in TRANSPORTED},
+        standardizer=bundle.standardizer,
+        target_scales={v: bundle.target_scales[v] for v in TRANSPORTED},
+    )
+    state = blob_state()
+    assert np.array_equal(
+        predict_step(four, state, PART, GRID, PARAMS).values,
+        predict_step(bundle, state, PART, GRID, PARAMS).values,
+    )
+    with pytest.raises(DomainError, match="network for 'v_x' maps"):
+        SurrogateBundle(
+            networks={**bundle.networks, "v_x": init_network(NetworkSpec(6, (4,), 1), seed=0)},
+            standardizer=bundle.standardizer,
+            target_scales=bundle.target_scales,
+        )
+    with pytest.raises(DomainError, match=r"missing target scales for \['v_r'\]"):
+        SurrogateBundle(
+            networks=bundle.networks,
+            standardizer=bundle.standardizer,
+            target_scales={v: bundle.target_scales[v] for v in VARIABLES if v != "v_r"},
+        )
     # The layout sets the width the standardizer and networks must have.
     with pytest.raises(DomainError, match="'center' inputs have width 6"):
         SurrogateBundle(
@@ -695,13 +718,36 @@ def test_train_bundle_is_seed_deterministic():
     ids = []
     for _ in range(2):
         bundle, reports = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=11)
-        ids.append({v: reports[v].param_snapshot_id for v in VARIABLES})
+        assert sorted(reports) == sorted(bundle.networks) == sorted(TRANSPORTED)
+        ids.append({v: reports[v].param_snapshot_id for v in TRANSPORTED})
     assert ids[0] == ids[1]
     other, _ = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=12)
     bundle, _ = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=11)
     assert any(
         not np.array_equal(bundle.networks[v].weights[0], other.networks[v].weights[0])
-        for v in VARIABLES
+        for v in TRANSPORTED
+    )
+
+
+def test_train_bundle_trains_the_same_networks_alone_or_with_the_velocities():
+    # Each network draws its own seeds, so the velocity networks trained beside
+    # the transported ones change nothing about them.
+    truth = simulate(blob_state(), GRID, PARAMS, 3)
+    four, four_reports = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=4)
+    six, six_reports = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=4, variables=VARIABLES)
+    assert sorted(six.networks) == sorted(six_reports) == sorted(VARIABLES)
+    assert np.array_equal(four.standardizer.mean, six.standardizer.mean)
+    assert np.array_equal(four.standardizer.std, six.standardizer.std)
+    for v in TRANSPORTED:
+        assert four.target_scales[v] == six.target_scales[v]
+        assert four_reports[v] == six_reports[v]
+        for a, b in zip(four.networks[v].weights + four.networks[v].biases,
+                        six.networks[v].weights + six.networks[v].biases):
+            assert np.array_equal(a, b)
+    state = truth[1]
+    assert np.array_equal(
+        predict_step(four, state, PART, GRID, PARAMS).values,
+        predict_step(six, state, PART, GRID, PARAMS).values,
     )
 
 
@@ -709,10 +755,15 @@ def test_train_bundle_warm_start_and_spec_checks():
     truth = simulate(blob_state(), GRID, PARAMS, 3)
     bundle, _ = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=1)
     warmed, reports = train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=2, warm_from=bundle)
-    assert all(reports[v].epochs_run >= 1 for v in VARIABLES)
+    assert sorted(reports) == sorted(TRANSPORTED)
+    assert all(reports[v].epochs_run >= 1 for v in TRANSPORTED)
     out = predict_step(warmed, truth[0], PART, GRID, PARAMS)
     assert np.isfinite(out.values).all()
 
+    # A four-network bundle cannot warm-start the velocity networks.
+    with pytest.raises(DomainError, match=r"missing networks for \['v_x', 'v_r'\]"):
+        train_bundle(truth, GRID, PART, SMALL_RECIPE, seed=2, warm_from=bundle,
+                     variables=VARIABLES)
     narrow = replace(SMALL_RECIPE, spec=NetworkSpec(TIER_WIDTH, (4,), 1))
     with pytest.raises(DomainError, match="matching specs"):
         train_bundle(truth, GRID, PART, narrow, seed=2, warm_from=bundle)
