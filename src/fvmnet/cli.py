@@ -170,23 +170,28 @@ def _echo_config(cfg) -> str:
 def _load_series_checked(cfg, args, count, leaves):
     """The first `count` snapshots at --manifest (default: the run's own).
 
-    The series must have been generated with the configured grid and
-    physical parameters, so `cfg.grid` and `cfg.params` describe it, and hold
-    at least `count` snapshots; `leaves` names the config leaves that set
-    `count`. Only the snapshots returned are read.
+    The series must have been generated with the configured grid, physical
+    parameters, initial condition and burn-in, so the config describes it,
+    and hold at least `count` snapshots; `leaves` names the config leaves
+    that set `count`. Only the snapshots returned are read.
     """
-    from dataclasses import fields
+    from dataclasses import asdict
 
-    from .io import load_series
+    from .io import load_series, load_series_origin
 
     manifest = args.manifest or os.path.join(cfg.out, "series", "manifest.json")
     series, grid, params = load_series(manifest, count)
-    for section, record, wanted in (("grid", grid, cfg.grid), ("physical", params, cfg.params)):
-        for name in (f.name for f in fields(record)):
-            stored, configured = getattr(record, name), getattr(wanted, name)
-            if stored != configured:
+    initial, burn_in = load_series_origin(manifest)
+    for section, stored, configured in (
+        ("grid", asdict(grid), asdict(cfg.grid)),
+        ("physical", asdict(params), asdict(cfg.params)),
+        ("initial", asdict(initial), asdict(cfg.initial)),
+        ("generate", {"burn_in": burn_in}, {"burn_in": cfg.burn_in}),
+    ):
+        for name, value in stored.items():
+            if value != configured[name]:
                 raise ConfigurationError(
-                    f"manifest {section}.{name} is {stored!r}, configured {configured!r}"
+                    f"manifest {section}.{name} is {value!r}, configured {configured[name]!r}"
                 )
     if len(series) < count:
         raise ConfigurationError(
@@ -220,7 +225,9 @@ def cmd_generate(args) -> int:
         series,
         cfg.grid,
         cfg.params,
-        extra={"burn_in": cfg.burn_in, "seed": cfg.seed},
+        cfg.initial,
+        cfg.burn_in,
+        extra={"seed": cfg.seed},
     )
     log.info(
         "generate: %d burn-in steps, %d stored snapshots", cfg.burn_in, len(series)

@@ -3,19 +3,23 @@
 One JSON document with fixed sections drives every command. `_SCHEMA`
 declares each leaf once: its desk-scale default (`DEFAULTS` is derived from
 the table, so a missing file resolves to the reference experiment), the
-caster that type- and range-checks it under its dotted path, and whether it
-may be null. Unknown sections or keys are rejected by name, a non-nullable
-field set to null is reported as missing, and dotted `a.b=value` overrides
-edit the tree before validation, so a bad flag fails the same way a bad file
-does. Each section's resolved leaves are the keyword arguments of the object
-it builds. The `dataset` leaves other than `train_window` and
-`split_fraction` make one `CellLayout`, the tier-input/derivative-output
-choice that the recipe, the trained bundle and its saved file then carry
-whole; a null `wall_values` repeats the center at the wall. The `network`
-leaves `hidden` and `activation` are the `NetworkSpec`'s own, its input
-width taken from the layout. The layout, split fraction, network and training
-settings make one `SurrogateRecipe`, which the train, ablate and macnet
-commands share; the run seed stays outside it.
+caster that checks its JSON type under its dotted path (refusing NaN), and
+whether it may be null. Each range and choice is checked once, by the object
+the leaf builds, in that object's words (`input_mode must be one of ...`);
+only the leaves that build no object (`generate.*`, `dataset.train_window`,
+`rollout.horizon`) and the non-empty `network.hidden` are range-checked here.
+A config file and each dotted `a.b=value` override write leaves through one
+setter, so unknown sections or keys are rejected by name the same way, and a
+non-nullable field set to null is reported as missing. A file's
+`physical.diffusivity` replaces the whole mapping; an override of
+`physical.diffusivity.T` edits one entry. The `dataset` leaves other than
+`train_window` and `split_fraction` make one `CellLayout`, the
+tier-input/derivative-output choice that the recipe, the trained bundle and
+its saved file then carry whole; a null `wall_values` repeats the center at
+the wall. The `network` leaves `hidden` and `activation` are the
+`NetworkSpec`'s own, its input width taken from the layout. The layout, split
+fraction, network and training settings make one `SurrogateRecipe`, which the
+train, ablate and macnet commands share; the run seed stays outside it.
 """
 
 from __future__ import annotations
@@ -24,17 +28,17 @@ import copy
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from .dataset import INPUT_MODES, OUTPUT_MODES, CellLayout, DomainPartition
+from .dataset import CellLayout, DomainPartition
 from .errors import ArtifactIOError, ConfigurationError
-from .macnet import RETRAIN_POLICIES, MacnetConfig
-from .network import ACTIVATIONS, NetworkSpec
+from .macnet import MacnetConfig
+from .network import NetworkSpec
 from .rollout import SurrogateRecipe
-from .solver import IDX, N_VARS, VARIABLES, GridSpec, PhysicalParams, Snapshot
-from .training import OPTIMIZERS, TrainConfig
+from .solver import IDX, N_VARS, GridSpec, PhysicalParams, Snapshot
+from .training import TrainConfig
 
 # ----- leaf casters; each names the dotted path it rejects -----
 
@@ -74,47 +78,19 @@ def _int_at_least(low: int):
     return cast
 
 
-def _one_of(choices: Tuple[str, ...]):
-    def cast(path: str, v) -> str:
-        v = _as_str(path, v)
-        if v not in choices:
-            raise ConfigurationError(f"{path} must be one of {choices}, got {v!r}")
-        return v
-
-    return cast
-
-
-def _as_fraction(path: str, v) -> float:
-    v = _as_float(path, v)
-    if not 0.0 < v < 1.0:
-        raise ConfigurationError(f"{path} must lie strictly in (0, 1), got {v}")
-    return v
-
-
 def _as_diffusivity(path: str, v) -> dict:
     if not isinstance(v, dict):
         raise ConfigurationError(f"config field {path} must map variables to numbers")
-    known = set(VARIABLES) - {"v_x", "v_r"}
-    for key in v:
-        if key not in known:
-            raise ConfigurationError(
-                f"config field {path} names unknown variable {key!r}"
-            )
     return {k: _as_float(f"{path}.{k}", val) for k, val in v.items()}
 
 
-def _as_wall_values(path: str, v) -> Tuple[float, ...]:
-    if not isinstance(v, list) or len(v) != N_VARS:
-        raise ConfigurationError(
-            f"config field {path} must be a list of {N_VARS} numbers"
-        )
-    return tuple(_as_float(f"{path}[{k}]", x) for k, x in enumerate(v))
+def _list_of(item, what: str, min_len: int = 0):
+    def cast(path: str, v) -> tuple:
+        if not isinstance(v, list) or len(v) < min_len:
+            raise ConfigurationError(f"config field {path} must be a {what}")
+        return tuple(item(f"{path}[{k}]", x) for k, x in enumerate(v))
 
-
-def _as_hidden(path: str, v) -> Tuple[int, ...]:
-    if not isinstance(v, list) or not v:
-        raise ConfigurationError(f"config field {path} must be a non-empty list of widths")
-    return tuple(_int_at_least(1)(f"{path}[{k}]", h) for k, h in enumerate(v))
+    return cast
 
 
 # Every config leaf, declared once: (default, caster, nullable). A null value
@@ -164,33 +140,33 @@ _SCHEMA = {
     },
     "dataset": {
         "train_window": (1, _int_at_least(1), False),
-        "input_mode": ("tier", _one_of(INPUT_MODES), False),
-        "output_mode": ("derivative", _one_of(OUTPUT_MODES), False),
-        "split_fraction": (0.8, _as_fraction, False),
-        "wall_values": (None, _as_wall_values, True),
+        "input_mode": ("tier", _as_str, False),
+        "output_mode": ("derivative", _as_str, False),
+        "split_fraction": (0.8, _as_float, False),
+        "wall_values": (None, _list_of(_as_float, "list of numbers"), True),
     },
     "network": {
-        "hidden": ([64, 64, 64], _as_hidden, False),
-        "activation": ("relu", _one_of(ACTIVATIONS), False),
+        "hidden": ([64, 64, 64], _list_of(_as_int, "non-empty list of widths", 1), False),
+        "activation": ("relu", _as_str, False),
     },
     "train": {
         "learning_rate": (0.001, _as_float, False),
-        "optimizer": ("adam", _one_of(OPTIMIZERS), False),
+        "optimizer": ("adam", _as_str, False),
         "beta1": (0.9, _as_float, False),
         "beta2": (0.999, _as_float, False),
         "eps": (1e-8, _as_float, False),
-        "batch_size": (128, _int_at_least(1), False),
-        "max_epochs": (300, _int_at_least(1), False),
-        "patience": (50, _int_at_least(1), False),
+        "batch_size": (128, _as_int, False),
+        "max_epochs": (300, _as_int, False),
+        "patience": (50, _as_int, False),
         "min_delta": (1e-8, _as_float, False),
     },
     "rollout": {"horizon": (10, _int_at_least(1), False)},
     "macnet": {
-        "cfd_window": (2, _int_at_least(1), False),
+        "cfd_window": (2, _as_int, False),
         "tolerance": (5.0, _as_float, False),
-        "max_ml_steps": (10, _int_at_least(1), False),
+        "max_ml_steps": (10, _as_int, False),
         "horizon": (40, _as_int, False),
-        "retrain": ("warm-start", _one_of(RETRAIN_POLICIES), False),
+        "retrain": ("warm-start", _as_str, False),
     },
 }
 _TOP_SCALARS = {"seed": (0, _as_int, False), "out": ("runs/desk", _as_str, False)}
@@ -208,21 +184,40 @@ def default_tree() -> dict:
     return copy.deepcopy(DEFAULTS)
 
 
+def _assign(tree: dict, parts: List[str], value) -> None:
+    """Set the leaf at dotted `parts` in `tree`, rejecting unknown names.
+
+    A path past a leaf edits one entry of it (`physical.diffusivity.T`).
+    """
+    section = parts[0]
+    if section in _TOP_SCALARS:
+        if len(parts) != 1:
+            raise ConfigurationError(f"config field {section} has no sub-keys")
+        tree[section] = value
+        return
+    if section not in _SCHEMA:
+        raise ConfigurationError(f"unknown config section {section!r}")
+    if len(parts) < 2 or parts[1] not in _SCHEMA[section]:
+        raise ConfigurationError(f"unknown config key {'.'.join(parts[:2])}")
+    node = tree[section]
+    for part in parts[1:-1]:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[parts[-1]] = value
+
+
 def merge_tree(base: dict, user: dict) -> dict:
-    """Overlay a user document on the defaults, rejecting unknown names."""
+    """Overlay a user document on the defaults, one leaf at a time."""
     out = copy.deepcopy(base)
     for section, value in user.items():
-        if section in _TOP_SCALARS:
-            out[section] = value
-            continue
         if section not in _SCHEMA:
-            raise ConfigurationError(f"unknown config section {section!r}")
+            _assign(out, [section], value)
+            continue
         if not isinstance(value, dict):
             raise ConfigurationError(f"config section {section!r} must be an object")
         for key, leaf in value.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigurationError(f"unknown config key {section}.{key}")
-            out[section][key] = leaf
+            _assign(out, [section, key], leaf)
     return out
 
 
@@ -241,23 +236,7 @@ def apply_override(tree: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    if parts[0] in _TOP_SCALARS:
-        if len(parts) != 1:
-            raise ConfigurationError(f"config field {parts[0]} has no sub-keys")
-        tree[parts[0]] = value
-        return
-    if parts[0] not in _SCHEMA:
-        raise ConfigurationError(f"unknown config section {parts[0]!r}")
-    if len(parts) < 2 or parts[1] not in _SCHEMA[parts[0]]:
-        raise ConfigurationError(f"unknown config key {'.'.join(parts[:2])}")
-    node = tree[parts[0]]
-    for part in parts[1:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    _assign(tree, parts, value)
 
 
 def _cast(path: str, value, caster, nullable: bool):
@@ -266,12 +245,6 @@ def _cast(path: str, value, caster, nullable: bool):
             return None
         raise ConfigurationError(f"config field {path} is missing a value")
     return caster(path, value)
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -360,7 +333,7 @@ def resolve_config(tree: dict) -> ExperimentConfig:
             leaves[section][key] = value
             # Canonicalize so the echoed document holds resolved values
             # (e.g. the string "inf" becomes the float it parsed to).
-            node[key] = _jsonable(value)
+            node[key] = list(value) if isinstance(value, tuple) else value
     for name, (default, caster, nullable) in _TOP_SCALARS.items():
         value = tree[name] if name in tree else copy.deepcopy(default)
         tree[name] = _cast(name, value, caster, nullable)

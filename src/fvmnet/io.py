@@ -19,24 +19,27 @@ A series is one `.npy` file per snapshot (written by `np.save`, read back by
 `np.load` with pickles refused) plus its manifest. It is read as much as its
 reader uses: `load_series(manifest, count)` checks the whole manifest (every
 record, time gap and listed file) but loads only the first `count`
-snapshots, so each command reads just the snapshots it works on.
+snapshots, so each command reads just the snapshots it works on. Besides the
+grid and physics, the manifest records the initial condition and burn-in
+step count the series was generated from; `load_series_origin` returns them
+for a reader to compare with its own settings.
 
-The grid and physical-parameter records of the series manifest, the bundle's
-`layout` (its one `CellLayout`) and each network's `spec`, and the trace
-header and its phase, retrain and fallback entries are their dataclass's
-fields, written by `dataclasses.asdict` and read back by `_record`. Adding
-or dropping a field of one of those dataclasses therefore changes the file
-format and needs its format tag bumped. A `train_reports.json` entry adds
-the derived `epochs_run` to a `TrainReport`'s fields, so it is read as raw
-JSON, never through `_record`: `report` reads `best_val_loss`, `best_epoch`
-and `epochs_run`, and `perfbench/workloads.py` reads `best_val_loss` and
-`epochs_run`. A malformed file (a missing or unknown key, a value of the
-wrong type, or one the record's own checks refuse; a bundle without exactly
-one network per variable; a snapshot file or bundle member that is not a
-finite C-order little-endian float64 array of the expected shape) raises
-ArtifactIOError naming the file, which the CLI reports with exit code 4.
-Each CSV header that one command writes and another reads is a `*_HEADER`
-here.
+The grid, physical-parameter and initial-condition records of the series
+manifest, the bundle's `layout` (its one `CellLayout`) and each network's
+`spec`, and the trace header and its phase, retrain and fallback entries are
+their dataclass's fields, written by `dataclasses.asdict` and read back by
+`_record`. Adding or dropping a field of one of those dataclasses therefore
+changes the file format and needs its format tag bumped. A
+`train_reports.json` entry adds the derived `epochs_run` to a
+`TrainReport`'s fields, so it is read as raw JSON, never through `_record`:
+`report` reads `best_val_loss`, `best_epoch` and `epochs_run`, and
+`perfbench/workloads.py` reads `best_val_loss` and `epochs_run`. A malformed
+file (a missing or unknown key, a value of the wrong type, or one the
+record's own checks refuse; a bundle without exactly one network per
+variable; a snapshot file or bundle member that is not a finite C-order
+little-endian float64 array of the expected shape) raises ArtifactIOError
+naming the file, which the CLI reports with exit code 4. Each CSV header
+that one command writes and another reads is a `*_HEADER` here.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from .config import InitialCondition
 from .dataset import CellLayout, Standardizer
 from .errors import ArtifactIOError, DomainError, FvmnetError
 from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
@@ -60,7 +64,7 @@ from .rollout import RolloutReport, SurrogateBundle
 from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, time_tolerance
 from .training import TrainConfig, TrainReport, config_digest
 
-SERIES_FORMAT = "fvmnet-series-2"
+SERIES_FORMAT = "fvmnet-series-3"
 # Every stored array is C-order with this dtype, whatever the host.
 ARRAY_DTYPE = np.dtype("<f8")
 BUNDLE_FORMAT = "fvmnet-bundle-4"
@@ -207,12 +211,16 @@ def save_series(
     series: Sequence[Snapshot],
     grid: GridSpec,
     params: PhysicalParams,
+    initial: InitialCondition,
+    burn_in: int,
     extra: Optional[Mapping] = None,
 ) -> str:
     """Write one `.npy` file per snapshot, then manifest.json; returns the manifest path.
 
     Each `snap_<k>.npy` holds the snapshot's values as a C-order
-    little-endian float64 (6, m, n) array; the manifest holds the times.
+    little-endian float64 (6, m, n) array; the manifest holds the times and
+    how the series was made: the grid, the physics, the initial condition
+    and the solver steps run from it before the first snapshot.
     """
     if not series:
         raise DomainError("cannot save an empty series")
@@ -236,6 +244,8 @@ def save_series(
         "grid": asdict(grid),
         "variables": list(VARIABLES),
         "params": asdict(params),
+        "initial": asdict(initial),
+        "burn_in": burn_in,
         "snapshots": entries,
     }
     if extra:
@@ -275,20 +285,25 @@ def _load_snapshot(path: str, m: int, n: int, time_: float) -> Snapshot:
     return Snapshot(values, time_)
 
 
+def _read_manifest(manifest_path: str) -> dict:
+    if not os.path.exists(manifest_path):
+        raise ArtifactIOError(f"manifest not found: {manifest_path}")
+    payload = read_json(manifest_path)
+    _expect_format(payload, SERIES_FORMAT, manifest_path)
+    return payload
+
+
 def load_series(
     manifest_path: str, count: Optional[int] = None
 ) -> Tuple[List[Snapshot], GridSpec, PhysicalParams]:
     """The first `count` snapshots of a saved series (all by default), its grid and params.
 
     The manifest is checked whole, whatever `count`: its format, variables,
-    grid and params records, every time gap, and that every listed snapshot
-    file exists. Only the snapshots returned are read, so a series shorter
+    grid, params and origin records, every time gap, and that every listed
+    snapshot file exists. Only the snapshots returned are read, so a series shorter
     than `count` comes back whole.
     """
-    if not os.path.exists(manifest_path):
-        raise ArtifactIOError(f"manifest not found: {manifest_path}")
-    payload = read_json(manifest_path)
-    _expect_format(payload, SERIES_FORMAT, manifest_path)
+    payload = _read_manifest(manifest_path)
     variables = _get(payload, "variables", manifest_path)
     if variables != list(VARIABLES):
         raise ArtifactIOError(
@@ -299,6 +314,7 @@ def load_series(
     params = _record(
         PhysicalParams, _get(payload, "params", manifest_path), manifest_path
     )
+    _series_origin(payload, manifest_path)
     entries = _get(payload, "snapshots", manifest_path, list)
     times = [
         float(_get(entry, "time", manifest_path, (int, float))) for entry in entries
@@ -322,6 +338,18 @@ def load_series(
         for path, time_ in zip(paths[:count], times)
     ]
     return series, grid, params
+
+
+def _series_origin(payload: dict, manifest_path: str) -> Tuple[InitialCondition, int]:
+    initial = _record(
+        InitialCondition, _get(payload, "initial", manifest_path), manifest_path
+    )
+    return initial, _get(payload, "burn_in", manifest_path, int)
+
+
+def load_series_origin(manifest_path: str) -> Tuple[InitialCondition, int]:
+    """The initial condition and burn-in steps a saved series was generated from."""
+    return _series_origin(_read_manifest(manifest_path), manifest_path)
 
 
 # ----- trained surrogate bundle -----

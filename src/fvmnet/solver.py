@@ -110,12 +110,13 @@ class PhysicalParams:
     axial_bc: str = "inflow_outflow"
 
     def __post_init__(self):
+        for name in self.diffusivity:
+            if name not in TRANSPORTED:
+                raise DomainError(f"diffusivity given for non-transported variable {name!r}")
         missing = [v for v in TRANSPORTED if v not in self.diffusivity]
         if missing:
             raise DomainError(f"diffusivity missing entries for {missing}")
         for name, value in self.diffusivity.items():
-            if name not in TRANSPORTED:
-                raise DomainError(f"diffusivity given for non-transported variable {name!r}")
             if value < 0.0:
                 raise DomainError(f"diffusivity for {name} must be >= 0, got {value}")
         if self.axial_bc not in AXIAL_BC_MODES:

@@ -13,6 +13,7 @@ import pytest
 import fvmnet.io
 import fvmnet.rollout
 from fvmnet.cli import build_parser, main
+from fvmnet.config import load_config
 from fvmnet.io import (
     ABLATION_HEADER,
     ABLATION_TIMING_HEADER,
@@ -136,14 +137,19 @@ def test_train_is_seed_deterministic(generated):
 def test_commands_refuse_a_series_generated_with_other_physics(trained, capsys, command):
     config_path, out = trained
     echo = read_bytes(os.path.join(out, "effective_config.json"))
-    code = run_cli(
-        command, "--config", config_path, "--out", out,
-        "--set", "physical.arrhenius_a=0", "--set", "physical.heat_release=1",
-    )
-    assert code == 2
-    assert "manifest physical.arrhenius_a is 10000.0, configured 0.0" in capsys.readouterr().err
-    # Nothing ran, so the run's echo still states the physics its series used.
-    assert read_bytes(os.path.join(out, "effective_config.json")) == echo
+    for overrides, message in (
+        (
+            ["physical.arrhenius_a=0", "physical.heat_release=1"],
+            "manifest physical.arrhenius_a is 10000.0, configured 0.0",
+        ),
+        (["initial.fuel=0.1"], "manifest initial.fuel is 0.08, configured 0.1"),
+        (["generate.burn_in=3"], "manifest generate.burn_in is 10, configured 3"),
+    ):
+        flags = [arg for leaf in overrides for arg in ("--set", leaf)]
+        assert run_cli(command, "--config", config_path, "--out", out, *flags) == 2
+        assert message in capsys.readouterr().err
+        # Nothing ran, so the run's echo still states how its series was made.
+        assert read_bytes(os.path.join(out, "effective_config.json")) == echo
 
 
 def test_train_missing_manifest_exit_code(config_path, tmp_path, capsys):
@@ -404,6 +410,37 @@ def test_macnet_missing_field_names_it(tmp_path, capsys):
     assert "macnet.tolerance" in capsys.readouterr().err
 
 
+# Every range and choice the config casters leave to the object a leaf builds:
+# (override, the leaf name the object's message gives).
+OBJECT_CHECKED_LEAVES = [
+    ("dataset.input_mode=everything", "input_mode"),
+    ("dataset.output_mode=rate", "output_mode"),
+    ("dataset.split_fraction=1.0", "split_fraction"),
+    ("dataset.wall_values=[0,0,300,0,0]", "wall_values"),
+    ("network.hidden=[16,0]", "hidden"),
+    ("network.activation=tanh", "activation"),
+    ("train.optimizer=rmsprop", "optimizer"),
+    ("train.batch_size=0", "batch_size"),
+    ("train.max_epochs=0", "max_epochs"),
+    ("train.patience=0", "patience"),
+    ("macnet.cfd_window=0", "cfd_window"),
+    ("macnet.max_ml_steps=0", "max_ml_steps"),
+    ("macnet.retrain=sometimes", "retrain"),
+    ("physical.diffusivity.v_x=1e-5", "diffusivity"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, leaf", OBJECT_CHECKED_LEAVES, ids=[o.split("=")[0] for o, _ in OBJECT_CHECKED_LEAVES]
+)
+def test_object_checked_leaves_exit_2_naming_the_leaf(tmp_path, capsys, override, leaf):
+    out = tmp_path / "run"
+    assert run_cli("train", "--out", str(out), "--set", override) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and leaf in err, err
+    assert not (out / "effective_config.json").exists()
+
+
 # ----- report -----
 
 
@@ -537,7 +574,7 @@ def test_report_malformed_input_exits_4_naming_the_file(tmp_path, capsys, case):
     grid = GridSpec(**SMALL["grid"])
     series = [Snapshot(np.zeros((len(VARIABLES), grid.m, grid.n)), k * grid.dt) for k in range(2)]
     params = PhysicalParams(diffusivity={v: 1e-4 for v in VARIABLES[2:]})
-    save_series(str(run / "series"), series, grid, params)
+    save_series(str(run / "series"), series, grid, params, load_config().initial, 0)
     path = run / rel
     path.write_text(REPORT_INPUTS[rel])
     assert run_cli("report", "--out", str(run)) == 0

@@ -97,8 +97,10 @@ def test_type_errors_name_the_field():
         resolve_config_from({"train": {"optimizer": 7}})
     with pytest.raises(ConfigurationError, match="macnet.tolerance must be a number"):
         resolve_config_from({"macnet": {"tolerance": "soon"}})
-    for bad in ([0.0] * 5, [0.0] * 7, 300.0):
-        with pytest.raises(ConfigurationError, match="dataset.wall_values must be a list of 6"):
+    with pytest.raises(ConfigurationError, match="dataset.wall_values must be a list of numbers"):
+        resolve_config_from({"dataset": {"wall_values": 300.0}})
+    for bad in ([0.0] * 5, [0.0] * 7):
+        with pytest.raises(ConfigurationError, match=f"wall_values must hold 6 numbers, got {len(bad)}"):
             resolve_config_from({"dataset": {"wall_values": bad}})
     with pytest.raises(ConfigurationError, match=r"dataset.wall_values\[2\] must be a number"):
         resolve_config_from({"dataset": {"wall_values": [0, 0, "hot", 0, 0, 0]}})
@@ -107,14 +109,15 @@ def test_type_errors_name_the_field():
 
 
 def test_enum_fields_are_validated():
-    with pytest.raises(ConfigurationError, match="dataset.input_mode"):
-        resolve_config_from({"dataset": {"input_mode": "everything"}})
-    with pytest.raises(ConfigurationError, match="macnet.retrain"):
-        resolve_config_from({"macnet": {"retrain": "sometimes"}})
-    with pytest.raises(ConfigurationError, match="network.activation must be one of"):
-        resolve_config_from({"network": {"activation": "tanh"}})
-    with pytest.raises(ConfigurationError, match="train.optimizer"):
-        resolve_config_from({"train": {"optimizer": "rmsprop"}})
+    for section, key, bad in (
+        ("dataset", "input_mode", "everything"),
+        ("dataset", "output_mode", "rate"),
+        ("macnet", "retrain", "sometimes"),
+        ("network", "activation", "tanh"),
+        ("train", "optimizer", "rmsprop"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"{key} must be one of"):
+            resolve_config_from({section: {key: bad}})
 
 
 def test_network_hidden_and_activation_set_the_spec():
@@ -122,8 +125,8 @@ def test_network_hidden_and_activation_set_the_spec():
         with pytest.raises(ConfigurationError, match="network.hidden must be a non-empty list"):
             resolve_config_from({"network": {"hidden": bad}})
     for bad, message in (
-        ([16, 0], r"network.hidden\[1\] must be at least 1, got 0"),
-        ([16, -8], r"network.hidden\[1\] must be at least 1, got -8"),
+        ([16, 0], r"hidden widths must be >= 1, got \(16, 0\)"),
+        ([16, -8], r"hidden widths must be >= 1, got \(16, -8\)"),
         ([8.0], r"network.hidden\[0\] must be an integer"),
         ([True], r"network.hidden\[0\] must be an integer"),
     ):
@@ -147,7 +150,7 @@ def test_center_mode_resizes_network_inputs():
 
 
 def test_range_checks():
-    with pytest.raises(ConfigurationError, match="split_fraction"):
+    with pytest.raises(ConfigurationError, match=r"split_fraction must be in \(0, 1\)"):
         resolve_config_from({"dataset": {"split_fraction": 1.0}})
     with pytest.raises(ConfigurationError, match="train_window"):
         resolve_config_from({"dataset": {"train_window": 0}})
@@ -162,7 +165,7 @@ def test_range_checks():
         ("macnet", "cfd_window"),
         ("macnet", "max_ml_steps"),
     ):
-        with pytest.raises(ConfigurationError, match=f"{section}.{key} must be at least 1"):
+        with pytest.raises(ConfigurationError, match=f"{key} must be >= 1"):
             resolve_config_from({section: {key: 0}})
     # NaN fails every range check it meets, so it is refused as "not a number".
     for override in (
@@ -214,6 +217,34 @@ def test_bad_overrides_are_rejected():
         apply_override(tree, "seed.deep=1")
 
 
+def test_file_and_override_share_the_unknown_name_errors(tmp_path):
+    for user, override in (
+        ({"grids": {"m": 4}}, "grids.m=4"),
+        ({"macnet": {"tol": 3}}, "macnet.tol=3"),
+        ({"network": {"case": "c"}}, "network.case=c"),
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(user))
+        with pytest.raises(ConfigurationError) as from_file:
+            load_config(str(path))
+        with pytest.raises(ConfigurationError) as from_flag:
+            load_config(overrides=[override])
+        assert str(from_file.value) == str(from_flag.value)
+        assert str(from_file.value).startswith("unknown config ")
+
+
+def test_file_diffusivity_replaces_the_mapping_and_override_edits_one_entry(tmp_path):
+    default = DEFAULTS["physical"]["diffusivity"]
+    cfg = load_config(overrides=["physical.diffusivity.T=1e-5"])
+    assert cfg.params.diffusivity == {**default, "T": 1e-5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"physical": {"diffusivity": {"T": 1e-5}}}))
+    with pytest.raises(ConfigurationError, match="diffusivity missing entries"):
+        load_config(str(path))
+    path.write_text(json.dumps({"physical": {"diffusivity": {**default, "T": 1e-5}}}))
+    assert load_config(str(path)).params == cfg.params
+
+
 def test_config_file_merges_and_bad_files_are_reported(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"grid": {"m": 48}, "seed": 9}))
@@ -248,7 +279,7 @@ def test_initial_condition_validation():
 
 
 def test_diffusivity_rejects_velocity_entries():
-    with pytest.raises(ConfigurationError, match="unknown variable 'v_x'"):
+    with pytest.raises(ConfigurationError, match="diffusivity given for non-transported variable 'v_x'"):
         resolve_config_from({"physical": {"diffusivity": {"v_x": 1e-5}}})
 
 

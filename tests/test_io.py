@@ -11,6 +11,7 @@ import pytest
 from oracles import forward
 
 from fvmnet.cli import main
+from fvmnet.config import DEFAULTS, InitialCondition
 from fvmnet.dataset import TIER_WIDTH, CellLayout, Standardizer, fit_standardizer
 import fvmnet.io
 from fvmnet.errors import ArtifactIOError, DomainError
@@ -48,6 +49,7 @@ PARAMS = PhysicalParams(
     diffusivity={"T": 1e-4, "X_fuel": 5e-5, "X_prod": 5e-5, "X_ox": 5e-5},
     wall_temperature=310.0,
 )
+INITIAL = InitialCondition(**DEFAULTS["initial"])
 
 
 def small_series(steps=3):
@@ -73,7 +75,7 @@ def test_series_round_trip_is_bit_exact(tmp_path):
     series = small_series()
     # A Fortran-ordered array is still stored in the C order the loader expects.
     series[1] = Snapshot(np.asfortranarray(series[1].values), series[1].time)
-    manifest = save_series(str(tmp_path), series, GRID, PARAMS, extra={"note": "x"})
+    manifest = save_series(str(tmp_path), series, GRID, PARAMS, INITIAL, 0, extra={"note": "x"})
     loaded, grid, params = load_series(manifest)
     assert grid == GRID
     assert params.wall_temperature == 310.0
@@ -88,8 +90,8 @@ def test_series_round_trip_is_bit_exact(tmp_path):
 def test_series_rewrite_is_byte_identical(tmp_path):
     series = small_series()
     a, b = tmp_path / "a", tmp_path / "b"
-    save_series(str(a), series, GRID, PARAMS)
-    save_series(str(b), series, GRID, PARAMS)
+    save_series(str(a), series, GRID, PARAMS, INITIAL, 0)
+    save_series(str(b), series, GRID, PARAMS, INITIAL, 0)
     for name in sorted(os.listdir(a)):
         assert read_bytes(a / name) == read_bytes(b / name), name
 
@@ -98,7 +100,7 @@ def test_interrupted_series_write_leaves_no_partial_file_and_no_manifest(
     tmp_path, monkeypatch
 ):
     series = small_series()
-    save_series(str(tmp_path), series, GRID, PARAMS)  # an earlier, complete save
+    save_series(str(tmp_path), series, GRID, PARAMS, INITIAL, 0)  # an earlier, complete save
     earlier = read_bytes(tmp_path / "snap_000001.npy")
     later = [Snapshot(snap.values + 1.0, snap.time) for snap in series]
     real_save, calls = np.save, []
@@ -114,7 +116,7 @@ def test_interrupted_series_write_leaves_no_partial_file_and_no_manifest(
 
     monkeypatch.setattr(fvmnet.io.np, "save", failing_save)
     with pytest.raises(OSError, match="disk full"):
-        save_series(str(tmp_path), later, GRID, PARAMS)
+        save_series(str(tmp_path), later, GRID, PARAMS, INITIAL, 0)
     # Snapshot 0 was rewritten whole, snapshot 1 still holds the earlier save,
     # no temporary file is left, and no manifest vouches for the mix.
     assert sorted(os.listdir(tmp_path)) == [
@@ -138,7 +140,7 @@ def test_missing_manifest_is_reported(tmp_path):
 
 def test_wrong_format_tag_is_rejected(tmp_path):
     series = small_series(1)
-    manifest = save_series(str(tmp_path), series, GRID, PARAMS)
+    manifest = save_series(str(tmp_path), series, GRID, PARAMS, INITIAL, 0)
     payload = json.loads(open(manifest).read())
     payload["format"] = "something-else"
     with open(manifest, "w") as fh:
@@ -158,7 +160,7 @@ def test_wrong_format_tag_is_rejected(tmp_path):
     ],
 )
 def test_snapshot_times_off_the_dt_grid_are_rejected(tmp_path, index, time_):
-    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS, INITIAL, 0)
     payload = read_json(manifest)
     payload["snapshots"][index]["time"] = time_
     with open(manifest, "w") as fh:
@@ -168,7 +170,7 @@ def test_snapshot_times_off_the_dt_grid_are_rejected(tmp_path, index, time_):
 
 
 def test_series_prefix_load_is_bit_equal_to_the_full_load(tmp_path):
-    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS, INITIAL, 0)
     full, grid, params = load_series(manifest)
     for count in range(len(full) + 2):  # past the end returns the whole series
         part, part_grid, part_params = load_series(manifest, count)
@@ -181,14 +183,14 @@ def test_series_prefix_load_is_bit_equal_to_the_full_load(tmp_path):
 
 
 def test_manifest_is_checked_beyond_the_parsed_prefix(tmp_path):
-    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    manifest = save_series(str(tmp_path), small_series(), GRID, PARAMS, INITIAL, 0)
     payload = read_json(manifest)
     payload["snapshots"][3]["time"] = 5 * GRID.dt
     with open(manifest, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(ArtifactIOError, match="snapshot 3"):
         load_series(manifest, 1)
-    save_series(str(tmp_path), small_series(), GRID, PARAMS)
+    save_series(str(tmp_path), small_series(), GRID, PARAMS, INITIAL, 0)
     os.remove(tmp_path / "snap_000003.npy")
     with pytest.raises(ArtifactIOError, match="snap_000003.npy"):
         load_series(manifest, 1)
@@ -251,7 +253,7 @@ CORRUPT_SNAPSHOTS = {
 def test_corrupt_snapshot_exits_4_naming_the_file(tmp_path, capsys, case):
     corrupt, message = CORRUPT_SNAPSHOTS[case]
     series = small_series(1)
-    manifest = save_series(str(tmp_path / "series"), series, GRID, PARAMS)
+    manifest = save_series(str(tmp_path / "series"), series, GRID, PARAMS, INITIAL, 0)
     snap = tmp_path / "series" / "snap_000000.npy"
     snap.write_bytes(corrupt(snap.read_bytes(), series[0].values))
     with pytest.raises(ArtifactIOError, match=message) as err:
@@ -472,7 +474,7 @@ def test_corrupt_bundle_exits_4_naming_the_file(tmp_path, capsys, case):
     with pytest.raises(ArtifactIOError, match=message) as err:
         load_bundle(model)
     assert str(err.value).startswith(f"{path} ")
-    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
+    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS, INITIAL, 0)
     assert main(rollout_argv(tmp_path, manifest, model)) == 4
     assert f"{path} " in capsys.readouterr().err
 
@@ -674,11 +676,25 @@ def test_record_formats_are_pinned(tmp_path):
     """The exact text of the dataclass-backed records: a field added to one of
     these dataclasses shows up here (and needs a format-tag bump)."""
     snapshot = Snapshot(np.zeros((len(VARIABLES), GRID.m, GRID.n)), 0.0)
-    manifest = save_series(str(tmp_path / "series"), [snapshot], GRID, PARAMS)
+    manifest = save_series(str(tmp_path / "series"), [snapshot], GRID, PARAMS, INITIAL, 0)
     assert open(manifest).read() == json_text(
         {
-            "format": "fvmnet-series-2",
+            "format": "fvmnet-series-3",
             "grid": {"dr": 0.01, "dt": 0.002, "dx": 0.01, "m": 12, "n": 4},
+            "initial": {
+                "blob_center_r": 0.0,
+                "blob_center_x": 0.25,
+                "blob_peak": 1200.0,
+                "blob_sigma_r": 0.25,
+                "blob_sigma_x": 0.08,
+                "fuel": 0.08,
+                "oxidizer": 0.2,
+                "product": 0.0,
+                "temperature": 300.0,
+                "vr_max": 0.02,
+                "vx_max": 0.25,
+            },
+            "burn_in": 0,
             "params": {
                 "activation_energy": 0.0,
                 "arrhenius_a": 0.0,
@@ -816,6 +832,11 @@ MALFORMED = {
     "series-unknown-key": ("series", lambda p: p["grid"].update(spacing=0.01)),
     "series-string-grid-size": ("series", lambda p: p["grid"].update(m="96")),
     "series-snapshot-without-file": ("series", lambda p: p["snapshots"][0].pop("file")),
+    "series-format-2": ("series", lambda p: p.update(format="fvmnet-series-2")),
+    "series-initial-unknown-key": ("series", lambda p: p["initial"].update(pressure=1.0)),
+    "series-initial-out-of-range": ("series", lambda p: p["initial"].update(fuel=1.5)),
+    "series-without-burn-in": ("series", lambda p: p.pop("burn_in")),
+    "series-string-burn-in": ("series", lambda p: p.update(burn_in="14")),
     "trace-missing-key": ("trace", lambda p: p.pop("horizon")),
     "trace-unknown-key": ("trace", lambda p: p["phases"][1].update(bogus=1)),
     "trace-missing-event-key": ("trace", lambda p: p["retrains"][0].pop("denominator")),
@@ -852,7 +873,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifact_exits_4_naming_the_file(tmp_path, capsys, case):
     artifact, breakage = MALFORMED[case]
-    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS)
+    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS, INITIAL, 0)
     if artifact == "series":
         target = manifest
         argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "run")]
