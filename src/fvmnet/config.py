@@ -151,10 +151,6 @@ _SCHEMA = {
     },
     "train": {
         "learning_rate": (0.001, _as_float, False),
-        "optimizer": ("adam", _as_str, False),
-        "beta1": (0.9, _as_float, False),
-        "beta2": (0.999, _as_float, False),
-        "eps": (1e-8, _as_float, False),
         "batch_size": (128, _as_int, False),
         "max_epochs": (300, _as_int, False),
         "patience": (50, _as_int, False),

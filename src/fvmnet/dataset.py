@@ -20,6 +20,7 @@ the axis mirror uses the center value, and the wall repeats the center
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -102,16 +103,6 @@ def tier_matrix(
     )
 
 
-def center_matrix(snapshot: Snapshot, partition: DomainPartition) -> np.ndarray:
-    """Center-only inputs for every middle-band cell."""
-    m, n = snapshot.shape
-    if partition.m != m:
-        raise DomainError(f"partition built for m={partition.m}, snapshot has m={m}")
-    lo, hi = partition.flame
-    slab = snapshot.values[:, lo:hi, :]
-    return np.ascontiguousarray(slab.transpose(1, 2, 0).reshape((hi - lo) * n, N_VARS))
-
-
 @dataclass(frozen=True)
 class CellLayout:
     """What one sample row holds and what its target is: the FVMN choice.
@@ -137,6 +128,8 @@ class CellLayout:
         values = tuple(float(w) for w in self.wall_values)
         if len(values) != N_VARS:
             raise DomainError(f"wall_values must hold {N_VARS} numbers, got {len(values)}")
+        if not all(math.isfinite(w) for w in values):
+            raise DomainError(f"wall_values must be finite, got {values}")
         object.__setattr__(self, "wall_values", values)
 
     @property
@@ -146,9 +139,10 @@ class CellLayout:
 
     def inputs(self, snapshot: Snapshot, partition: DomainPartition) -> np.ndarray:
         """(cells, width) input rows for every middle-band cell, i-major then j."""
-        if self.input_mode == "center":
-            return center_matrix(snapshot, partition)
-        return tier_matrix(snapshot, partition, self.wall_values)
+        rows = tier_matrix(snapshot, partition, self.wall_values)
+        if self.input_mode == "center":  # the center slot leads each variable's tier
+            return np.ascontiguousarray(rows[:, :: len(TIER_SLOTS)])
+        return rows
 
     def targets(
         self,

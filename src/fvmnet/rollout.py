@@ -21,6 +21,7 @@ variable, here and in the MACnet audit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -110,8 +111,12 @@ class SurrogateBundle:
                     f"network for {v!r} maps {spec.n_inputs}->{spec.n_outputs}, "
                     f"bundle needs {width}->1"
                 )
-            if self.target_scales[v][1] <= 0.0:
-                raise DomainError(f"target scale std for {v!r} must be positive")
+            mean, std = self.target_scales[v]
+            if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
+                raise DomainError(
+                    f"target scale for {v!r} needs a finite mean and a finite positive std, "
+                    f"got ({mean}, {std})"
+                )
 
     def cell_outputs(
         self,
@@ -278,10 +283,6 @@ class RolloutReport:
             for v in VARIABLES:
                 if rec.max_errors[v] < 0.0 or rec.mean_errors[v] < 0.0:
                     raise DomainError(f"negative error recorded for {v!r} at step {k}")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.steps)
 
     def max_series(self, variable: str) -> List[float]:
         return [rec.max_errors[variable] for rec in self.steps]

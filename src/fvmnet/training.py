@@ -1,4 +1,4 @@
-"""Mini-batch training with momentum-free or adaptive-moment updates.
+"""Mini-batch training with Adam updates.
 
 Each epoch reshuffles the training rows with a seeded generator, walks them
 in batches (final short batch included), and then scores the validation rows.
@@ -19,28 +19,24 @@ import numpy as np
 from .errors import DomainError, TrainingDivergedError
 from .network import Network, backward_batch, layer_buffers, mse_loss, predict
 
-OPTIMIZERS = ("adam", "sgd")
+# Adam's moment decay rates and denominator floor, at the standard values of
+# Kingma & Ba (2015).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 128
     max_epochs: int = 2000
     patience: int = 50
     min_delta: float = 1e-8
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            raise DomainError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise DomainError(f"eps must be finite and > 0, got {self.eps}")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
         if self.max_epochs < 1:
@@ -49,8 +45,6 @@ class TrainConfig:
             raise DomainError("patience must be >= 1")
         if not (math.isfinite(self.min_delta) and self.min_delta >= 0.0):
             raise DomainError(f"min_delta must be finite and >= 0, got {self.min_delta}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise DomainError("betas must lie in [0, 1)")
 
 
 @dataclass
@@ -66,18 +60,6 @@ class TrainReport:
         return len(self.val_losses)
 
 
-class _Sgd:
-    """Plain gradient steps on one flat parameter vector, in place."""
-
-    def __init__(self, lr: float, size: int):
-        self.lr = lr
-        self.step = np.empty(size)
-
-    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
-        np.multiply(self.lr, grads, out=self.step)
-        params -= self.step
-
-
 class _Adam:
     """Adaptive moments with bias correction on one flat parameter vector.
 
@@ -85,8 +67,8 @@ class _Adam:
     operation order of the textbook form, so results match it bit for bit.
     """
 
-    def __init__(self, lr: float, beta1: float, beta2: float, eps: float, size: int):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float, size: int):
+        self.lr = lr
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.num = np.empty(size)
@@ -95,24 +77,24 @@ class _Adam:
 
     def update(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         m, v, num, den = self.m, self.v, self.num, self.den
         # m = b1 * m + (1 - b1) * g
-        m *= self.b1
-        np.multiply(1.0 - self.b1, grads, out=num)
+        m *= BETA1
+        np.multiply(1.0 - BETA1, grads, out=num)
         m += num
         # v = b2 * v + (1 - b2) * (g * g)
-        v *= self.b2
+        v *= BETA2
         np.multiply(grads, grads, out=num)
-        num *= 1.0 - self.b2
+        num *= 1.0 - BETA2
         v += num
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
         np.divide(m, c1, out=num)
         num *= self.lr
         np.divide(v, c2, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += EPS
         num /= den
         params -= num
 
@@ -148,7 +130,7 @@ def train(
 
     The input network provides the starting parameters, so passing a freshly
     initialized network trains from scratch and passing a previously trained
-    one warm-starts. Optimizer moments always start at zero for the call;
+    one warm-starts. Adam's moments always start at zero for the call;
     `seed` drives the per-epoch shuffles.
     """
     x = np.asarray(train_inputs, dtype=np.float64)
@@ -177,11 +159,7 @@ def train(
     batch_sizes = {min(config.batch_size, n), n % config.batch_size} - {0}
     batch_buffers = {rows: layer_buffers(net.spec, rows) for rows in batch_sizes}
     val_buffers = layer_buffers(net.spec, vx.shape[0])
-    if config.optimizer == "adam":
-        opt = _Adam(config.learning_rate, config.beta1, config.beta2, config.eps,
-                    flat.size)
-    else:
-        opt = _Sgd(config.learning_rate, flat.size)
+    opt = _Adam(config.learning_rate, flat.size)
 
     rng = np.random.default_rng(seed)
     report = TrainReport()

@@ -5,7 +5,7 @@ the package implementation: per-neuron Python loops instead of matrix
 products, a per-cell, per-face loop instead of the solver's whole-array flux
 kernel, central finite differences instead of the chain rule, per-cell
 stencil reads instead of whole-band slices, a full solver step instead
-of trained networks, and per-array optimizer updates instead of one flat
+of trained networks, and a per-array Adam update instead of one flat
 in-place update. `forward` is the exception: the single-sample scalar entry
 to the package's `predict` that the loop and finite-difference oracles are
 compared against. `forward_batch` and `cached_backward` are the cached
@@ -344,17 +344,6 @@ def finite_difference_check(net: Network, x, y, components, h=1e-6):
         err = abs(fd - bp) / max(abs(fd), abs(bp), 1e-3)
         worst = max(worst, err)
     return worst
-
-
-class ListSgd:
-    """Per-array gradient step, one fresh temporary per array."""
-
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def update(self, params, grads) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
 
 
 class ListAdam:

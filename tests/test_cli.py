@@ -419,7 +419,7 @@ OBJECT_CHECKED_LEAVES = [
     ("dataset.wall_values=[0,0,300,0,0]", "wall_values"),
     ("network.hidden=[16,0]", "hidden"),
     ("network.activation=tanh", "activation"),
-    ("train.optimizer=rmsprop", "optimizer"),
+    ("physical.axial_bc=periodic", "axial_bc"),
     ("train.batch_size=0", "batch_size"),
     ("train.max_epochs=0", "max_epochs"),
     ("train.patience=0", "patience"),

@@ -26,7 +26,7 @@ def test_defaults_resolve_to_the_reference_experiment():
     assert cfg.recipe.spec.hidden == CASES["c"].hidden == (64, 64, 64)
     assert cfg.recipe.spec.activation == CASES["c"].activation
     assert cfg.recipe.spec.n_inputs == 30
-    assert cfg.recipe.train.optimizer == "adam"
+    assert cfg.recipe.train.learning_rate == 0.001
     assert cfg.recipe.train.batch_size == 128
     assert cfg.rollout_horizon == 10
     assert cfg.macnet.cfd_window == 2
@@ -93,8 +93,8 @@ def test_nullable_wall_temperature():
 def test_type_errors_name_the_field():
     with pytest.raises(ConfigurationError, match="grid.m must be an integer"):
         resolve_config_from({"grid": {"m": 4.5}})
-    with pytest.raises(ConfigurationError, match="train.optimizer must be a string"):
-        resolve_config_from({"train": {"optimizer": 7}})
+    with pytest.raises(ConfigurationError, match="macnet.retrain must be a string"):
+        resolve_config_from({"macnet": {"retrain": 7}})
     with pytest.raises(ConfigurationError, match="macnet.tolerance must be a number"):
         resolve_config_from({"macnet": {"tolerance": "soon"}})
     with pytest.raises(ConfigurationError, match="dataset.wall_values must be a list of numbers"):
@@ -104,6 +104,11 @@ def test_type_errors_name_the_field():
             resolve_config_from({"dataset": {"wall_values": bad}})
     with pytest.raises(ConfigurationError, match=r"dataset.wall_values\[2\] must be a number"):
         resolve_config_from({"dataset": {"wall_values": [0, 0, "hot", 0, 0, 0]}})
+    for bad in ("[0,0,1e999,0,0,0.2]", '[0,0,"-inf",0,0,0.2]'):
+        tree = default_tree()
+        apply_override(tree, f"dataset.wall_values={bad}")
+        with pytest.raises(ConfigurationError, match="wall_values must be finite"):
+            resolve_config(tree)
     walled = resolve_config_from({"dataset": {"wall_values": [0, 0, 300, 0, 0, 0.2]}})
     assert walled.recipe.layout.wall_values == (0.0, 0.0, 300.0, 0.0, 0.0, 0.2)
 
@@ -114,7 +119,7 @@ def test_enum_fields_are_validated():
         ("dataset", "output_mode", "rate"),
         ("macnet", "retrain", "sometimes"),
         ("network", "activation", "tanh"),
-        ("train", "optimizer", "rmsprop"),
+        ("physical", "axial_bc", "periodic"),
     ):
         with pytest.raises(ConfigurationError, match=f"{key} must be one of"):
             resolve_config_from({section: {key: bad}})
@@ -170,19 +175,16 @@ def test_range_checks():
     # NaN fails every range check it meets, so it is refused as "not a number".
     for override in (
         "initial.vx_max=nan", "physical.heat_release=NaN", "train.learning_rate=nan",
-        "train.eps=nan", "physical.diffusivity.T=nan",
+        "train.min_delta=nan", "physical.diffusivity.T=nan",
     ):
         tree = default_tree()
         apply_override(tree, override)
         path = override.split("=")[0]
         with pytest.raises(ConfigurationError, match=f"{path} must be a number, got"):
             resolve_config(tree)
-    for value in (float("inf"), 0.0):
+    for value in (-1, 0.0, float("inf")):
         with pytest.raises(ConfigurationError, match="learning_rate must be finite and > 0"):
             resolve_config_from({"train": {"learning_rate": value}})
-    for value in (-1, 0.0, float("inf")):
-        with pytest.raises(ConfigurationError, match="eps must be finite and > 0"):
-            resolve_config_from({"train": {"eps": value}})
 
 
 def test_overrides_parse_json_then_fall_back_to_strings():

@@ -1,9 +1,10 @@
 """Round-trip and determinism checks for the on-disk artifact formats."""
 
 import json
+import math
 import os
 import pickle
-from dataclasses import replace
+from dataclasses import asdict, replace
 from io import BytesIO
 
 import numpy as np
@@ -417,9 +418,13 @@ def unknown_compression(good):
 
 
 def rollout_argv(tmp_path, manifest, model):
-    """A rollout of `model` on the small series at `manifest`."""
+    """A rollout of `model` on the small series at `manifest`, configured with
+    the physics and burn-in the series was saved with."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid": vars(GRID), "partition": {"m_star": 3}}))
+    config.write_text(json.dumps({
+        "grid": vars(GRID), "physical": asdict(PARAMS), "partition": {"m_star": 3},
+        "generate": {"burn_in": 0}, "rollout": {"horizon": 1},
+    }))
     return ["rollout", "--config", str(config), "--manifest", manifest,
             "--model", model, "--out", str(tmp_path / "run")]
 
@@ -860,6 +865,15 @@ MALFORMED = {
     "checkpoint-string-weight": (
         "checkpoint", lambda m: m.update({"T.w1": m["T.w1"].astype(str)})
     ),
+    "checkpoint-nan-scale-mean": (
+        "checkpoint", lambda m: m["meta"]["networks"]["T"].update(target_scale=[math.nan, 1.0])
+    ),
+    "checkpoint-infinite-scale-std": (
+        "checkpoint", lambda m: m["meta"]["networks"]["X_ox"].update(target_scale=[0.0, math.inf])
+    ),
+    "checkpoint-nan-wall-value": (
+        "checkpoint", lambda m: m["meta"]["layout"].update(wall_values=[0, 0, math.nan, 0, 0, 0.2])
+    ),
     "checkpoint-missing-network": (
         "checkpoint", lambda m: m["meta"]["networks"].pop("X_ox")
     ),
@@ -873,7 +887,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_artifact_exits_4_naming_the_file(tmp_path, capsys, case):
     artifact, breakage = MALFORMED[case]
-    manifest = save_series(str(tmp_path / "series"), small_series(1), GRID, PARAMS, INITIAL, 0)
+    manifest = save_series(str(tmp_path / "series"), small_series(2), GRID, PARAMS, INITIAL, 0)
     if artifact == "series":
         target = manifest
         argv = ["train", "--manifest", manifest, "--out", str(tmp_path / "run")]

@@ -239,7 +239,7 @@ def test_training_divergence_aborts_with_partial_trace():
     config = small_config(
         recipe=SurrogateRecipe(
             SPEC,
-            TrainConfig(optimizer="sgd", learning_rate=1e12, max_epochs=20, patience=20),
+            TrainConfig(learning_rate=1e100, max_epochs=20, patience=20),
         )
     )
     with pytest.raises(MacnetAbortError) as err:

@@ -451,7 +451,7 @@ def test_scaled_residual_rejects_bad_denominator():
 def test_oracle_multi_step_error_stays_tiny_for_full_horizon():
     series = simulate(blob_state(), GRID, PARAMS, 11)
     report = evaluate("multi", DerivativeOracle(), series, 1, 10, PART, GRID, PARAMS)
-    assert report.horizon == 10
+    assert len(report.steps) == 10
     for v in VARIABLES:
         assert max(report.max_series(v)) < 1e-8
 
@@ -459,7 +459,7 @@ def test_oracle_multi_step_error_stays_tiny_for_full_horizon():
 def test_oracle_single_step_errors_are_tiny():
     series = simulate(blob_state(), GRID, PARAMS, 5)
     report = evaluate("single", DerivativeOracle(), series, 1, 4, PART, GRID, PARAMS)
-    assert report.horizon == 4
+    assert len(report.steps) == 4
     for v in VARIABLES:
         assert max(report.max_series(v)) < 1e-9
 
@@ -563,7 +563,7 @@ def test_reports_keep_the_predicted_states():
             truth[0].values[:, lo:hi, :] + (k * GRID.dt) * gradient[:, lo:hi, :],
         )
     for report in (multi, single, const):
-        assert len(report.states) == report.horizon
+        assert len(report.states) == len(report.steps)
 
 
 def test_constant_gradient_is_exact_on_linearly_evolving_truth():
@@ -582,7 +582,7 @@ def test_constant_gradient_is_exact_on_linearly_evolving_truth():
             values[velocities] -= grid.dt * gradient[velocities]
         series.append(Snapshot(values, k * grid.dt))
     report = evaluate("constant-gradient", None, series, 1, 5, PART, grid, PARAMS)
-    assert report.horizon == 5
+    assert len(report.steps) == 5
     for rec in report.steps:
         for v in VARIABLES:
             assert rec.max_errors[v] == 0.0
@@ -641,7 +641,7 @@ def _record(step_no, value=0.1):
 
 def test_report_validates_mode_steps_and_signs():
     report = RolloutReport(mode="multi", steps=[_record(1), _record(2)])
-    assert report.horizon == 2
+    assert len(report.steps) == 2
     assert report.max_series("T") == [0.1, 0.1]
     assert report.final_max("T") == 0.1
     with pytest.raises(DomainError):
