@@ -420,7 +420,7 @@ def cmd_macnet(args) -> int:
         truth.append(step(truth[-1], cfg.grid, cfg.params))
         solver_seconds.append(time.perf_counter() - t0)
 
-    series, trace = run(
+    series, trace, timing = run(
         state, cfg.macnet, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed
     )
     validate_trace(trace)
@@ -434,8 +434,8 @@ def cmd_macnet(args) -> int:
             os.path.join(out_dir, "macnet_timing.csv"),
             MACNET_TIMING_HEADER,
             [
-                (trace.wall_seconds, trace.train_seconds, sum(solver_seconds),
-                 *step_costs(trace, solver_seconds))
+                (timing.wall_seconds, timing.train_seconds, sum(solver_seconds),
+                 *step_costs(trace, timing, solver_seconds))
             ],
         ),
     ]

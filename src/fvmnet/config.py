@@ -162,7 +162,6 @@ _SCHEMA = {
         "tolerance": (5.0, _as_float, False),
         "max_ml_steps": (10, _as_int, False),
         "horizon": (40, _as_int, False),
-        "retrain": ("warm-start", _as_str, False),
     },
 }
 _TOP_SCALARS = {"seed": (0, _as_int, False), "out": ("runs/desk", _as_str, False)}

@@ -5,7 +5,8 @@ and elsewhere floats are written with repr (the shortest decimal string
 that parses back to the same double) inside JSON or CSV, keys are sorted,
 and newlines are pinned to "\n", so rerunning a seeded experiment
 reproduces each file byte for byte. Wall-clock measurements go to
-separate timing sidecars to keep the main artifacts deterministic.
+separate timing sidecars to keep the main artifacts deterministic; a
+`MacnetTrace` holds none, so trace.json is the whole record.
 
 Every file is written through `atomic_writer`: the data goes to a temporary
 file beside the target, which replaces the target only once complete, so an
@@ -69,15 +70,10 @@ SERIES_FORMAT = "fvmnet-series-3"
 ARRAY_DTYPE = np.dtype("<f8")
 BUNDLE_FORMAT = "fvmnet-bundle-4"
 BUNDLE_FILE = "bundle.npz"
-TRACE_FORMAT = "fvmnet-trace-2"
+TRACE_FORMAT = "fvmnet-trace-3"
 # What np.load raises on an empty, truncated, pickled or non-numpy file; a
 # corrupt header can claim a huge array or fail to tokenize.
 _UNREADABLE = (ValueError, EOFError, MemoryError, tokenize.TokenError)
-# The MacnetTrace fields trace.json holds; the wall-clock ones stay out.
-TRACE_FIELDS = (
-    "horizon", "cfd_window", "tolerance", "max_ml_steps",
-    "phases", "retrains", "fallbacks",
-)
 
 
 def _remove_if_present(path: str) -> None:
@@ -147,15 +143,14 @@ _JSON_SCALARS = {
 }
 
 
-def _record(cls, data, path: str, names: Optional[Sequence[str]] = None):
+def _record(cls, data, path: str):
     """`cls(**data)` for a record read from `path`, with errors naming the file.
 
-    The record must hold exactly the fields `names` (default: every field of
-    the dataclass `cls`). A missing or unknown key, a scalar of the wrong JSON
-    type, or a value that `cls` itself refuses raises ArtifactIOError.
+    The record must hold exactly the fields of the dataclass `cls`. A missing
+    or unknown key, a scalar of the wrong JSON type, or a value that `cls`
+    itself refuses raises ArtifactIOError.
     """
-    if names is None:
-        names = [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls)]
     what = f"{path}: {cls.__name__} record"
     if not isinstance(data, dict):
         raise ArtifactIOError(f"{what} is not a JSON object: {data!r}")
@@ -519,12 +514,10 @@ def write_error_field(path: str, pred: Snapshot, truth: Snapshot) -> str:
 def write_trace(out_dir: str, trace: MacnetTrace) -> str:
     """Write trace.json (deterministic) and return its path.
 
-    Every accepted residual is in `phases[].residuals`. Wall-clock fields
-    stay out of trace.json; the caller owns timing sidecars.
+    Every accepted residual is in `phases[].residuals`.
     """
     os.makedirs(out_dir, exist_ok=True)
-    record = asdict(trace)
-    payload = {"format": TRACE_FORMAT, **{k: record[k] for k in TRACE_FIELDS}}
+    payload = {"format": TRACE_FORMAT, **asdict(trace)}
     return dump_json(os.path.join(out_dir, "trace.json"), payload)
 
 
@@ -535,7 +528,7 @@ def load_trace(path: str) -> MacnetTrace:
     events = (("phases", Phase), ("retrains", RetrainEvent), ("fallbacks", FallbackEvent))
     for key, cls in events:
         payload[key] = [_record(cls, item, path) for item in _get(payload, key, path, list)]
-    return _record(MacnetTrace, payload, path, TRACE_FIELDS)
+    return _record(MacnetTrace, payload, path)
 
 
 AUDIT_HEADER = "step,mode,variable,max_rel_err,mean_rel_err"

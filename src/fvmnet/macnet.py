@@ -1,12 +1,12 @@
 """Residual-gated alternation between solver windows and surrogate rollout.
 
-The run loop advances a CFD window, trains or updates the four transported
-surrogates (the ones a hybrid step runs) on exactly that window, then lets
-the surrogates step the middle band while the scaled continuity residual
-stays under tolerance. A breaching candidate step is discarded, so the
-trajectory never contains a step that failed the gate; the loop then returns
-to CFD and retrains. An independent validator replays the recorded trace
-against the documented invariants.
+The run loop advances a CFD window, trains the four transported surrogates
+(the ones a hybrid step runs) on exactly that window, from the last bundle if
+any, then lets the surrogates step the middle band while the scaled
+continuity residual stays under tolerance. A breaching candidate step is
+discarded, so the trajectory never contains a step that failed the gate; the
+loop then returns to CFD and retrains. An independent validator replays the
+recorded trace against the documented invariants.
 """
 
 from __future__ import annotations
@@ -34,22 +34,20 @@ from .training import derived_seed
 
 logger = logging.getLogger(__name__)
 
-RETRAIN_POLICIES = ("warm-start", "from-scratch")
 PHASE_MODES = ("CFD", "ML")
 CFD_END_REASONS = ("window", "horizon")
 
 
 @dataclass(frozen=True)
 class MacnetConfig:
-    """Gating and retraining knobs for the alternation loop, plus the recipe
-    every (re)training follows."""
+    """Window and gating knobs for the alternation loop, plus the recipe every
+    retraining follows."""
 
     recipe: SurrogateRecipe
     cfd_window: int = 2
     tolerance: float = 5.0
     max_ml_steps: int = 10
     horizon: int = 40
-    retrain: str = "warm-start"
 
     def __post_init__(self):
         if self.cfd_window < 1:
@@ -63,8 +61,6 @@ class MacnetConfig:
                 f"horizon {self.horizon} is shorter than one CFD window "
                 f"of {self.cfd_window}"
             )
-        if self.retrain not in RETRAIN_POLICIES:
-            raise DomainError(f"retrain must be one of {RETRAIN_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +86,13 @@ class Phase:
 
 @dataclass(frozen=True)
 class RetrainEvent:
-    """One (re)training of the surrogate bundle on the latest CFD window.
+    """One training of the surrogate bundle on the latest CFD window.
 
     Each mapping is keyed by the trained variables, TRANSPORTED; `epochs`
     holds each network's epochs run.
     """
 
     at_step: int
-    policy: str
     val_losses: Mapping[str, float]
     param_ids: Mapping[str, str]
     epochs: Mapping[str, int]
@@ -123,9 +118,6 @@ class MacnetTrace:
     phases: List[Phase] = field(default_factory=list)
     retrains: List[RetrainEvent] = field(default_factory=list)
     fallbacks: List[FallbackEvent] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    train_seconds: float = 0.0
-    ml_seconds: float = 0.0  # wall clock inside candidate predict_step calls
 
     def ml_steps(self) -> int:
         return sum(p.end - p.start for p in self.phases if p.mode == "ML")
@@ -142,6 +134,15 @@ class MacnetTrace:
         return self.ml_steps() / self.horizon
 
 
+@dataclass(frozen=True)
+class MacnetTiming:
+    """Wall clock of one run, for macnet_timing.csv; the trace holds none."""
+
+    wall_seconds: float
+    train_seconds: float  # inside train_bundle calls
+    ml_seconds: float  # inside candidate predict_step calls
+
+
 def retrain_seed(base: int, index: int) -> int:
     """Seed used for the index-th retraining of a run seeded with base."""
     return derived_seed(base, "retrain", index)
@@ -154,10 +155,10 @@ def run(
     params: PhysicalParams,
     partition: DomainPartition,
     seed: int = 0,
-) -> Tuple[List[Snapshot], MacnetTrace]:
+) -> Tuple[List[Snapshot], MacnetTrace, MacnetTiming]:
     """Alternate CFD windows and gated surrogate phases to the horizon.
 
-    Returns the full state trajectory (horizon + 1 snapshots) and the trace.
+    Returns the state trajectory (horizon + 1 snapshots), trace and timing.
     Training divergence aborts with the partial series and trace attached;
     solver and surrogate numerical errors propagate unchanged.
     """
@@ -170,8 +171,8 @@ def run(
     series = [initial.copy()]
     state = series[0]
     bundle = None
-    denominator = None
     steps_done = 0
+    train_seconds = ml_seconds = 0.0
     run_start = time.perf_counter()
 
     while steps_done < config.horizon:
@@ -195,8 +196,7 @@ def run(
         if steps_done >= config.horizon:
             break
 
-        # (2) Train or update the bundle on exactly this window.
-        warm = bundle if config.retrain == "warm-start" else None
+        # (2) Train the bundle on exactly this window, from the last one if any.
         train_start = time.perf_counter()
         try:
             bundle, reports = train_bundle(
@@ -205,7 +205,7 @@ def run(
                 partition,
                 config.recipe,
                 seed=retrain_seed(seed, len(trace.retrains)),
-                warm_from=warm,
+                warm_from=bundle,
             )
         except TrainingDivergedError as err:
             raise MacnetAbortError(
@@ -213,12 +213,11 @@ def run(
                 series=series,
                 trace=trace,
             ) from err
-        trace.train_seconds += time.perf_counter() - train_start
+        train_seconds += time.perf_counter() - train_start
         denominator = residual_denominator(window, grid, params)
         trace.retrains.append(
             RetrainEvent(
                 at_step=steps_done,
-                policy=config.retrain,
                 val_losses={v: rep.best_val_loss for v, rep in reports.items()},
                 param_ids={v: rep.param_snapshot_id for v, rep in reports.items()},
                 epochs={v: rep.epochs_run for v, rep in reports.items()},
@@ -233,7 +232,7 @@ def run(
         while len(residuals) < config.max_ml_steps and steps_done < config.horizon:
             ml_start = time.perf_counter()
             candidate = predict_step(bundle, state, partition, grid, params)
-            trace.ml_seconds += time.perf_counter() - ml_start
+            ml_seconds += time.perf_counter() - ml_start
             res = scaled_residual(candidate, state, grid, params, denominator)
             if res > config.tolerance:
                 breach = res
@@ -268,17 +267,17 @@ def run(
             )
         )
 
-    trace.wall_seconds = time.perf_counter() - run_start
+    timing = MacnetTiming(time.perf_counter() - run_start, train_seconds, ml_seconds)
     logger.info(
         "run complete: %d/%d steps by ML (%.0f%%), %.2fs total, %.2fs training",
         trace.ml_steps(), config.horizon, 100.0 * trace.ml_fraction(),
-        trace.wall_seconds, trace.train_seconds,
+        timing.wall_seconds, timing.train_seconds,
     )
-    return series, trace
+    return series, trace, timing
 
 
 def step_costs(
-    trace: MacnetTrace, solver_step_seconds: Sequence[float]
+    trace: MacnetTrace, timing: MacnetTiming, solver_step_seconds: Sequence[float]
 ) -> Tuple[float, float, float]:
     """(hybrid_step_ms, solver_step_ms, step_cost_ratio), training excluded.
 
@@ -295,7 +294,7 @@ def step_costs(
         )
     solver_ms = 1e3 * float(np.median(solver_step_seconds))
     candidates = trace.candidates()
-    hybrid_ms = 1e3 * trace.ml_seconds / candidates if candidates else float("nan")
+    hybrid_ms = 1e3 * timing.ml_seconds / candidates if candidates else float("nan")
     ratio = hybrid_ms / solver_ms
     logger.info(
         "per step: hybrid %.2f ms, solver %.2f ms, cost ratio %.3f",
@@ -310,9 +309,11 @@ def validate_trace(trace: MacnetTrace) -> None:
     Checks only the recorded fields, independently of the run loop: phases
     tile [0, horizon]; every ML phase directly follows a CFD phase; each ML
     phase ends for a recorded, consistent reason with all accepted residuals
-    under the gate; consecutive CFD phases pair up with fallback events;
+    under the gate; every CFD phase but the last ends on one retrain, in
+    order, and on a fallback event exactly when another CFD phase follows;
     each retrain records a finite loss and at least one epoch for exactly the
-    TRANSPORTED networks.
+    TRANSPORTED networks, and the finite positive residual denominator that
+    scaled_residual requires.
     """
     if not trace.phases:
         raise DomainError("trace has no phases")
@@ -380,16 +381,12 @@ def validate_trace(trace: MacnetTrace) -> None:
         else:
             raise DomainError(f"ML phase {idx} ended by {phase.ended_by!r}")
 
-    boundaries = {
-        trace.phases[idx].end
-        for idx in range(len(trace.phases) - 1)
-        if trace.phases[idx].mode == "CFD" and trace.phases[idx + 1].mode == "CFD"
-    }
-    fallback_steps = [event.at_step for event in trace.fallbacks]
-    if sorted(boundaries) != sorted(fallback_steps):
+    cfd_pairs = [(a, b) for a, b in zip(trace.phases, trace.phases[1:]) if a.mode == "CFD"]
+    boundaries = [a.end for a, b in cfd_pairs if b.mode == "CFD"]
+    fallback_steps = sorted(event.at_step for event in trace.fallbacks)
+    if fallback_steps != boundaries:
         raise DomainError(
-            f"CFD-to-CFD boundaries {sorted(boundaries)} do not match "
-            f"fallback events {sorted(fallback_steps)}"
+            f"CFD-to-CFD boundaries {boundaries} do not match fallback events {fallback_steps}"
         )
     for event in trace.fallbacks:
         if not event.residual > trace.tolerance:
@@ -397,6 +394,10 @@ def validate_trace(trace: MacnetTrace) -> None:
                 f"fallback at step {event.at_step} has residual "
                 f"{event.residual} within tolerance"
             )
+    cfd_ends = [a.end for a, _ in cfd_pairs]
+    retrain_steps = [event.at_step for event in trace.retrains]
+    if retrain_steps != cfd_ends:
+        raise DomainError(f"retrains at {retrain_steps} are not one at each CFD end {cfd_ends}")
     for event in trace.retrains:
         for name in ("val_losses", "param_ids", "epochs"):
             if sorted(getattr(event, name)) != sorted(TRANSPORTED):
@@ -408,6 +409,11 @@ def validate_trace(trace: MacnetTrace) -> None:
             raise DomainError(f"retrain at step {event.at_step} has a non-finite loss")
         if not all(epochs >= 1 for epochs in event.epochs.values()):
             raise DomainError(f"retrain at step {event.at_step} ran no epochs")
+        if not 0.0 < event.denominator < math.inf:
+            raise DomainError(
+                f"retrain at step {event.at_step} has denominator {event.denominator}, "
+                "not finite and > 0"
+            )
 
 
 @dataclass(frozen=True)

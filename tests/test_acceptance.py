@@ -194,7 +194,7 @@ def test_08_hybrid_trace_validity_and_tolerance_extremes(desk_cfg, desk_series):
     cfg = desk_cfg
     start = desk_series[0]
 
-    series, trace = run(start, cfg.macnet, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed)
+    series, trace, _ = run(start, cfg.macnet, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed)
     validate_trace(trace)
     assert trace.phases[-1].end == cfg.macnet.horizon
     assert trace.ml_fraction() > 0.0
@@ -203,7 +203,9 @@ def test_08_hybrid_trace_validity_and_tolerance_extremes(desk_cfg, desk_series):
     # Gate never trips: after the first window the run must replay a plain
     # autoregressive rollout of the same trained surrogates, bit for bit.
     inf_cfg = replace(cfg.macnet, tolerance=float("inf"))
-    inf_series, inf_trace = run(start, inf_cfg, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed)
+    inf_series, inf_trace, _ = run(
+        start, inf_cfg, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed
+    )
     validate_trace(inf_trace)
     truth = simulate(start, cfg.grid, cfg.params, inf_cfg.horizon)
     w = inf_cfg.cfd_window
@@ -229,7 +231,9 @@ def test_08_hybrid_trace_validity_and_tolerance_extremes(desk_cfg, desk_series):
     # Gate always trips: every surrogate candidate is discarded, so the run
     # degenerates to pure solver stepping.
     tiny_cfg = replace(cfg.macnet, tolerance=1e-12)
-    tiny_series, tiny_trace = run(start, tiny_cfg, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed)
+    tiny_series, tiny_trace, _ = run(
+        start, tiny_cfg, cfg.grid, cfg.params, cfg.partition, seed=cfg.seed
+    )
     validate_trace(tiny_trace)
     assert tiny_trace.ml_fraction() == 0.0
     assert len(tiny_trace.fallbacks) > 0

@@ -425,7 +425,7 @@ OBJECT_CHECKED_LEAVES = [
     ("train.patience=0", "patience"),
     ("macnet.cfd_window=0", "cfd_window"),
     ("macnet.max_ml_steps=0", "max_ml_steps"),
-    ("macnet.retrain=sometimes", "retrain"),
+    ("macnet.tolerance=0", "tolerance"),
     ("physical.diffusivity.v_x=1e-5", "diffusivity"),
 ]
 

@@ -93,8 +93,8 @@ def test_nullable_wall_temperature():
 def test_type_errors_name_the_field():
     with pytest.raises(ConfigurationError, match="grid.m must be an integer"):
         resolve_config_from({"grid": {"m": 4.5}})
-    with pytest.raises(ConfigurationError, match="macnet.retrain must be a string"):
-        resolve_config_from({"macnet": {"retrain": 7}})
+    with pytest.raises(ConfigurationError, match="network.activation must be a string"):
+        resolve_config_from({"network": {"activation": 7}})
     with pytest.raises(ConfigurationError, match="macnet.tolerance must be a number"):
         resolve_config_from({"macnet": {"tolerance": "soon"}})
     with pytest.raises(ConfigurationError, match="dataset.wall_values must be a list of numbers"):
@@ -117,7 +117,7 @@ def test_enum_fields_are_validated():
     for section, key, bad in (
         ("dataset", "input_mode", "everything"),
         ("dataset", "output_mode", "rate"),
-        ("macnet", "retrain", "sometimes"),
+        ("physical", "axial_bc", "Inflow_Outflow"),  # choices match exactly
         ("network", "activation", "tanh"),
         ("physical", "axial_bc", "periodic"),
     ):
@@ -224,6 +224,7 @@ def test_file_and_override_share_the_unknown_name_errors(tmp_path):
         ({"grids": {"m": 4}}, "grids.m=4"),
         ({"macnet": {"tol": 3}}, "macnet.tol=3"),
         ({"network": {"case": "c"}}, "network.case=c"),
+        ({"macnet": {"retrain": "warm-start"}}, "macnet.retrain=warm-start"),
     ):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(user))

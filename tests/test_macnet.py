@@ -8,6 +8,7 @@ from fvmnet.errors import DomainError, MacnetAbortError
 from fvmnet.macnet import (
     FallbackEvent,
     MacnetConfig,
+    MacnetTiming,
     MacnetTrace,
     Phase,
     RetrainEvent,
@@ -63,6 +64,32 @@ def small_config(**overrides):
     return MacnetConfig(**base)
 
 
+def retrain_event(at_step, **overrides):
+    fields = dict(
+        at_step=at_step,
+        val_losses={v: 0.5 for v in TRANSPORTED},
+        param_ids={v: "ab" * 6 for v in TRANSPORTED},
+        epochs={v: 4 for v in TRANSPORTED},
+        denominator=1.0,
+    )
+    fields.update(overrides)
+    return RetrainEvent(**fields)
+
+
+def make_trace(phases, fallbacks=(), horizon=8, window=2, tol=5.0, max_ml=4):
+    """A trace of `phases` with a retrain where a run records one: at the end
+    of each CFD phase that stops short of the horizon."""
+    trace = MacnetTrace(
+        horizon=horizon, cfd_window=window, tolerance=tol, max_ml_steps=max_ml
+    )
+    trace.phases = list(phases)
+    trace.fallbacks = list(fallbacks)
+    trace.retrains = [
+        retrain_event(p.end) for p in phases if p.mode == "CFD" and p.end < horizon
+    ]
+    return trace
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         small_config(cfd_window=0)
@@ -72,12 +99,10 @@ def test_config_validation():
         small_config(max_ml_steps=0)
     with pytest.raises(DomainError):
         small_config(horizon=1)
-    with pytest.raises(DomainError):
-        small_config(retrain="replay")
 
 
 def test_infinite_tolerance_gives_one_window_then_ml_to_horizon():
-    series, trace = run(blob_state(), small_config(), GRID, PARAMS, PART, seed=5)
+    series, trace, _ = run(blob_state(), small_config(), GRID, PARAMS, PART, seed=5)
     validate_trace(trace)
     assert [(p.mode, p.start, p.end) for p in trace.phases] == [
         ("CFD", 0, 2),
@@ -99,7 +124,7 @@ def test_infinite_tolerance_gives_one_window_then_ml_to_horizon():
 def test_infinite_tolerance_matches_plain_multi_step_bit_exactly():
     seed = 5
     config = small_config()
-    series, trace = run(blob_state(), config, GRID, PARAMS, PART, seed=seed)
+    series, trace, _ = run(blob_state(), config, GRID, PARAMS, PART, seed=seed)
     truth = simulate(blob_state(), GRID, PARAMS, config.horizon)
 
     # The CFD window retraces the pure solver bit for bit.
@@ -130,14 +155,14 @@ def test_infinite_tolerance_matches_plain_multi_step_bit_exactly():
 
 def test_tiny_tolerance_reduces_to_pure_cfd():
     config = small_config(tolerance=1e-9)
-    series, trace = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
+    series, trace, timing = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
     validate_trace(trace)
     assert trace.ml_fraction() == 0.0
     assert all(p.mode == "CFD" for p in trace.phases)
     assert len(trace.phases) == 4
     assert len(trace.fallbacks) == 3
     assert all(event.residual > config.tolerance for event in trace.fallbacks)
-    assert trace.candidates() == 3 and trace.ml_seconds > 0.0
+    assert trace.candidates() == 3 and timing.ml_seconds > 0.0
     # Discard semantics: rejected candidates never touch the trajectory.
     truth = simulate(blob_state(), GRID, PARAMS, config.horizon)
     for ours, ref in zip(series, truth):
@@ -204,7 +229,7 @@ def test_intermediate_tolerance_breaches_mid_phase(monkeypatch):
         macnet_mod, "predict_step", lambda *a: calls.append(1) or real_step(*a)
     )
     config = small_config(tolerance=tol, horizon=12, max_ml_steps=6)
-    series, trace = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
+    series, trace, _ = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
     validate_trace(trace)
     assert trace.candidates() == len(calls)
     breached = [p for p in trace.phases if p.mode == "ML" and p.ended_by == "breach"]
@@ -219,19 +244,23 @@ def test_intermediate_tolerance_breaches_mid_phase(monkeypatch):
     assert len(series) == config.horizon + 1
 
 
-def test_warm_and_scratch_policies_diverge_after_first_retrain():
+def test_second_retrain_warm_starts_from_the_first_bundle():
+    # Every candidate breaches, so each window is the pure solver's.
     config = small_config(tolerance=1e-9)
-    warm_trace = run(blob_state(), config, GRID, PARAMS, PART, seed=5)[1]
-    scratch_trace = run(
-        blob_state(),
-        small_config(tolerance=1e-9, retrain="from-scratch"),
-        GRID,
-        PARAMS,
-        PART,
-        seed=5,
-    )[1]
-    assert warm_trace.retrains[0].param_ids == scratch_trace.retrains[0].param_ids
-    assert warm_trace.retrains[1].param_ids != scratch_trace.retrains[1].param_ids
+    trace = run(blob_state(), config, GRID, PARAMS, PART, seed=5)[1]
+    truth = simulate(blob_state(), GRID, PARAMS, 4)
+    first, reports = train_bundle(truth[:3], GRID, PART, RECIPE, seed=retrain_seed(5, 0))
+    assert trace.retrains[0].param_ids == {v: r.param_snapshot_id for v, r in reports.items()}
+
+    def second_ids(warm_from):
+        reports = train_bundle(
+            truth[2:5], GRID, PART, RECIPE, seed=retrain_seed(5, 1), warm_from=warm_from
+        )[1]
+        return {v: r.param_snapshot_id for v, r in reports.items()}
+
+    assert trace.retrains[1].at_step == 4
+    assert trace.retrains[1].param_ids == second_ids(first)
+    assert trace.retrains[1].param_ids != second_ids(None)  # a cold start differs
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -249,59 +278,53 @@ def test_training_divergence_aborts_with_partial_trace():
 
 
 def test_step_costs_divide_by_candidates_and_horizon():
-    trace = MacnetTrace(horizon=10, cfd_window=2, tolerance=1.0, max_ml_steps=4)
-    trace.phases = [
-        Phase("CFD", 0, 2),
-        Phase("ML", 2, 4, residuals=(0.1, 0.2), ended_by="breach", breach_residual=2.0),
-        Phase("CFD", 4, 6),
-        Phase("CFD", 6, 8),
-        Phase("ML", 8, 10, residuals=(0.1, 0.2), ended_by="horizon"),
-    ]
-    trace.fallbacks = [FallbackEvent(at_step=6, residual=3.0)]
+    trace = make_trace(
+        [
+            Phase("CFD", 0, 2),
+            Phase("ML", 2, 4, residuals=(0.1, 0.2), ended_by="breach", breach_residual=2.0),
+            Phase("CFD", 4, 6),
+            Phase("CFD", 6, 8),
+            Phase("ML", 8, 10, residuals=(0.1, 0.2), ended_by="horizon"),
+        ],
+        fallbacks=[FallbackEvent(at_step=6, residual=3.0)],
+        horizon=10,
+        tol=1.0,
+    )
     validate_trace(trace)
-    trace.ml_seconds = 0.012
+    timing = MacnetTiming(wall_seconds=1.0, train_seconds=0.5, ml_seconds=0.012)
     assert trace.candidates() == 6  # 4 accepted, 1 breach, 1 fallback
     steps = [0.005] * trace.horizon
-    hybrid, solver, ratio = step_costs(trace, steps)
+    hybrid, solver, ratio = step_costs(trace, timing, steps)
     assert hybrid == pytest.approx(2.0) and solver == pytest.approx(5.0)
     assert ratio == pytest.approx(0.4)
     trace.phases = [Phase("CFD", 0, 10, ended_by="horizon")]
     trace.fallbacks = []
-    hybrid, solver, ratio = step_costs(trace, steps)
+    hybrid, solver, ratio = step_costs(trace, timing, steps)
     assert np.isnan(hybrid) and np.isnan(ratio) and solver == pytest.approx(5.0)
     # One time per step of the horizon, each positive.
     for bad in ([0.005] * 9, [0.005] * 9 + [0.0]):
         with pytest.raises(DomainError):
-            step_costs(trace, bad)
+            step_costs(trace, timing, bad)
 
 
 def test_step_costs_take_the_median_solver_step_so_an_outlier_does_not_move_it():
-    trace = MacnetTrace(horizon=5, cfd_window=2, tolerance=1.0, max_ml_steps=4)
-    trace.phases = [
-        Phase("CFD", 0, 2),
-        Phase("ML", 2, 5, residuals=(0.1, 0.2, 0.3), ended_by="horizon"),
-    ]
+    trace = make_trace(
+        [Phase("CFD", 0, 2), Phase("ML", 2, 5, residuals=(0.1, 0.2, 0.3), ended_by="horizon")],
+        horizon=5,
+        tol=1.0,
+    )
     validate_trace(trace)
-    trace.ml_seconds = 0.006
+    timing = MacnetTiming(wall_seconds=1.0, train_seconds=0.5, ml_seconds=0.006)
     steady = [0.0011, 0.0009, 0.001, 0.0012, 0.0008]
     outlier = [0.0011, 0.0009, 0.001, 0.05, 0.0008]  # one step stalled 50 ms
-    hybrid, solver, ratio = step_costs(trace, steady)
+    hybrid, solver, ratio = step_costs(trace, timing, steady)
     assert (hybrid, solver, ratio) == pytest.approx((2.0, 1.0, 2.0))
-    assert step_costs(trace, outlier) == pytest.approx((2.0, 1.0, 2.0))
+    assert step_costs(trace, timing, outlier) == pytest.approx((2.0, 1.0, 2.0))
     # The mean step over the horizon would read 10.76 ms.
     assert 1e3 * sum(outlier) / trace.horizon == pytest.approx(10.76)
 
 
 # ----- independent validator on synthetic traces -----
-
-
-def make_trace(phases, fallbacks=(), horizon=8, window=2, tol=5.0, max_ml=4):
-    trace = MacnetTrace(
-        horizon=horizon, cfd_window=window, tolerance=tol, max_ml_steps=max_ml
-    )
-    trace.phases = list(phases)
-    trace.fallbacks = list(fallbacks)
-    return trace
 
 
 def test_validator_accepts_a_correct_trace():
@@ -424,20 +447,15 @@ def test_validator_rejects_malformed_cfd_phases():
 
 
 def test_validator_checks_each_retrain():
+    phases = [
+        Phase("CFD", 0, 2),
+        Phase("ML", 2, 6, residuals=(0.1,) * 4, ended_by="max_ml_steps"),
+        Phase("CFD", 6, 8, ended_by="window"),
+    ]
+
     def retrain(**overrides):
-        fields = dict(
-            at_step=2, policy="warm-start",
-            val_losses={v: 0.5 for v in TRANSPORTED},
-            param_ids={v: "ab" * 6 for v in TRANSPORTED},
-            epochs={v: 4 for v in TRANSPORTED},
-            denominator=1.0,
-        )
-        fields.update(overrides)
-        trace = make_trace(
-            [Phase("CFD", 0, 2), Phase("ML", 2, 6, residuals=(0.1,) * 4, ended_by="max_ml_steps"),
-             Phase("CFD", 6, 8, ended_by="window")]
-        )
-        trace.retrains = [RetrainEvent(**fields)]
+        trace = make_trace(phases)
+        trace.retrains = [retrain_event(2, **overrides)]
         return trace
 
     validate_trace(retrain())
@@ -449,14 +467,45 @@ def test_validator_checks_each_retrain():
         dict(val_losses={**six, "T": float("nan")}),
         dict(val_losses={v: float("inf") for v in TRANSPORTED}),
         dict(epochs={**{v: 4 for v in TRANSPORTED}, "X_ox": 0}),
+        dict(denominator=-3.0),
+        dict(denominator=0.0),
+        dict(denominator=float("nan")),
+        dict(denominator=float("inf")),
     ):
         with pytest.raises(DomainError, match="retrain at step 2"):
             validate_trace(retrain(**bad))
 
+    # One retrain each, in order, at the end of every CFD phase short of the
+    # horizon: none before the ML phase, one off the window's end, repeats.
+    for retrains in (
+        [],
+        [retrain_event(5)],
+        [retrain_event(5, denominator=-3.0)],
+        [retrain_event(2)] * 3,
+    ):
+        trace = make_trace(phases)
+        trace.retrains = retrains
+        with pytest.raises(DomainError, match="not one at each CFD end"):
+            validate_trace(trace)
+    # A fallback's CFD-to-CFD boundary is retrained too, in step order.
+    fallback = make_trace(
+        [
+            Phase("CFD", 0, 2),
+            Phase("CFD", 2, 4),
+            Phase("ML", 4, 8, residuals=(0.1,) * 4, ended_by="horizon"),
+        ],
+        fallbacks=[FallbackEvent(at_step=2, residual=9.0)],
+    )
+    validate_trace(fallback)
+    assert [event.at_step for event in fallback.retrains] == [2, 4]
+    fallback.retrains.reverse()
+    with pytest.raises(DomainError, match="not one at each CFD end"):
+        validate_trace(fallback)
+
 
 def test_audit_rejects_horizon_mismatches():
     config = small_config()
-    series, trace = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
+    series, trace, _ = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
     truth = simulate(blob_state(), GRID, PARAMS, config.horizon)
     with pytest.raises(DomainError):
         hybrid_error_audit(series[:-1], trace, truth, PART)
