@@ -202,12 +202,9 @@ def _load_series_checked(cfg, args, count, leaves):
 
 def _burned_in_state(cfg):
     """The configured initial snapshot advanced `cfg.burn_in` solver steps."""
-    from .solver import step
+    from .solver import simulate
 
-    state = cfg.initial_snapshot()
-    for _ in range(cfg.burn_in):
-        state = step(state, cfg.grid, cfg.params)
-    return state
+    return simulate(cfg.initial_snapshot(), cfg.grid, cfg.params, cfg.burn_in)[-1]
 
 
 # ----- commands -----

@@ -6,7 +6,9 @@ that parses back to the same double) inside JSON or CSV, keys are sorted,
 and newlines are pinned to "\n", so rerunning a seeded experiment
 reproduces each file byte for byte. Wall-clock measurements go to
 separate timing sidecars to keep the main artifacts deterministic; a
-`MacnetTrace` holds none, so trace.json is the whole record.
+`MacnetTrace` holds none, so trace.json is the whole record: the run's
+phases, alternating CFD and ML (a fallback is an ML phase that accepted no
+step), and its retrains.
 
 Every file is written through `atomic_writer`: the data goes to a temporary
 file beside the target, which replaces the target only once complete, so an
@@ -27,8 +29,8 @@ for a reader to compare with its own settings.
 
 The grid, physical-parameter and initial-condition records of the series
 manifest, the bundle's `layout` (its one `CellLayout`) and each network's
-`spec`, and the trace header and its phase, retrain and fallback entries are
-their dataclass's fields, written by `dataclasses.asdict` and read back by
+`spec`, and the trace header and its phase and retrain entries are their
+dataclass's fields, written by `dataclasses.asdict` and read back by
 `_record`. Adding or dropping a field of one of those dataclasses therefore
 changes the file format and needs its format tag bumped. A
 `train_reports.json` entry adds the derived `epochs_run` to a
@@ -59,7 +61,7 @@ import numpy as np
 from .config import InitialCondition
 from .dataset import CellLayout, Standardizer
 from .errors import ArtifactIOError, DomainError, FvmnetError
-from .macnet import FallbackEvent, MacnetTrace, Phase, RetrainEvent
+from .macnet import MacnetTrace, Phase, RetrainEvent
 from .network import Network, NetworkSpec
 from .rollout import RolloutReport, SurrogateBundle
 from .solver import VARIABLES, GridSpec, PhysicalParams, Snapshot, time_tolerance
@@ -70,7 +72,7 @@ SERIES_FORMAT = "fvmnet-series-3"
 ARRAY_DTYPE = np.dtype("<f8")
 BUNDLE_FORMAT = "fvmnet-bundle-4"
 BUNDLE_FILE = "bundle.npz"
-TRACE_FORMAT = "fvmnet-trace-3"
+TRACE_FORMAT = "fvmnet-trace-4"
 # What np.load raises on an empty, truncated, pickled or non-numpy file; a
 # corrupt header can claim a huge array or fail to tokenize.
 _UNREADABLE = (ValueError, EOFError, MemoryError, tokenize.TokenError)
@@ -525,8 +527,7 @@ def load_trace(path: str) -> MacnetTrace:
     payload = read_json(path)
     _expect_format(payload, TRACE_FORMAT, path)
     del payload["format"]
-    events = (("phases", Phase), ("retrains", RetrainEvent), ("fallbacks", FallbackEvent))
-    for key, cls in events:
+    for key, cls in (("phases", Phase), ("retrains", RetrainEvent)):
         payload[key] = [_record(cls, item, path) for item in _get(payload, key, path, list)]
     return _record(MacnetTrace, payload, path)
 

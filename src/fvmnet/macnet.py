@@ -5,8 +5,11 @@ The run loop advances a CFD window, trains the four transported surrogates
 any, then lets the surrogates step the middle band while the scaled
 continuity residual stays under tolerance. A breaching candidate step is
 discarded, so the trajectory never contains a step that failed the gate; the
-loop then returns to CFD and retrains. An independent validator replays the
-recorded trace against the documented invariants.
+loop then returns to CFD and retrains. The trace's phases therefore alternate
+CFD, ML, CFD, ... from step 0: a fallback, where the gate refused a fresh
+bundle's first candidate, is an ML phase that accepted no step. An
+independent validator replays the recorded trace against the documented
+invariants.
 """
 
 from __future__ import annotations
@@ -70,7 +73,8 @@ class Phase:
     start/end are global step counts: the phase advanced the trajectory from
     state index start to state index end. ML phases record the scaled
     residual of every accepted step; a phase that ended on the gate also
-    records the discarded candidate's residual.
+    records the discarded candidate's residual. A fallback is an ML phase
+    with start == end, ended by that breach.
     """
 
     mode: str
@@ -99,14 +103,6 @@ class RetrainEvent:
     denominator: float
 
 
-@dataclass(frozen=True)
-class FallbackEvent:
-    """A fresh bundle's very first candidate step breached the gate."""
-
-    at_step: int
-    residual: float
-
-
 @dataclass
 class MacnetTrace:
     """Complete record of one alternation run, sufficient for replay checks."""
@@ -117,7 +113,11 @@ class MacnetTrace:
     max_ml_steps: int
     phases: List[Phase] = field(default_factory=list)
     retrains: List[RetrainEvent] = field(default_factory=list)
-    fallbacks: List[FallbackEvent] = field(default_factory=list)
+
+    @property
+    def fallbacks(self) -> List[Phase]:
+        """The ML phases that accepted no step."""
+        return [p for p in self.phases if p.mode == "ML" and p.start == p.end]
 
     def ml_steps(self) -> int:
         return sum(p.end - p.start for p in self.phases if p.mode == "ML")
@@ -125,7 +125,7 @@ class MacnetTrace:
     def candidates(self) -> int:
         """Surrogate steps attempted: the accepted ones plus each discarded breach."""
         breaches = sum(p.ended_by == "breach" for p in self.phases if p.mode == "ML")
-        return self.ml_steps() + breaches + len(self.fallbacks)
+        return self.ml_steps() + breaches
 
     def cfd_steps(self) -> int:
         return sum(p.end - p.start for p in self.phases if p.mode == "CFD")
@@ -243,13 +243,10 @@ def run(
             steps_done += 1
 
         if not residuals:
-            # Gate fired before a single step landed: no ML phase this round.
-            trace.fallbacks.append(FallbackEvent(at_step=steps_done, residual=breach))
             logger.info(
                 "fallback at step %d: first candidate residual %.3g > %.3g",
                 steps_done, breach, config.tolerance,
             )
-            continue
         if breach is not None:
             ended_by = "breach"
         elif steps_done >= config.horizon:
@@ -307,18 +304,16 @@ def validate_trace(trace: MacnetTrace) -> None:
     """Replay the documented invariants against a recorded trace.
 
     Checks only the recorded fields, independently of the run loop: phases
-    tile [0, horizon]; every ML phase directly follows a CFD phase; each ML
-    phase ends for a recorded, consistent reason with all accepted residuals
-    under the gate; every CFD phase but the last ends on one retrain, in
-    order, and on a fallback event exactly when another CFD phase follows;
-    each retrain records a finite loss and at least one epoch for exactly the
+    tile [0, horizon] and alternate CFD, ML, CFD, ... from step 0; only an ML
+    phase ended by a breach may be empty; each ML phase ends for a recorded,
+    consistent reason with all accepted residuals in [0, tolerance]; every
+    CFD phase that an ML phase follows ends on one retrain, in order; each
+    retrain records a finite loss and at least one epoch for exactly the
     TRANSPORTED networks, and the finite positive residual denominator that
     scaled_residual requires.
     """
     if not trace.phases:
         raise DomainError("trace has no phases")
-    if trace.phases[0].mode != "CFD" or trace.phases[0].start != 0:
-        raise DomainError("trace must open with a CFD phase at step 0")
     if trace.phases[-1].end != trace.horizon:
         raise DomainError(
             f"phases end at {trace.phases[-1].end}, horizon is {trace.horizon}"
@@ -326,16 +321,19 @@ def validate_trace(trace: MacnetTrace) -> None:
 
     expected_start = 0
     for idx, phase in enumerate(trace.phases):
-        if phase.mode not in PHASE_MODES:
-            raise DomainError(f"phase {idx} has unknown mode {phase.mode!r}")
+        if phase.mode != PHASE_MODES[idx % 2]:
+            raise DomainError(
+                f"phase {idx} is {phase.mode!r}, expected {PHASE_MODES[idx % 2]!r}: "
+                "phases alternate CFD and ML from step 0"
+            )
         if phase.start != expected_start:
             raise DomainError(
                 f"phase {idx} starts at {phase.start}, expected {expected_start}"
             )
-        if phase.end <= phase.start:
-            raise DomainError(f"phase {idx} is empty or reversed")
         expected_start = phase.end
         length = phase.end - phase.start
+        if length < 0 or (length == 0 and phase.ended_by != "breach"):
+            raise DomainError(f"phase {idx} is reversed, or empty without a breach")
 
         if phase.mode == "CFD":
             if phase.residuals or phase.breach_residual is not None:
@@ -352,8 +350,6 @@ def validate_trace(trace: MacnetTrace) -> None:
                 raise DomainError(f"CFD phase {idx} claims horizon but ends early")
             continue
 
-        if idx == 0 or trace.phases[idx - 1].mode != "CFD":
-            raise DomainError(f"ML phase {idx} does not follow a CFD phase")
         if length > trace.max_ml_steps:
             raise DomainError(
                 f"ML phase {idx} ran {length} steps, limit is {trace.max_ml_steps}"
@@ -363,10 +359,11 @@ def validate_trace(trace: MacnetTrace) -> None:
                 f"ML phase {idx} records {len(phase.residuals)} residuals "
                 f"for {length} steps"
             )
-        if any(r > trace.tolerance for r in phase.residuals):
-            raise DomainError(f"ML phase {idx} accepted a residual over tolerance")
+        # Both gate checks are negated comparisons, so a NaN residual fails them.
+        if not all(0.0 <= r <= trace.tolerance for r in phase.residuals):
+            raise DomainError(f"ML phase {idx} accepted a residual outside [0, tolerance]")
         if phase.ended_by == "breach":
-            if phase.breach_residual is None or phase.breach_residual <= trace.tolerance:
+            if phase.breach_residual is None or not phase.breach_residual > trace.tolerance:
                 raise DomainError(
                     f"ML phase {idx} claims a breach without a breaching residual"
                 )
@@ -381,20 +378,7 @@ def validate_trace(trace: MacnetTrace) -> None:
         else:
             raise DomainError(f"ML phase {idx} ended by {phase.ended_by!r}")
 
-    cfd_pairs = [(a, b) for a, b in zip(trace.phases, trace.phases[1:]) if a.mode == "CFD"]
-    boundaries = [a.end for a, b in cfd_pairs if b.mode == "CFD"]
-    fallback_steps = sorted(event.at_step for event in trace.fallbacks)
-    if fallback_steps != boundaries:
-        raise DomainError(
-            f"CFD-to-CFD boundaries {boundaries} do not match fallback events {fallback_steps}"
-        )
-    for event in trace.fallbacks:
-        if not event.residual > trace.tolerance:
-            raise DomainError(
-                f"fallback at step {event.at_step} has residual "
-                f"{event.residual} within tolerance"
-            )
-    cfd_ends = [a.end for a, _ in cfd_pairs]
+    cfd_ends = [p.end for p in trace.phases[:-1:2]]  # each CFD phase but a final one
     retrain_steps = [event.at_step for event in trace.retrains]
     if retrain_steps != cfd_ends:
         raise DomainError(f"retrains at {retrain_steps} are not one at each CFD end {cfd_ends}")

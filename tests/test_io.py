@@ -34,7 +34,6 @@ from fvmnet.io import (
 )
 from fvmnet.macnet import (
     AuditRow,
-    FallbackEvent,
     MacnetTrace,
     Phase,
     RetrainEvent,
@@ -560,7 +559,8 @@ def make_trace():
               breach_residual=6.25)
     )
     trace.phases.append(Phase("CFD", 5, 7, ended_by="window"))
-    trace.phases.append(Phase("ML", 7, 8, residuals=(0.25,), ended_by="horizon"))
+    trace.phases.append(Phase("ML", 7, 7, ended_by="breach", breach_residual=8.5))
+    trace.phases.append(Phase("CFD", 7, 8, ended_by="horizon"))
     trace.retrains.append(
         RetrainEvent(
             at_step=2,
@@ -588,7 +588,8 @@ def test_trace_round_trip_and_validation(tmp_path):
     validate_trace(back)
     assert back.horizon == 8 and back.cfd_window == 2
     assert back.tolerance == 5.0 and back.max_ml_steps == 6
-    assert back == trace  # every field, phases, retrains and fallbacks included
+    assert back == trace  # every field, phases and retrains included
+    assert back.fallbacks == [trace.phases[3]]
 
 
 def test_trace_json_omits_wall_clock(tmp_path):
@@ -622,20 +623,19 @@ def test_trace_with_infinite_tolerance_round_trips(tmp_path):
 def test_trace_with_fallback_round_trips(tmp_path):
     trace = MacnetTrace(horizon=4, cfd_window=2, tolerance=0.5, max_ml_steps=4)
     trace.phases.append(Phase("CFD", 0, 2, ended_by="window"))
+    trace.phases.append(Phase("ML", 2, 2, ended_by="breach", breach_residual=0.75))
     trace.phases.append(Phase("CFD", 2, 4, ended_by="horizon"))
-    trace.fallbacks.append(FallbackEvent(at_step=2, residual=0.75))
-    for at in (2,):
-        trace.retrains.append(
-            RetrainEvent(
-                at_step=at,
-                val_losses={v: 0.0 for v in TRANSPORTED},
-                param_ids={v: "00" * 6 for v in TRANSPORTED},
-                epochs={v: 3 for v in TRANSPORTED},
-                denominator=1.0,
-            )
+    trace.retrains.append(
+        RetrainEvent(
+            at_step=2,
+            val_losses={v: 0.0 for v in TRANSPORTED},
+            param_ids={v: "00" * 6 for v in TRANSPORTED},
+            epochs={v: 3 for v in TRANSPORTED},
+            denominator=1.0,
         )
+    )
     back = load_trace(write_trace(str(tmp_path), trace))
-    assert back.fallbacks == trace.fallbacks
+    assert back == trace and back.fallbacks == [trace.phases[1]]
     validate_trace(back)
 
 
@@ -713,46 +713,51 @@ def test_record_formats_are_pinned(tmp_path):
         }
     )
 
-    trace = MacnetTrace(horizon=4, cfd_window=2, tolerance=5.0, max_ml_steps=2)
+    # The fallback at step 2 is an ML phase that accepted no step.
+    trace = MacnetTrace(horizon=5, cfd_window=2, tolerance=5.0, max_ml_steps=2)
     trace.phases += [
         Phase("CFD", 0, 2),
-        Phase("ML", 2, 3, residuals=(0.5,), ended_by="breach", breach_residual=6.25),
-        Phase("CFD", 3, 4, ended_by="horizon"),
+        Phase("ML", 2, 2, ended_by="breach", breach_residual=7.5),
+        Phase("CFD", 2, 4),
+        Phase("ML", 4, 5, residuals=(0.5,), ended_by="horizon"),
     ]
-    trace.retrains.append(
+    trace.retrains += [
         RetrainEvent(
-            at_step=2,
+            at_step=at,
             val_losses={v: 0.25 for v in TRANSPORTED},
             param_ids={v: "ab" * 6 for v in TRANSPORTED},
             epochs={v: 3 for v in TRANSPORTED},
             denominator=3.5,
         )
-    )
-    trace.fallbacks.append(FallbackEvent(at_step=2, residual=7.5))
+        for at in (2, 4)
+    ]
+    validate_trace(trace)
     path = write_trace(str(tmp_path / "macnet"), trace)
     assert open(path).read() == json_text(
         {
             "cfd_window": 2,
-            "fallbacks": [{"at_step": 2, "residual": 7.5}],
-            "format": "fvmnet-trace-3",
-            "horizon": 4,
+            "format": "fvmnet-trace-4",
+            "horizon": 5,
             "max_ml_steps": 2,
             "phases": [
                 {"breach_residual": None, "end": 2, "ended_by": "window",
                  "mode": "CFD", "residuals": [], "start": 0},
-                {"breach_residual": 6.25, "end": 3, "ended_by": "breach",
-                 "mode": "ML", "residuals": [0.5], "start": 2},
-                {"breach_residual": None, "end": 4, "ended_by": "horizon",
-                 "mode": "CFD", "residuals": [], "start": 3},
+                {"breach_residual": 7.5, "end": 2, "ended_by": "breach",
+                 "mode": "ML", "residuals": [], "start": 2},
+                {"breach_residual": None, "end": 4, "ended_by": "window",
+                 "mode": "CFD", "residuals": [], "start": 2},
+                {"breach_residual": None, "end": 5, "ended_by": "horizon",
+                 "mode": "ML", "residuals": [0.5], "start": 4},
             ],
             "retrains": [
                 {
-                    "at_step": 2,
+                    "at_step": at,
                     "denominator": 3.5,
                     "epochs": {v: 3 for v in TRANSPORTED},
                     "param_ids": {v: "abababababab" for v in TRANSPORTED},
                     "val_losses": {v: 0.25 for v in TRANSPORTED},
                 }
+                for at in (2, 4)
             ],
             "tolerance": 5.0,
         }
@@ -840,6 +845,7 @@ MALFORMED = {
     "trace-event-without-epochs": ("trace", lambda p: p["retrains"][1].pop("epochs")),
     "trace-format-1": ("trace", lambda p: p.update(format="fvmnet-trace-1")),
     "trace-format-2": ("trace", lambda p: p.update(format="fvmnet-trace-2")),
+    "trace-format-3": ("trace", lambda p: p.update(format="fvmnet-trace-3")),
     "checkpoint-missing-key": (
         "checkpoint", lambda m: m["meta"]["networks"]["T"]["spec"].pop("activation")
     ),

@@ -6,7 +6,6 @@ import pytest
 from fvmnet.dataset import CellLayout, DomainPartition
 from fvmnet.errors import DomainError, MacnetAbortError
 from fvmnet.macnet import (
-    FallbackEvent,
     MacnetConfig,
     MacnetTiming,
     MacnetTrace,
@@ -76,14 +75,13 @@ def retrain_event(at_step, **overrides):
     return RetrainEvent(**fields)
 
 
-def make_trace(phases, fallbacks=(), horizon=8, window=2, tol=5.0, max_ml=4):
+def make_trace(phases, horizon=8, window=2, tol=5.0, max_ml=4):
     """A trace of `phases` with a retrain where a run records one: at the end
     of each CFD phase that stops short of the horizon."""
     trace = MacnetTrace(
         horizon=horizon, cfd_window=window, tolerance=tol, max_ml_steps=max_ml
     )
     trace.phases = list(phases)
-    trace.fallbacks = list(fallbacks)
     trace.retrains = [
         retrain_event(p.end) for p in phases if p.mode == "CFD" and p.end < horizon
     ]
@@ -158,10 +156,14 @@ def test_tiny_tolerance_reduces_to_pure_cfd():
     series, trace, timing = run(blob_state(), config, GRID, PARAMS, PART, seed=5)
     validate_trace(trace)
     assert trace.ml_fraction() == 0.0
-    assert all(p.mode == "CFD" for p in trace.phases)
-    assert len(trace.phases) == 4
-    assert len(trace.fallbacks) == 3
-    assert all(event.residual > config.tolerance for event in trace.fallbacks)
+    # Every round is a CFD window and a fallback: an ML phase that accepted no step.
+    assert [p.mode for p in trace.phases] == ["CFD", "ML"] * 3 + ["CFD"]
+    assert trace.fallbacks == trace.phases[1::2]
+    assert [p.start for p in trace.fallbacks] == [2, 4, 6]
+    assert all(
+        p.ended_by == "breach" and p.breach_residual > config.tolerance
+        for p in trace.fallbacks
+    )
     assert trace.candidates() == 3 and timing.ml_seconds > 0.0
     # Discard semantics: rejected candidates never touch the trajectory.
     truth = simulate(blob_state(), GRID, PARAMS, config.horizon)
@@ -283,10 +285,10 @@ def test_step_costs_divide_by_candidates_and_horizon():
             Phase("CFD", 0, 2),
             Phase("ML", 2, 4, residuals=(0.1, 0.2), ended_by="breach", breach_residual=2.0),
             Phase("CFD", 4, 6),
+            Phase("ML", 6, 6, ended_by="breach", breach_residual=3.0),
             Phase("CFD", 6, 8),
             Phase("ML", 8, 10, residuals=(0.1, 0.2), ended_by="horizon"),
         ],
-        fallbacks=[FallbackEvent(at_step=6, residual=3.0)],
         horizon=10,
         tol=1.0,
     )
@@ -298,7 +300,6 @@ def test_step_costs_divide_by_candidates_and_horizon():
     assert hybrid == pytest.approx(2.0) and solver == pytest.approx(5.0)
     assert ratio == pytest.approx(0.4)
     trace.phases = [Phase("CFD", 0, 10, ended_by="horizon")]
-    trace.fallbacks = []
     hybrid, solver, ratio = step_costs(trace, timing, steps)
     assert np.isnan(hybrid) and np.isnan(ratio) and solver == pytest.approx(5.0)
     # One time per step of the horizon, each positive.
@@ -404,25 +405,63 @@ def test_validator_rejects_gate_violations():
         )
 
 
-def test_validator_ties_fallbacks_to_cfd_cfd_boundaries():
-    phases = [
-        Phase("CFD", 0, 2),
-        Phase("CFD", 2, 4),
-        Phase("ML", 4, 8, residuals=(0.1,) * 4, ended_by="horizon"),
-    ]
-    validate_trace(
-        make_trace(phases, fallbacks=[FallbackEvent(at_step=2, residual=9.0)])
-    )
-    with pytest.raises(DomainError):
-        validate_trace(make_trace(phases))  # boundary without an event
-    with pytest.raises(DomainError):
-        validate_trace(
-            make_trace(phases, fallbacks=[FallbackEvent(at_step=4, residual=9.0)])
-        )
-    with pytest.raises(DomainError):  # event residual within tolerance
-        validate_trace(
-            make_trace(phases, fallbacks=[FallbackEvent(at_step=2, residual=1.0)])
-        )
+def test_validator_requires_alternating_modes():
+    # A fallback is an empty ML phase between two CFD windows.
+    fallback = Phase("ML", 2, 2, ended_by="breach", breach_residual=9.0)
+    tail = [Phase("CFD", 2, 4), Phase("ML", 4, 8, residuals=(0.1,) * 4, ended_by="horizon")]
+    validate_trace(make_trace([Phase("CFD", 0, 2), fallback, *tail]))
+    for phases in (
+        [Phase("CFD", 0, 2), *tail],  # two CFD phases in a row
+        [
+            Phase("CFD", 0, 2),
+            Phase("ML", 2, 3, residuals=(0.1,), ended_by="breach", breach_residual=9.0),
+            Phase("ML", 3, 4, residuals=(0.1,), ended_by="breach", breach_residual=9.0),
+            *tail[1:],
+        ],
+    ):
+        with pytest.raises(DomainError, match="phases alternate"):
+            validate_trace(make_trace(phases))
+
+
+def test_validator_lets_only_a_breach_end_an_empty_ml_phase():
+    tail = [Phase("CFD", 2, 4), Phase("ML", 4, 8, residuals=(0.1,) * 4, ended_by="horizon")]
+    for ended_by in ("max_ml_steps", "horizon", "window"):
+        empty = Phase("ML", 2, 2, ended_by=ended_by)
+        with pytest.raises(DomainError, match="empty without a breach"):
+            validate_trace(make_trace([Phase("CFD", 0, 2), empty, *tail]))
+    # An empty CFD phase, whatever its reason.
+    for ended_by in ("window", "horizon", "breach"):
+        phases = [
+            Phase("CFD", 0, 2),
+            Phase("ML", 2, 2, ended_by="breach", breach_residual=9.0),
+            Phase("CFD", 2, 2, ended_by=ended_by),
+            Phase("ML", 2, 6, residuals=(0.1,) * 4, ended_by="max_ml_steps"),
+            Phase("CFD", 6, 8),
+        ]
+        with pytest.raises(DomainError, match="CFD phase 2|phase 2 is reversed"):
+            validate_trace(make_trace(phases))
+    # A fallback's candidate must have breached the gate.
+    for breach in (None, 1.0, 5.0, float("nan")):
+        fallback = Phase("ML", 2, 2, ended_by="breach", breach_residual=breach)
+        with pytest.raises(DomainError, match="breach without a breaching residual"):
+            validate_trace(make_trace([Phase("CFD", 0, 2), fallback, *tail]))
+
+
+def test_validator_refuses_nan_residuals():
+    def phases(residuals, breach):
+        return [
+            Phase("CFD", 0, 2),
+            Phase("ML", 2, 5, residuals=residuals, ended_by="breach", breach_residual=breach),
+            Phase("CFD", 5, 7),
+            Phase("ML", 7, 8, residuals=(0.4,), ended_by="horizon"),
+        ]
+
+    nan = float("nan")
+    validate_trace(make_trace(phases((0.5, 1.0, 2.0), 7.0)))
+    with pytest.raises(DomainError, match="accepted a residual outside"):
+        validate_trace(make_trace(phases((0.5, nan, 2.0), 7.0)))
+    with pytest.raises(DomainError, match="breach without a breaching residual"):
+        validate_trace(make_trace(phases((0.5, 1.0, 2.0), nan)))
 
 
 def test_validator_rejects_malformed_cfd_phases():
@@ -482,19 +521,20 @@ def test_validator_checks_each_retrain():
         [retrain_event(5)],
         [retrain_event(5, denominator=-3.0)],
         [retrain_event(2)] * 3,
+        [retrain_event(2), retrain_event(8)],  # none ends the final CFD phase
     ):
         trace = make_trace(phases)
         trace.retrains = retrains
         with pytest.raises(DomainError, match="not one at each CFD end"):
             validate_trace(trace)
-    # A fallback's CFD-to-CFD boundary is retrained too, in step order.
+    # The CFD window before a fallback is retrained too, in step order.
     fallback = make_trace(
         [
             Phase("CFD", 0, 2),
+            Phase("ML", 2, 2, ended_by="breach", breach_residual=9.0),
             Phase("CFD", 2, 4),
             Phase("ML", 4, 8, residuals=(0.1,) * 4, ended_by="horizon"),
         ],
-        fallbacks=[FallbackEvent(at_step=2, residual=9.0)],
     )
     validate_trace(fallback)
     assert [event.at_step for event in fallback.retrains] == [2, 4]
